@@ -51,6 +51,10 @@ class EpochSet:
         labels = np.asarray(self.labels)
         if labels.shape != (trials.shape[0],):
             raise ValueError(f"need one label per trial: {labels.shape} vs {trials.shape[0]} trials")
+        finite = np.isfinite(trials)
+        if not finite.all():
+            t, c, s = np.unravel_index(np.argmin(finite), trials.shape)
+            raise ValueError(f"non-finite sample at trial {t}, channel {c}, sample {s}")
         if labels.size and (labels.min() < 0 or labels.max() >= len(self.class_names)):
             raise ValueError(f"labels must lie in [0, {len(self.class_names)})")
         xy = np.asarray(self.channel_xy, dtype=np.float32)
@@ -157,8 +161,13 @@ def load_epochs(path) -> EpochSet:
                               f"label {labels.max()} out of range for {n_classes} classes")
         raw = read_exact(f, 4 * n_trials * n_channels * n_samples, "the trial data")
         trials = np.frombuffer(raw, dtype="<f4").reshape(n_trials, n_channels, n_samples)
-    return EpochSet(trials.copy(), labels.copy(), class_names, channel_names,
-                    np.asarray(xy, dtype=np.float32).reshape(n_channels, 2), fs)
+    try:
+        return EpochSet(trials.copy(), labels.copy(), class_names, channel_names,
+                        np.asarray(xy, dtype=np.float32).reshape(n_channels, 2), fs)
+    except ValueError as exc:
+        # the shapes were checked above; what is left is a bad value in the
+        # file: a non-finite sample or a sampling rate that is not positive
+        raise FormatError("bad_value", str(exc)) from None
 
 
 # ----------------------------------------------------------------------

@@ -46,30 +46,16 @@ class ConvSpec:
 # ----------------------------------------------------------------------
 # core 2-D convolution (correlation orientation, dilation on the time axis)
 
-def _windows(xp, kh, kw, dilation):
-    span = dilation * (kw - 1) + 1
-    win = sliding_window_view(xp, (kh, span), axis=(2, 3))
-    if dilation > 1:
-        win = win[..., ::dilation]
-    return win  # (N, C, Ho, Wo, kh, kw)
-
-
-def _conv2d_raw(xp, w, dilation, depthwise):
-    win = _windows(xp, w.shape[2], w.shape[3], dilation)
-    if depthwise:
-        # one kernel per input channel, no cross-channel mixing
-        return np.einsum("ncijab,cab->ncij", win, w[:, 0], optimize=True)
-    # contract (channel, kernel_h, kernel_w); tensordot routes through BLAS
-    out = np.tensordot(win, w, axes=([1, 4, 5], [1, 2, 3]))
-    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
-
-
 def conv2d(x, w, pad_h=(0, 0), pad_t=(0, 0), dilation=1, depthwise=False):
     """Full or depthwise 2-D convolution over (electrode, time) axes with
     dilation along time.
 
     ``x``: (N, C_in, H, W); ``w``: (C_out, C_in, KH, KW), or (C_in, 1, KH, KW)
     in depthwise mode.
+
+    A full convolution is one GEMM per trial against that trial's im2col
+    matrix, so at most one trial's window copy exists at a time.  A depthwise
+    convolution is ``KH * KW`` shifted multiply-adds with no window copy.
     """
     c_in = x.shape[1]
     if depthwise:
@@ -90,34 +76,55 @@ def conv2d(x, w, pad_h=(0, 0), pad_t=(0, 0), dilation=1, depthwise=False):
         raise ValueError(
             f"time axis too short: dilated kernel spans {span_w}, padded input has {xp.shape[3]}")
 
-    out = _conv2d_raw(xp, w.data, dilation, depthwise)
-    ho, wo = out.shape[2], out.shape[3]
+    n = xp.shape[0]
+    ho, wo = xp.shape[2] - span_h + 1, xp.shape[3] - span_w + 1
     w_data = w.data
+    taps = [(a, b) for a in range(kh) for b in range(kw)]
+
+    def shifted(a, b):
+        """The padded input under kernel tap (a, b): (N, C_in, Ho, Wo)."""
+        return xp[:, :, a:a + ho, b * dilation:b * dilation + wo]
+
+    if depthwise:
+        out = None
+        for a, b in taps:
+            term = shifted(a, b) * w_data[:, 0, a, b].reshape(1, -1, 1, 1)
+            out = term if out is None else np.add(out, term, out=out)
+    else:
+        c_out = w.shape[0]
+        w_mat = w_data.reshape(c_out, -1)
+        # a view, not a copy: windows[i] is trial i's (C_in, kh, kw, Ho, Wo)
+        # im2col matrix, its rows in the column order of w.reshape(C_out, -1)
+        windows = sliding_window_view(xp, (kh, span_w), axis=(2, 3))[..., ::dilation]
+        windows = windows.transpose(0, 1, 4, 5, 2, 3)
+        cols = np.empty(windows.shape[1:], dtype=xp.dtype)
+        out = np.empty((n, c_out, ho, wo), dtype=np.result_type(xp, w_data))
+        for i in range(n):
+            np.copyto(cols, windows[i])
+            np.matmul(w_mat, cols.reshape(-1, ho * wo), out=out[i].reshape(c_out, -1))
 
     def backward(g):
         if w.requires_grad:
-            win = _windows(xp, kh, kw, dilation)
             if depthwise:
-                gw = np.einsum("ncij,ncijab->cab", g, win, optimize=True)[:, None]
+                gw = np.empty_like(w_data)
+                for a, b in taps:
+                    gw[:, 0, a, b] = np.einsum("ncij,ncij->c", g, shifted(a, b))
             else:
-                gw = np.tensordot(g, win, axes=([0, 2, 3], [0, 2, 3]))
+                gw_t = np.zeros((w_mat.shape[1], c_out), dtype=g.dtype)
+                cols = np.empty(windows.shape[1:], dtype=xp.dtype)
+                for i in range(n):
+                    np.copyto(cols, windows[i])
+                    gw_t += cols.reshape(-1, ho * wo) @ g[i].reshape(c_out, -1).T
+                gw = gw_t.T.reshape(w.shape)
             accumulate(w, gw)
         if x.requires_grad:
             gxp = np.zeros_like(xp)
-            if depthwise and kw == 1 and ho == 1:
-                # electrode-spanning kernel: one outer product instead of a tap loop
-                gxp[:, :, :kh, :wo] += np.einsum("ncj,ca->ncaj", g[:, :, 0, :],
-                                                 w_data[:, 0, :, 0], optimize=True)
-            else:
-                for a in range(kh):
-                    for b in range(kw):
-                        if depthwise:
-                            contrib = g * w_data[:, 0, a, b].reshape(1, -1, 1, 1)
-                        else:
-                            contrib = np.einsum("noij,oc->ncij", g, w_data[:, :, a, b],
-                                                optimize=True)
-                        off = b * dilation
-                        gxp[:, :, a:a + ho, off:off + wo] += contrib
+            for a, b in taps:
+                if depthwise:
+                    contrib = g * w_data[:, 0, a, b].reshape(1, -1, 1, 1)
+                else:
+                    contrib = np.einsum("noij,oc->ncij", g, w_data[:, :, a, b], optimize=True)
+                gxp[:, :, a:a + ho, b * dilation:b * dilation + wo] += contrib
             gx = gxp[:, :, pad_h[0]:pad_h[0] + x.shape[2], pad_t[0]:pad_t[0] + x.shape[3]]
             accumulate(x, np.ascontiguousarray(gx))
 
@@ -193,6 +200,15 @@ def _per_channel(v, ndim):
     return v.reshape((1, -1) + (1,) * (ndim - 2))
 
 
+def _channel_sum(a, b=None):
+    """Per-channel (axis 1) sum of ``a``, or of ``a * b``, over all other axes,
+    without an elementwise temporary."""
+    a3 = a.reshape(a.shape[0], a.shape[1], -1)
+    if b is None:
+        return np.einsum("ncs->c", a3)
+    return np.einsum("ncs,ncs->c", a3, b.reshape(a3.shape))
+
+
 def batch_norm(x, gamma, beta, eps=1e-3, mode="train", running=None, momentum=0.99):
     """Normalize per channel (axis 1) over all other axes.
 
@@ -202,10 +218,10 @@ def batch_norm(x, gamma, beta, eps=1e-3, mode="train", running=None, momentum=0.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
-    axes = tuple(i for i in range(x.ndim) if i != 1)
     if mode == "infer":
         if running is None:
             raise ValueError("running statistics are required in infer mode")
+        axes = tuple(i for i in range(x.ndim) if i != 1)
         inv = 1.0 / np.sqrt(running.var.astype(x.dtype) + eps)
         centered = x.data - _per_channel(running.mean.astype(x.dtype), x.ndim)
         scale = gamma.data * inv
@@ -223,25 +239,31 @@ def batch_norm(x, gamma, beta, eps=1e-3, mode="train", running=None, momentum=0.
     if x.shape[0] == 1:
         raise ValueError("batch of size 1 in train mode: batch variance is undefined up to eps")
     m = x.size // x.shape[1]
-    mu = x.data.mean(axis=axes)
-    var = x.data.var(axis=axes)
+    mu = _channel_sum(x.data) / m
+    centered = x.data - _per_channel(mu, x.ndim)
+    var = _channel_sum(centered, centered) / m
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - _per_channel(mu, x.ndim)) * _per_channel(inv, x.ndim)
-    out = _per_channel(gamma.data, x.ndim) * xhat + _per_channel(beta.data, x.ndim)
+    xhat = centered
+    xhat *= _per_channel(inv, x.ndim)
+    out = _per_channel(gamma.data, x.ndim) * xhat
+    out += _per_channel(beta.data, x.ndim)
     if running is not None:
         running.update(mu, var, momentum)
 
     def backward(g):
+        g_sum = _channel_sum(g)              # the beta gradient
+        g_xhat_sum = _channel_sum(g, xhat)   # the gamma gradient
         if gamma.requires_grad:
-            accumulate(gamma, (g * xhat).sum(axis=axes))
+            accumulate(gamma, g_xhat_sum)
         if beta.requires_grad:
-            accumulate(beta, g.sum(axis=axes))
+            accumulate(beta, g_sum)
         if x.requires_grad:
-            gxhat = g * _per_channel(gamma.data, x.ndim)
-            s1 = gxhat.sum(axis=axes)
-            s2 = (gxhat * xhat).sum(axis=axes)
-            gx = (gxhat - _per_channel(s1 / m, x.ndim)
-                  - xhat * _per_channel(s2 / m, x.ndim)) * _per_channel(inv, x.ndim)
+            # gx = gamma * inv * (g - mean(g) - xhat * mean(g * xhat)): both
+            # means come from the gamma and beta gradient sums above
+            gx = xhat * _per_channel(g_xhat_sum / m, x.ndim)
+            gx += _per_channel(g_sum / m, x.ndim)
+            np.subtract(g, gx, out=gx)
+            gx *= _per_channel(gamma.data * inv, x.ndim)
             accumulate(x, gx.astype(x.dtype, copy=False))
 
     return from_op(out, (x, gamma, beta), backward)
@@ -252,13 +274,14 @@ def batch_norm(x, gamma, beta, eps=1e-3, mode="train", running=None, momentum=0.
 
 def elu(x):
     """Exponential linear unit with alpha = 1."""
-    neg = x.data < 0
-    out = x.data.copy()
-    np.expm1(x.data, out=out, where=neg)
+    out = np.minimum(x.data, 0)
+    np.expm1(out, out=out)
+    np.maximum(out, x.data, out=out)
 
     def backward(g):
-        gx = g.copy()
-        np.multiply(g, out + 1.0, out=gx, where=neg)
+        gx = np.minimum(out, 0)
+        gx += 1.0
+        gx *= g
         accumulate(x, gx)
 
     return from_op(out, (x,), backward)

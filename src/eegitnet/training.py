@@ -188,6 +188,10 @@ def fit_with_early_stopping(model, train, val, config: TrainConfig, rng=None):
             stale += 1
             if stale >= config.patience:
                 break
+    if best_state is None:
+        raise FloatingPointError(
+            f"no finite validation loss in {len(history)} epochs "
+            f"(last train loss {history[-1].train_loss}, validation loss {history[-1].val_loss})")
     model.load_state_arrays(best_state)
     return FitResult(history, best_epoch, best_loss, best_acc, len(history))
 

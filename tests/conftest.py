@@ -4,9 +4,13 @@
 finite differences on a float64 graph.  ``conv_oracle`` is a direct
 summation reference for the convolution layer, deliberately written as
 plain loops so it shares no code with the implementation under test.
+``window_conv_reference``, ``batch_norm_train_reference`` and
+``elu_reference`` are straightforward whole-batch versions of those layers,
+forward and backward, kept as references for the kernels in ``ops``.
 """
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from eegitnet.tensor import Tensor, no_grad
 
@@ -94,6 +98,75 @@ def conv_oracle(x, w, pad_elec=(0, 0), pad_time=(0, 0), dilation=1, depthwise=Fa
                                 s += w[fi, ci, a, b] * xp[ni, ci, i + a, j + b * dilation]
                     out[ni, fi, i, j] = s
     return out
+
+
+def _windows(xp, kh, kw, dilation):
+    span = dilation * (kw - 1) + 1
+    win = sliding_window_view(xp, (kh, span), axis=(2, 3))
+    if dilation > 1:
+        win = win[..., ::dilation]
+    return win  # (N, C, Ho, Wo, kh, kw)
+
+
+def window_conv_reference(x, w, g, pad_h=(0, 0), pad_t=(0, 0), dilation=1, depthwise=False):
+    """Whole-batch sliding-window convolution: ``(out, grad_x, grad_w)`` for
+    output gradient ``g``, with the same arguments as ``ops.conv2d``."""
+    xp = np.pad(x, ((0, 0), (0, 0), pad_h, pad_t))
+    kh, kw = w.shape[2], w.shape[3]
+    win = _windows(xp, kh, kw, dilation)
+    if depthwise:
+        out = np.einsum("ncijab,cab->ncij", win, w[:, 0], optimize=True)
+        gw = np.einsum("ncij,ncijab->cab", g, win, optimize=True)[:, None]
+    else:
+        out = np.tensordot(win, w, axes=([1, 4, 5], [1, 2, 3]))
+        out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+        gw = np.tensordot(g, win, axes=([0, 2, 3], [0, 2, 3]))
+    ho, wo = out.shape[2], out.shape[3]
+    gxp = np.zeros_like(xp)
+    if depthwise and kw == 1 and ho == 1:
+        gxp[:, :, :kh, :wo] += np.einsum("ncj,ca->ncaj", g[:, :, 0, :], w[:, 0, :, 0],
+                                         optimize=True)
+    else:
+        for a in range(kh):
+            for b in range(kw):
+                if depthwise:
+                    contrib = g * w[:, 0, a, b].reshape(1, -1, 1, 1)
+                else:
+                    contrib = np.einsum("noij,oc->ncij", g, w[:, :, a, b], optimize=True)
+                off = b * dilation
+                gxp[:, :, a:a + ho, off:off + wo] += contrib
+    gx = gxp[:, :, pad_h[0]:pad_h[0] + x.shape[2], pad_t[0]:pad_t[0] + x.shape[3]]
+    return out, np.ascontiguousarray(gx), gw
+
+
+def batch_norm_train_reference(x, gamma, beta, g, eps=1e-3):
+    """Train-mode batch norm over every axis but 1: ``(out, grad_x,
+    grad_gamma, grad_beta, batch_mean, batch_var)`` for output gradient ``g``."""
+    axes = tuple(i for i in range(x.ndim) if i != 1)
+    shape = (1, -1) + (1,) * (x.ndim - 2)
+    m = x.size // x.shape[1]
+    mu = x.mean(axis=axes)
+    var = x.var(axis=axes)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu.reshape(shape)) * inv.reshape(shape)
+    out = gamma.reshape(shape) * xhat + beta.reshape(shape)
+    ggamma = (g * xhat).sum(axis=axes)
+    gbeta = g.sum(axis=axes)
+    gxhat = g * gamma.reshape(shape)
+    s1 = gxhat.sum(axis=axes)
+    s2 = (gxhat * xhat).sum(axis=axes)
+    gx = (gxhat - (s1 / m).reshape(shape) - xhat * (s2 / m).reshape(shape)) * inv.reshape(shape)
+    return out, gx.astype(x.dtype, copy=False), ggamma, gbeta, mu, var
+
+
+def elu_reference(x, g):
+    """ELU (alpha = 1) with masked ``expm1``: ``(out, grad_x)``."""
+    neg = x < 0
+    out = x.copy()
+    np.expm1(x, out=out, where=neg)
+    gx = g.copy()
+    np.multiply(g, out + 1.0, out=gx, where=neg)
+    return out, gx
 
 
 @pytest.fixture

@@ -204,6 +204,21 @@ def test_train_rejects_corrupt_epoch_files(data_dir, tmp_path, capsys):
     assert "bad epoch file" in capsys.readouterr().err
 
 
+def test_train_rejects_non_finite_samples(data_dir, tmp_path, capsys):
+    nan_dir = tmp_path / "nan"
+    nan_dir.mkdir()
+    blob = bytearray((data_dir / "s01.train.eegepoch").read_bytes())
+    blob[-4:] = np.float32(np.nan).tobytes()  # the last sample of the last trial
+    (nan_dir / "s01.train.eegepoch").write_bytes(blob)
+    (nan_dir / "s01.test.eegepoch").write_bytes(
+        (data_dir / "s01.test.eegepoch").read_bytes())
+    assert main(["train", "--scenario", "within", "--data", str(nan_dir),
+                 "--out", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    assert "bad epoch file for subject s01" in err
+    assert "non-finite sample at trial 23, channel 3, sample 63" in err
+
+
 def test_cross_needs_two_subjects(data_dir, tmp_path, capsys):
     solo = tmp_path / "solo"
     solo.mkdir()

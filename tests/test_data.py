@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from scipy.signal import welch
 
-from eegitnet.data import (EpochSet, SourceSpec, SynthSpec, concat_epochs,
+from eegitnet.data import (EPOCH_MAGIC, EpochSet, SourceSpec, SynthSpec, concat_epochs,
                            decimate, extract_epochs, load_epochs, montage_22,
                            ring_layout, save_epochs, standardize,
                            synth_generate, window_samples)
@@ -36,6 +36,16 @@ def test_epochset_validates_shapes(rng):
     with pytest.raises(ValueError):
         EpochSet(good.trials, good.labels, good.class_names,
                  good.channel_names[:-1], good.channel_xy, good.fs)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_epochset_rejects_non_finite_trials(rng, bad):
+    good = small_set(rng)
+    trials = good.trials.copy()
+    trials[4, 2, 17] = bad
+    with pytest.raises(ValueError, match="trial 4, channel 2, sample 17"):
+        EpochSet(trials, good.labels, good.class_names, good.channel_names,
+                 good.channel_xy, good.fs)
 
 
 def test_subset_selects_trials(rng):
@@ -127,6 +137,35 @@ def test_epoch_file_label_out_of_range(tmp_path, rng):
     blob[offset:offset + 4] = struct.pack("<I", 99)
     path.write_bytes(blob)
     with pytest.raises(FormatError) as err:
+        load_epochs(path)
+    assert err.value.code == "bad_value"
+
+
+def test_epoch_file_non_finite_sample(tmp_path, rng):
+    s = small_set(rng)
+    path = tmp_path / "s.eegepoch"
+    save_epochs(s, path)
+    blob = bytearray(path.read_bytes())
+    # two bad samples; the error names the first in (trial, channel, sample) order
+    data = len(blob) - 4 * s.trials.size
+    for t, c, k in ((3, 1, 7), (5, 0, 0)):
+        offset = data + 4 * ((t * s.n_channels + c) * s.n_samples + k)
+        blob[offset:offset + 4] = np.float32(np.nan).tobytes()
+    path.write_bytes(blob)
+    with pytest.raises(FormatError, match="trial 3, channel 1, sample 7") as err:
+        load_epochs(path)
+    assert err.value.code == "bad_value"
+
+
+@pytest.mark.parametrize("fs", [0.0, -125.0, np.nan])
+def test_epoch_file_bad_sampling_rate(tmp_path, rng, fs):
+    path = tmp_path / "s.eegepoch"
+    save_epochs(small_set(rng), path)
+    blob = bytearray(path.read_bytes())
+    offset = len(EPOCH_MAGIC) + 20  # the rate follows the five header counts
+    blob[offset:offset + 4] = np.float32(fs).tobytes()
+    path.write_bytes(blob)
+    with pytest.raises(FormatError, match="fs must be positive") as err:
         load_epochs(path)
     assert err.value.code == "bad_value"
 

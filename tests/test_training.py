@@ -154,6 +154,17 @@ def test_early_stopping_restores_the_best_epoch():
     assert val_acc == fit.best_val_acc
 
 
+def test_early_stopping_reports_when_no_validation_loss_is_finite():
+    train, val = random_split(2)
+    bad_x = val[0].copy()
+    bad_x[0, 0, 0] = np.nan
+    config = TrainConfig(max_epochs_cv=5, patience=2, folds=2)
+    # a NaN loss never improves on the last, so patience runs out after 2 epochs
+    with pytest.raises(FloatingPointError, match="no finite validation loss in 2 epochs"):
+        fit_with_early_stopping(build(ARCH, seed=2), train, (bad_x, val[1]), config,
+                                np.random.default_rng(2))
+
+
 def test_early_stopping_honors_the_epoch_cap():
     train, val = random_split(1)
     model = build(ARCH, seed=1)
