@@ -13,8 +13,7 @@ from .explain import (FilterAtlas, build_atlas, export_atlas, kernel_spectrum,
                       pinv, savgol_coeffs, savgol_smooth, spatial_patterns)
 from .model import (ArchConfig, ITNetModel, build, load_model, plan_kernel,
                     receptive_field_blocks, receptive_field_plain, save_model)
-from .stats import (PairedSample, paired_t_right, rank_sum_counts,
-                    wilcoxon_one_sided)
+from .stats import paired_t_right, rank_sum_counts, wilcoxon_one_sided
 from .tensor import Tensor, no_grad
 from .training import (SCENARIOS, ScenarioReport, SubjectResult, TrainConfig,
                        default_train_config, evaluate, fit_with_early_stopping,
@@ -24,8 +23,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArchConfig", "EpochSet", "FilterAtlas", "FormatError", "ITNetModel",
-    "PairedSample", "SCENARIOS", "ScenarioReport", "SourceSpec",
-    "SubjectResult", "SynthSpec", "Tensor", "TrainConfig", "build",
+    "SCENARIOS", "ScenarioReport", "SourceSpec", "SubjectResult", "SynthSpec",
+    "Tensor", "TrainConfig", "build",
     "build_atlas", "concat_epochs", "decimate", "default_train_config",
     "evaluate", "export_atlas", "extract_epochs", "fit_with_early_stopping",
     "kernel_spectrum", "load_epochs", "load_model", "no_grad",

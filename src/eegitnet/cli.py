@@ -28,7 +28,7 @@ import sys
 from .data import SourceSpec, SynthSpec, load_epochs, save_epochs, synth_generate
 from .errors import FormatError
 from .explain import build_atlas, export_atlas
-from .fileio import atomic_write
+from .fileio import atomic_write, read_key_values
 from .model import (arch_config_from_items, arch_config_to_items, load_model,
                     plan_kernel, receptive_field_blocks, save_model)
 from .stats import paired_t_right, wilcoxon_one_sided
@@ -57,25 +57,12 @@ class CliError(Exception):
 
 
 def _read_kv(path):
-    """Flat key=value file -> ordered dict; comments (#) and blanks skipped."""
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            lines = f.readlines()
+        return read_key_values(path)
     except OSError as exc:
         raise CliError(EXIT_USAGE, f"cannot read config {path}: {exc}") from None
-    items = {}
-    for ln, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise CliError(EXIT_USAGE, f"{path}:{ln}: expected key=value, got {line!r}")
-        key = key.strip()
-        if key in items:
-            raise CliError(EXIT_USAGE, f"{path}:{ln}: duplicate key {key!r}")
-        items[key] = value.strip()
-    return items
+    except ValueError as exc:
+        raise CliError(EXIT_USAGE, str(exc)) from None
 
 
 # ----------------------------------------------------------------------
@@ -215,6 +202,8 @@ def _effective_config_text(train_config: TrainConfig, arch_items):
 
 
 def cmd_train(args):
+    if args.jobs < 1:
+        raise CliError(EXIT_USAGE, "--jobs must be >= 1")
     scenario = _SCENARIO_FLAGS[args.scenario]
     train_overrides, arch_items = ({}, {})
     if args.config:
@@ -230,10 +219,8 @@ def cmd_train(args):
     names = [stem for stem, _, _ in pairs]
     subjects = [(train, test) for _, train, test in pairs]
     first = subjects[0][0]
-    if scenario == "within" or "dropout_rate" in arch_items:
-        pass
-    else:
-        arch_items["dropout_rate"] = "0.2"
+    if scenario != "within":
+        arch_items.setdefault("dropout_rate", "0.2")
     arch_items.update(n_channels=str(first.n_channels), n_samples=str(first.n_samples),
                       n_classes=str(first.n_classes))
     try:
@@ -401,7 +388,8 @@ def build_parser():
                    help="directory of <subject>.train.eegepoch / <subject>.test.eegepoch")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--config", help="key=value file with train. and arch. keys")
-    p.add_argument("--jobs", type=int, default=1, help="parallel subject workers")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="parallel subject workers (>= 1, at most one per subject)")
     p.add_argument("--seed", type=int, help="override train.seed")
     p.set_defaults(func=cmd_train)
 

@@ -287,6 +287,14 @@ def ring_layout(n):
     return (0.8 * np.stack([np.cos(angles), np.sin(angles)], axis=1)).astype(np.float32)
 
 
+def default_channels(n):
+    """Channel names and scalp coordinates assumed for n channels when the
+    data carries none: ``montage_22`` at 22, else ``chNN`` on a ring."""
+    if n == 22:
+        return montage_22()
+    return tuple(f"ch{i + 1:02d}" for i in range(n)), ring_layout(n)
+
+
 # ----------------------------------------------------------------------
 # synthetic generator
 
@@ -390,10 +398,6 @@ def synth_generate(spec: SynthSpec) -> EpochSet:
             x += src.amplitude * np.outer(src.mixing_array, carrier)
         if spec.noise_sigma > 0:
             x += spec.noise_sigma * rng.standard_normal((spec.n_channels, n_samples))
-    if spec.n_channels == 22:
-        channel_names, xy = montage_22()
-    else:
-        channel_names = tuple(f"ch{i + 1:02d}" for i in range(spec.n_channels))
-        xy = ring_layout(spec.n_channels)
+    channel_names, xy = default_channels(spec.n_channels)
     class_names = tuple(f"class{i}" for i in range(spec.n_classes))
     return EpochSet(trials, labels, class_names, channel_names, xy, spec.fs)

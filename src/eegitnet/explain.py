@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .data import montage_22, ring_layout
+from .data import default_channels
 from .fileio import atomic_write
 from .model import ITNetModel
 
@@ -46,22 +46,13 @@ def _solve_exact(matrix, rhs):
     return [rows[i][n] for i in range(n)]
 
 
-@dataclass(frozen=True)
-class SavGolDesign:
-    """Least-squares polynomial smoothing design for window [-l, l].
+def savgol_coeffs(half_width, order):
+    """Central smoothing weights for window half-width l and fit order p.
 
-    ``design[n, m] = n**m`` for offsets n in [-l, l]; ``coeffs`` is the
-    central-point smoothing kernel (row 0 of (D^T D)^-1 D^T), computed in
-    exact rational arithmetic so the high-order cases stay precise.
+    Row 0 of (D^T D)^-1 D^T for the design ``D[n, m] = n**m`` over offsets
+    n in [-l, l], computed in exact rational arithmetic so the high-order
+    cases stay precise.
     """
-
-    half_width: int
-    order: int
-    design: np.ndarray
-    coeffs: np.ndarray
-
-
-def savgol_design(half_width, order) -> SavGolDesign:
     l, p = half_width, order
     if l < 1:
         raise ValueError("half_width must be >= 1")
@@ -71,18 +62,12 @@ def savgol_design(half_width, order) -> SavGolDesign:
         raise ValueError(f"order {p} exceeds 2*half_width = {2 * l}: "
                          "the normal equations would be rank-deficient")
     offsets = range(-l, l + 1)
-    d = np.array([[n ** m for m in range(p + 1)] for n in offsets], dtype=np.int64)
     gram = [[Fraction(int(sum(n ** (i + j) for n in offsets))) for j in range(p + 1)]
             for i in range(p + 1)]
     e0 = [Fraction(1 if i == 0 else 0) for i in range(p + 1)]
     solution = _solve_exact(gram, e0)
     coeffs = [sum(solution[m] * Fraction(n) ** m for m in range(p + 1)) for n in offsets]
-    return SavGolDesign(l, p, d, np.array([float(c) for c in coeffs]))
-
-
-def savgol_coeffs(half_width, order):
-    """Central smoothing weights for window half-width l and fit order p."""
-    return savgol_design(half_width, order).coeffs
+    return np.array([float(c) for c in coeffs])
 
 
 def savgol_smooth(series, half_width, order, edge_mode="fit"):
@@ -100,9 +85,8 @@ def savgol_smooth(series, half_width, order, edge_mode="fit"):
     n = x.size
     if n < 2 * l + 1:
         raise ValueError(f"series of length {n} is shorter than the window {2 * l + 1}")
-    design = savgol_design(l, order)
     out = np.empty(n)
-    out[l:n - l] = np.correlate(x, design.coeffs, mode="valid")
+    out[l:n - l] = np.correlate(x, savgol_coeffs(l, order), mode="valid")
     if edge_mode == "fit":
         for i in list(range(l)) + list(range(n - l, n)):
             lo, hi = max(0, i - l), min(n, i + l + 1)
@@ -205,11 +189,7 @@ def build_atlas(model: ITNetModel, fs, savgol_half_width=5, savgol_order=3,
     when not supplied."""
     c = model.config.n_channels
     if channel_names is None or channel_xy is None:
-        if c == 22:
-            channel_names, channel_xy = montage_22()
-        else:
-            channel_names = tuple(f"ch{i + 1:02d}" for i in range(c))
-            channel_xy = ring_layout(c)
+        channel_names, channel_xy = default_channels(c)
     channel_xy = np.asarray(channel_xy, dtype=np.float64)
     if len(channel_names) != c or channel_xy.shape != (c, 2):
         raise ValueError(f"channel metadata must cover {c} channels")

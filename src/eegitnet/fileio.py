@@ -1,6 +1,7 @@
-"""Low-level helpers shared by the binary container and model formats.
+"""Low-level helpers shared by the file formats.
 
-All multi-byte values are little-endian; strings are u16 length + UTF-8.
+Binary values are little-endian; strings are u16 length + UTF-8.  Text
+configs (CLI config files, the model sidecar) are flat ``key=value`` lines.
 """
 from __future__ import annotations
 
@@ -42,3 +43,25 @@ def pack_string(s):
 def read_string(f, what):
     n, = struct.unpack("<H", read_exact(f, 2, f"{what} length"))
     return read_exact(f, n, what).decode("utf-8")
+
+
+def read_key_values(path):
+    """Flat ``key=value`` file -> dict in file order; blank lines and ``#``
+    comments are skipped.  Raises ``OSError`` when the file cannot be read
+    and ``ValueError`` naming ``path:line`` for a line without ``=`` or a
+    repeated key."""
+    with open(path, "r", encoding="utf-8") as f:
+        lines = f.readlines()
+    items = {}
+    for ln, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ValueError(f"{path}:{ln}: expected key=value, got {line!r}")
+        key = key.strip()
+        if key in items:
+            raise ValueError(f"{path}:{ln}: duplicate key {key!r}")
+        items[key] = value.strip()
+    return items

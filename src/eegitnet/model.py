@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import FormatError
-from .fileio import atomic_write, pack_string, read_exact
+from .fileio import atomic_write, pack_string, read_exact, read_key_values
 from .ops import (ConvSpec, RunningStats, avg_pool_time, batch_norm,
                   conv_temporal, dense, dropout, elu, flatten, softmax_rows)
 from .tensor import Tensor, concat_channels, no_grad
@@ -182,11 +182,10 @@ class ITNetModel:
     are serialized by :func:`save_model`.
     """
 
-    def __init__(self, config: ArchConfig, params, buffers, layers):
+    def __init__(self, config: ArchConfig, params, buffers):
         self.config = config
         self.params = params
         self.buffers = buffers
-        self.layers = layers
 
     @property
     def param_count(self):
@@ -310,19 +309,13 @@ class ITNetModel:
             rs.mean = np.asarray(state[name + ".running_mean"]).copy()
             rs.var = np.asarray(state[name + ".running_var"]).copy()
 
-    def copy(self):
-        clone = build(self.config, seed=0)
-        clone.load_state_arrays(self.state_arrays())
-        return clone
-
 
 def build(config: ArchConfig, seed=0, dtype=np.float32) -> ITNetModel:
-    """Initialize all parameters (uniform Glorot weights, zero biases) and
-    assemble the layer sequence for ``config``."""
+    """Initialize all parameters for ``config``: uniform Glorot weights,
+    zero biases, unit batch-norm scales."""
     rng = np.random.default_rng(seed)
     params = {}
     buffers = {}
-    layers = []
     c = config.n_channels
 
     for i, (f, k) in enumerate(config.inception_branches):
@@ -337,13 +330,9 @@ def build(config: ArchConfig, seed=0, dtype=np.float32) -> ITNetModel:
         params[f"branch{i}.bn2.gamma"] = _ones((f,), dtype)
         params[f"branch{i}.bn2.beta"] = _zeros((f,), dtype)
         buffers[f"branch{i}.bn2"] = RunningStats(f, dtype)
-        layers.append(f"branch{i}: temporal conv {f}x(1x{k}) same, norm, "
-                      f"depthwise spatial ({c}x1) valid, norm")
-    layers.append(f"concat -> elu -> dropout({config.dropout_rate}) -> avg_pool({config.pool1})")
 
     width = config.branch_filters
     for j in range(config.tc_blocks):
-        d = config.dilation_base ** j
         for l in range(config.tc_layers_per_block):
             params[f"tc{j}.conv{l}.w"] = _glorot(
                 rng, (width, 1, 1, config.tc_kernel),
@@ -351,8 +340,6 @@ def build(config: ArchConfig, seed=0, dtype=np.float32) -> ITNetModel:
             params[f"tc{j}.bn{l}.gamma"] = _ones((width,), dtype)
             params[f"tc{j}.bn{l}.beta"] = _zeros((width,), dtype)
             buffers[f"tc{j}.bn{l}"] = RunningStats(width, dtype)
-        layers.append(f"tc{j}: {config.tc_layers_per_block} x [depthwise causal conv "
-                      f"(1x{config.tc_kernel}) d={d}, norm, elu, dropout], skip add, elu")
 
     params["dr.w"] = _glorot(rng, (config.dr_filters, width, 1, 1),
                              fan_in=width, fan_out=config.dr_filters, dtype=dtype)
@@ -360,16 +347,13 @@ def build(config: ArchConfig, seed=0, dtype=np.float32) -> ITNetModel:
     params["dr.bn.gamma"] = _ones((config.dr_filters,), dtype)
     params["dr.bn.beta"] = _zeros((config.dr_filters,), dtype)
     buffers["dr.bn"] = RunningStats(config.dr_filters, dtype)
-    layers.append(f"dr: conv 1x1 -> {config.dr_filters}, norm, elu, dropout, "
-                  f"avg_pool({config.pool2})")
 
     params["head.w"] = _glorot(rng, (config.feature_dim, config.n_classes),
                                fan_in=config.feature_dim, fan_out=config.n_classes,
                                dtype=dtype)
     params["head.b"] = _zeros((config.n_classes,), dtype)
-    layers.append(f"flatten -> dense {config.feature_dim}->{config.n_classes} -> softmax")
 
-    return ITNetModel(config, params, buffers, layers)
+    return ITNetModel(config, params, buffers)
 
 
 # ----------------------------------------------------------------------
@@ -461,18 +445,8 @@ def load_model(path) -> ITNetModel:
     cfg_path = path + ".cfg"
     if not os.path.exists(cfg_path):
         raise FormatError("missing_config", f"config sidecar not found: {cfg_path}")
-    with open(cfg_path, "r", encoding="utf-8") as f:
-        items = {}
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise FormatError("bad_value", f"config line without '=': {line!r}")
-            items[key.strip()] = value.strip()
     try:
-        config = arch_config_from_items(items)
+        config = arch_config_from_items(read_key_values(cfg_path))
     except ValueError as exc:
         raise FormatError("bad_value", str(exc)) from None
 
@@ -493,6 +467,8 @@ def load_model(path) -> ITNetModel:
                 raise FormatError("truncated", "file ends inside a name length")
             name_len, = struct.unpack("<H", head)
             name = read_exact(f, name_len, "a parameter name").decode("utf-8")
+            if name in state:
+                raise FormatError("bad_value", f"parameter {name} appears twice")
             tag, rank = struct.unpack("<BB", read_exact(f, 2, f"{name} header"))
             if tag not in _TAG_DTYPES:
                 raise FormatError("bad_value", f"parameter {name}: unknown dtype tag {tag}")

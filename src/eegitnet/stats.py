@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,24 +33,6 @@ def _validate_pair(a, b):
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("paired samples must be finite")
     return a, b
-
-
-@dataclass(frozen=True)
-class PairedSample:
-    """Two aligned measurement sequences (e.g. per-subject accuracies of two
-    methods)."""
-
-    a: tuple
-    b: tuple
-
-    def __post_init__(self):
-        a, b = _validate_pair(self.a, self.b)
-        object.__setattr__(self, "a", tuple(a.tolist()))
-        object.__setattr__(self, "b", tuple(b.tolist()))
-
-    @property
-    def diffs(self):
-        return np.asarray(self.a) - np.asarray(self.b)
 
 
 def _midranks(values):

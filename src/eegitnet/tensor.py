@@ -92,13 +92,6 @@ class Tensor:
 
     # ------------------------------------------------------------------
     # gradient plumbing
-    def zero_grad(self):
-        self.grad = None
-
-    def detach(self):
-        """A view of the same data with no graph attached."""
-        return Tensor(self.data, requires_grad=False)
-
     def backward(self):
         """Reverse pass from a scalar, accumulating into ``.grad`` buffers.
 
@@ -147,33 +140,10 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return add(self, neg(_lift(other, self.dtype)))
-
-    def __rsub__(self, other):
-        return add(_lift(other, self.dtype), neg(self))
-
     def __mul__(self, other):
         return mul(self, _lift(other, self.dtype))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division is not recorded; multiply by a reciprocal")
-        return mul(self, _lift(1.0 / other, self.dtype))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _lift(other, self.dtype))
-
-    def sum(self, axis=None, keepdims=False):
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tensor_mean(self, axis=axis, keepdims=keepdims)
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -240,64 +210,6 @@ def mul(a, b):
     return from_op(out, (a, b), backward)
 
 
-def neg(a):
-    def backward(g):
-        accumulate(a, -g)
-
-    return from_op(-a.data, (a,), backward)
-
-
-def square(a):
-    out = a.data * a.data
-
-    def backward(g):
-        accumulate(a, g * (2.0 * a.data))
-
-    return from_op(out, (a,), backward)
-
-
-def exp(a):
-    out = np.exp(a.data)
-
-    def backward(g):
-        accumulate(a, g * out)
-
-    return from_op(out, (a,), backward)
-
-
-def log(a):
-    out = np.log(a.data)
-
-    def backward(g):
-        accumulate(a, g / a.data)
-
-    return from_op(out, (a,), backward)
-
-
-def tensor_sum(a, axis=None, keepdims=False):
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        gg = np.asarray(g)
-        if axis is not None and not keepdims:
-            gg = np.expand_dims(gg, axis)
-        accumulate(a, np.broadcast_to(gg, a.shape))
-
-    return from_op(out, (a,), backward)
-
-
-def tensor_mean(a, axis=None, keepdims=False):
-    if axis is None:
-        count = a.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        count = 1
-        for ax in axes:
-            count *= a.shape[ax]
-    return mul(tensor_sum(a, axis=axis, keepdims=keepdims),
-               Tensor(np.asarray(1.0 / count, dtype=a.dtype)))
-
-
 def reshape(a, shape):
     out = a.data.reshape(shape)
 
@@ -330,14 +242,3 @@ def concat_channels(tensors):
 
     return from_op(out, tuple(tensors), backward)
 
-
-def matmul(a, b):
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("matmul expects 2-D operands")
-    out = a.data @ b.data
-
-    def backward(g):
-        accumulate(a, g @ b.data.T)
-        accumulate(b, a.data.T @ g)
-
-    return from_op(out, (a, b), backward)

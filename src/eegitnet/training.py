@@ -301,32 +301,19 @@ def _check_cohort(subjects):
 
 def _run_subject(scenario, si, names, subjects, arch, config):
     train, test = subjects[si]
-    if scenario == "within":
-        (train_std, test_std), _ = standardize(train, test)
-        model, history, fold, epochs, curve = _run_protocol(
-            train_std, arch, config, (si, 0),
-            monitor=(test_std.trials, test_std.labels))
-        return SubjectResult(names[si], scenario, curve[-1], max(curve), fold, epochs,
-                             history, model)
-
-    others = tuple(j for j in range(len(subjects)) if j != si)
-    pool = concat_epochs([subjects[j][0] for j in others])
+    others = () if scenario == "within" else tuple(j for j in range(len(subjects)) if j != si)
+    init_state, pre_history, phase = None, [], 0
     if scenario == "cross":
-        (pool_std, test_std), _ = standardize(pool, test)
-        model, history, fold, epochs, curve = _run_protocol(
-            pool_std, arch, config, (si, 0),
-            monitor=(test_std.trials, test_std.labels))
-        return SubjectResult(names[si], scenario, curve[-1], max(curve), fold, epochs,
-                             history, model, pool=tuple(names[j] for j in others))
-
-    # cross_finetuned: pretrain on the pool, then run the full protocol on the
-    # target's training session starting every fold from the pretrained state
-    (pool_std,), _ = standardize(pool)
-    pre_model, pre_history, _, _, _ = _run_protocol(pool_std, arch, config, (si, 0))
+        train = concat_epochs([subjects[j][0] for j in others])
+    elif scenario == "cross_finetuned":
+        # pretrain on the pooled other subjects, then run the full protocol on
+        # the target's training session starting every fold from that state
+        (pool_std,), _ = standardize(concat_epochs([subjects[j][0] for j in others]))
+        pre_model, pre_history, _, _, _ = _run_protocol(pool_std, arch, config, (si, 0))
+        init_state, phase = pre_model.state_arrays(), 1
     (train_std, test_std), _ = standardize(train, test)
     model, history, fold, epochs, curve = _run_protocol(
-        train_std, arch, config, (si, 1),
-        init_state=pre_model.state_arrays(),
+        train_std, arch, config, (si, phase), init_state=init_state,
         monitor=(test_std.trials, test_std.labels))
     return SubjectResult(names[si], scenario, curve[-1], max(curve), fold, epochs,
                          history, model, pool=tuple(names[j] for j in others),
@@ -343,7 +330,7 @@ def run_scenario(scenario, subjects, arch: ArchConfig, config: TrainConfig,
 
     ``subjects`` is a list of (train, test) EpochSet pairs sharing one label
     space.  Subjects are independent; ``jobs`` > 1 runs them in parallel
-    worker processes without changing any result.
+    worker processes (at most one per subject) without changing any result.
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}; expected one of {SCENARIOS}")
@@ -352,6 +339,8 @@ def run_scenario(scenario, subjects, arch: ArchConfig, config: TrainConfig,
         raise ValueError("no subjects")
     if scenario != "within" and len(subjects) < 2:
         raise ValueError(f"{scenario} requires >= 2 subjects")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if names is None:
         names = [f"s{i + 1:02d}" for i in range(len(subjects))]
     elif len(names) != len(subjects):
@@ -360,7 +349,7 @@ def run_scenario(scenario, subjects, arch: ArchConfig, config: TrainConfig,
     tasks = [(scenario, si, list(names), subjects, arch, config)
              for si in range(len(subjects))]
     if jobs > 1 and len(subjects) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(subjects))) as pool:
             results = list(pool.map(_run_subject_star, tasks))
     else:
         results = [_run_subject_star(t) for t in tasks]

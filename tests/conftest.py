@@ -1,9 +1,10 @@
 """Shared test oracles.
 
 ``check_gradients`` compares every reverse-mode gradient against central
-finite differences on a float64 graph.  ``conv_oracle`` is a direct
-summation reference for the convolution layer, deliberately written as
-plain loops so it shares no code with the implementation under test.
+finite differences on a float64 graph; ``to_scalar`` is the reduction those
+graphs end in.  ``conv_oracle`` is a direct summation reference for the
+convolution layer, deliberately written as plain loops so it shares no code
+with the implementation under test.
 ``window_conv_reference``, ``batch_norm_train_reference`` and
 ``elu_reference`` are straightforward whole-batch versions of those layers,
 forward and backward, kept as references for the kernels in ``ops``.
@@ -12,10 +13,23 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from eegitnet.tensor import Tensor, no_grad
+from eegitnet.tensor import Tensor, accumulate, from_op, no_grad
 
 FD_STEP = 1e-5
 FD_TOL = 1e-3
+
+
+def to_scalar(t, weights=None):
+    """``sum(t * t)``, or ``sum(t * weights)`` for fixed ``weights``, as a
+    recorded scalar.  The engine has no reduction op of its own, so the
+    gradient checks end their graphs here."""
+    w = t.data if weights is None else np.asarray(weights, dtype=t.dtype)
+
+    def backward(g):
+        scale = 2.0 * t.data if weights is None else w
+        accumulate(t, np.broadcast_to(g * scale, t.shape))
+
+    return from_op(np.asarray(np.sum(t.data * w), dtype=t.dtype), (t,), backward)
 
 
 def _scalar_value(graph_fn, arrays):

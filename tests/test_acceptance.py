@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import check_gradients
+from conftest import check_gradients, to_scalar
 from eegitnet.data import (SourceSpec, SynthSpec, load_epochs, save_epochs,
                            synth_generate)
 from eegitnet.explain import build_atlas, savgol_coeffs, savgol_smooth
@@ -22,7 +22,7 @@ from eegitnet.ops import (ConvSpec, RunningStats, avg_pool_time, batch_norm,
                           conv_temporal, dense, dropout, elu, flatten,
                           softmax_cross_entropy)
 from eegitnet.stats import rank_sum_counts, wilcoxon_one_sided
-from eegitnet.tensor import Tensor, square
+from eegitnet.tensor import Tensor
 from eegitnet.training import TrainConfig, report_csv_text, run_scenario
 
 # ----------------------------------------------------------------------
@@ -167,49 +167,49 @@ def test_gradient_checks(verdict, rng):
 
     x4 = rng.standard_normal((2, 3, 2, 8))
     worst["temporal-conv-same"] = check_gradients(
-        lambda t: square(conv_temporal(t[0], ConvSpec(3, 1, "same", False, 2),
-                                       t[1])).sum(),
+        lambda t: to_scalar(conv_temporal(t[0], ConvSpec(3, 1, "same", False, 2),
+                                          t[1])),
         [x4, rng.standard_normal((2, 3, 1, 3)) * 0.5])
     worst["spatial-conv-depthwise"] = check_gradients(
-        lambda t: square(conv_temporal(t[0], ConvSpec(2, 1, "valid", True, 3),
-                                       t[1])).sum(),
+        lambda t: to_scalar(conv_temporal(t[0], ConvSpec(2, 1, "valid", True, 3),
+                                          t[1])),
         [x4, rng.standard_normal((3, 1, 2, 1)) * 0.5])
     worst["causal-conv-dilated"] = check_gradients(
-        lambda t: square(conv_temporal(t[0], ConvSpec(3, 2, "causal", True, 3),
-                                       t[1])).sum(),
+        lambda t: to_scalar(conv_temporal(t[0], ConvSpec(3, 2, "causal", True, 3),
+                                          t[1])),
         [x4, rng.standard_normal((3, 1, 1, 3)) * 0.5])
     worst["pointwise-conv"] = check_gradients(
-        lambda t: square(conv_temporal(t[0], ConvSpec(1, 1, "same", False, 4),
-                                       t[1])).sum(),
+        lambda t: to_scalar(conv_temporal(t[0], ConvSpec(1, 1, "same", False, 4),
+                                          t[1])),
         [x4, rng.standard_normal((4, 3, 1, 1)) * 0.5])
     worst["batch-norm-train"] = check_gradients(
-        lambda t: square(batch_norm(t[0], t[1], t[2], mode="train")).sum(),
+        lambda t: to_scalar(batch_norm(t[0], t[1], t[2], mode="train")),
         [rng.standard_normal((4, 3, 2, 5)), 1.0 + 0.1 * rng.standard_normal(3),
          0.1 * rng.standard_normal(3)])
     frozen = RunningStats(3, dtype=np.float64)
     frozen.mean[:] = rng.standard_normal(3) * 0.2
     frozen.var[:] = 1.0 + 0.3 * rng.random(3)
     worst["batch-norm-infer"] = check_gradients(
-        lambda t: square(batch_norm(t[0], t[1], t[2], mode="infer",
-                                    running=frozen)).sum(),
+        lambda t: to_scalar(batch_norm(t[0], t[1], t[2], mode="infer",
+                                       running=frozen)),
         [rng.standard_normal((4, 3, 2, 5)), 1.0 + 0.1 * rng.standard_normal(3),
          0.1 * rng.standard_normal(3)])
     worst["elu"] = check_gradients(
-        lambda t: square(elu(t[0])).sum(),
+        lambda t: to_scalar(elu(t[0])),
         [rng.standard_normal((3, 4)) + 0.05])
     worst["avg-pool"] = check_gradients(
-        lambda t: square(avg_pool_time(t[0], 3)).sum(),
+        lambda t: to_scalar(avg_pool_time(t[0], 3)),
         [rng.standard_normal((2, 3, 1, 10))])
     worst["dropout-train"] = check_gradients(
-        lambda t: square(dropout(t[0], 0.4, "train",
-                                 np.random.default_rng(77))).sum(),
+        lambda t: to_scalar(dropout(t[0], 0.4, "train",
+                                    np.random.default_rng(77))),
         [rng.standard_normal((3, 4, 1, 6))])
     worst["dense"] = check_gradients(
-        lambda t: square(dense(t[0], t[1], t[2])).sum(),
+        lambda t: to_scalar(dense(t[0], t[1], t[2])),
         [rng.standard_normal((3, 5)), rng.standard_normal((5, 4)) * 0.5,
          rng.standard_normal(4) * 0.1])
     worst["flatten"] = check_gradients(
-        lambda t: square(flatten(t[0])).sum(),
+        lambda t: to_scalar(flatten(t[0])),
         [rng.standard_normal((2, 3, 1, 4))])
     y_fd = np.array([0, 1, 2, 0])
     worst["softmax-cross-entropy"] = check_gradients(

@@ -178,6 +178,14 @@ def test_train_config_errors(data_dir, tmp_path, capsys, extra, fragment):
     assert fragment in capsys.readouterr().err
 
 
+def test_train_rejects_jobs_below_one(data_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["train", "--scenario", "within", "--data", str(data_dir),
+                 "--out", str(out), "--jobs", "0"]) == 2
+    assert "--jobs must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_data_errors(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -254,6 +262,16 @@ def test_explain_flag_validation(within_run, tmp_path, capsys):
     assert main(["explain", "--model", model, "--out", str(tmp_path),
                  "--fs", "64", "--pad-to", "4"]) == 2
     capsys.readouterr()
+
+
+def test_explain_rejects_a_repeated_sidecar_key(within_run, tmp_path, capsys):
+    model = tmp_path / "m.itnetmdl"
+    model.write_bytes((within_run / "model_s01.itnetmdl").read_bytes())
+    cfg = (within_run / "model_s01.itnetmdl.cfg").read_text()
+    (tmp_path / "m.itnetmdl.cfg").write_text(cfg + "dropout_rate=0.9\n")
+    assert main(["explain", "--model", str(model), "--out", str(tmp_path / "atlas"),
+                 "--fs", "64"]) == 3
+    assert "duplicate key 'dropout_rate'" in capsys.readouterr().err
 
 
 def test_explain_missing_or_corrupt_model(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from eegitnet.explain import (FilterAtlas, build_atlas, export_atlas,
                               kernel_spectrum, pinv, savgol_coeffs,
-                              savgol_design, savgol_smooth, spatial_patterns)
+                              savgol_smooth, spatial_patterns)
 from eegitnet.model import ArchConfig, build
 
 
@@ -85,12 +85,6 @@ def test_order_beyond_window_is_rejected():
         savgol_coeffs(0, 0)
     with pytest.raises(ValueError):
         savgol_coeffs(2, -1)
-
-
-def test_design_matrix_is_integer_vandermonde():
-    d = savgol_design(2, 2).design
-    np.testing.assert_array_equal(
-        d, [[1, -2, 4], [1, -1, 1], [1, 0, 0], [1, 1, 1], [1, 2, 4]])
 
 
 # ----------------------------------------------------------------------

@@ -323,9 +323,31 @@ def test_wrong_shape_is_reported(tmp_path):
     assert err.value.code == "bad_value"
 
 
-def test_copy_is_independent(rng):
-    model = build(default_config(n_channels=4, n_samples=60), seed=1)
-    clone = model.copy()
-    clone.params["head.b"].data += 1.0
-    assert not np.array_equal(clone.params["head.b"].data,
-                              model.params["head.b"].data)
+def test_repeated_parameter_name_is_reported(tmp_path):
+    model = build(default_config(n_channels=4, n_samples=60))
+    path = tmp_path / "m.itnetmdl"
+    save_model(model, path)
+    # a second head.b entry would otherwise silently replace the first
+    name = b"head.b"
+    payload = np.full(4, 7.0, dtype=np.float32).tobytes()
+    entry = struct.pack("<H", len(name)) + name \
+        + struct.pack("<BB", 0, 1) + struct.pack("<I", 4) + payload
+    path.write_bytes(path.read_bytes() + entry)
+    with pytest.raises(FormatError, match="head.b") as err:
+        load_model(path)
+    assert err.value.code == "bad_value"
+
+
+@pytest.mark.parametrize("extra, fragment", [
+    ("dropout_rate=0.9\n", "duplicate key 'dropout_rate'"),
+    ("pool1 4\n", "expected key=value"),
+])
+def test_malformed_sidecar_is_reported(tmp_path, extra, fragment):
+    model = build(default_config(n_channels=4, n_samples=60))
+    path = tmp_path / "m.itnetmdl"
+    save_model(model, path)
+    cfg = tmp_path / "m.itnetmdl.cfg"
+    cfg.write_text(cfg.read_text() + extra)
+    with pytest.raises(FormatError, match=fragment) as err:
+        load_model(path)
+    assert err.value.code == "bad_value"

@@ -12,7 +12,7 @@ from eegitnet.ops import ConvSpec, RunningStats, conv_temporal
 from eegitnet.tensor import Tensor
 
 from conftest import (batch_norm_train_reference, check_gradients, conv_oracle,
-                      elu_reference, window_conv_reference)
+                      elu_reference, to_scalar, window_conv_reference)
 
 
 # ----------------------------------------------------------------------
@@ -94,34 +94,30 @@ def test_pointwise_mixing_conv(rng):
 # convolution gradients
 
 def test_temporal_conv_gradients(rng):
-    from eegitnet.tensor import square
     x = rng.standard_normal((2, 1, 2, 8))
     w = rng.standard_normal((3, 1, 1, 4))
     spec = ConvSpec(4, padding="same", filter_count=3)
-    check_gradients(lambda ts: square(conv_temporal(ts[0], spec, ts[1])).sum(), [x, w])
+    check_gradients(lambda ts: to_scalar(conv_temporal(ts[0], spec, ts[1])), [x, w])
 
 
 def test_depthwise_valid_conv_gradients(rng):
-    from eegitnet.tensor import square
     x = rng.standard_normal((2, 3, 4, 6))
     w = rng.standard_normal((3, 1, 4, 1))
     spec = ConvSpec(4, padding="valid", depthwise=True, filter_count=3)
-    check_gradients(lambda ts: square(conv_temporal(ts[0], spec, ts[1])).sum(), [x, w])
+    check_gradients(lambda ts: to_scalar(conv_temporal(ts[0], spec, ts[1])), [x, w])
 
 
 def test_causal_dilated_conv_gradients(rng):
-    from eegitnet.tensor import square
     x = rng.standard_normal((2, 3, 1, 10))
     w = rng.standard_normal((3, 1, 1, 4))
     spec = ConvSpec(4, dilation=2, padding="causal", depthwise=True, filter_count=3)
-    check_gradients(lambda ts: square(conv_temporal(ts[0], spec, ts[1])).sum(), [x, w])
+    check_gradients(lambda ts: to_scalar(conv_temporal(ts[0], spec, ts[1])), [x, w])
 
 
 def test_dense_conv_gradients_across_filters_electrodes_and_dilation(rng):
     # C_in > 1, kh > 1 and dilation > 1 together pin the im2col column order
     # against w.reshape(C_out, -1); conv_temporal forbids 2-D kernels, so
     # this goes through conv2d directly
-    from eegitnet.tensor import square
     x = rng.standard_normal((2, 3, 4, 9))
     w = rng.standard_normal((2, 3, 2, 3))
 
@@ -131,7 +127,7 @@ def test_dense_conv_gradients_across_filters_electrodes_and_dilation(rng):
     out = conv([Tensor(x, dtype=np.float64), Tensor(w, dtype=np.float64)])
     ref = conv_oracle(x, w, pad_elec=(0, 1), pad_time=(2, 2), dilation=2)
     np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12)
-    check_gradients(lambda ts: square(conv(ts)).sum(), [x, w])
+    check_gradients(lambda ts: to_scalar(conv(ts)), [x, w])
 
 
 # ----------------------------------------------------------------------
@@ -154,7 +150,7 @@ def _tensors(*arrays):
 
 def _backward_with(out, g):
     """Run the reverse pass with ``g`` as the gradient of ``out``."""
-    (out * Tensor(g)).sum().backward()
+    to_scalar(out, g).backward()
 
 
 PAPER_INPUT = (16, 1, 22, 1125)   # a batch entering the inception branches
@@ -314,17 +310,15 @@ def test_batch_norm_rejects_singleton_batch(rng):
 
 
 def test_batch_norm_train_gradients(rng):
-    from eegitnet.tensor import square
     x = rng.standard_normal((5, 3, 1, 4))
     gamma = rng.uniform(0.5, 1.5, 3)
     beta = rng.standard_normal(3)
     check_gradients(
-        lambda ts: square(ops.batch_norm(ts[0], ts[1], ts[2], mode="train")).sum(),
+        lambda ts: to_scalar(ops.batch_norm(ts[0], ts[1], ts[2], mode="train")),
         [x, gamma, beta])
 
 
 def test_batch_norm_infer_gradients(rng):
-    from eegitnet.tensor import square
     running = RunningStats(3, dtype=np.float64)
     running.mean[:] = rng.standard_normal(3)
     running.var[:] = rng.uniform(0.5, 2.0, 3)
@@ -332,8 +326,8 @@ def test_batch_norm_infer_gradients(rng):
     gamma = rng.uniform(0.5, 1.5, 3)
     beta = rng.standard_normal(3)
     check_gradients(
-        lambda ts: square(ops.batch_norm(ts[0], ts[1], ts[2], mode="infer",
-                                         running=running)).sum(),
+        lambda ts: to_scalar(ops.batch_norm(ts[0], ts[1], ts[2], mode="infer",
+                                            running=running)),
         [x, gamma, beta])
 
 
@@ -348,11 +342,10 @@ def test_elu_definition(rng):
 
 
 def test_elu_gradients(rng):
-    from eegitnet.tensor import square
     # keep points away from the kink at 0 so finite differences are clean
     x = rng.standard_normal((3, 4))
     x[np.abs(x) < 0.05] += 0.1
-    check_gradients(lambda ts: square(ops.elu(ts[0])).sum(), [x])
+    check_gradients(lambda ts: to_scalar(ops.elu(ts[0])), [x])
 
 
 def test_avg_pool_floor_semantics(rng):
@@ -366,15 +359,14 @@ def test_avg_pool_floor_semantics(rng):
 def test_avg_pool_gradient_ignores_truncated_tail(rng):
     x = Tensor(np.arange(10.0), requires_grad=True, dtype=np.float64)
     xr = x.reshape(1, 1, 1, 10)
-    ops.avg_pool_time(xr, 4).sum().backward()
+    to_scalar(ops.avg_pool_time(xr, 4), 1.0).backward()
     np.testing.assert_allclose(x.grad[:8], 0.25)
     np.testing.assert_allclose(x.grad[8:], 0.0)
 
 
 def test_avg_pool_gradients(rng):
-    from eegitnet.tensor import square
     x = rng.standard_normal((2, 2, 1, 9))
-    check_gradients(lambda ts: square(ops.avg_pool_time(ts[0], 3)).sum(), [x])
+    check_gradients(lambda ts: to_scalar(ops.avg_pool_time(ts[0], 3)), [x])
 
 
 def test_dropout_infer_is_identity(rng):
@@ -415,15 +407,13 @@ def test_dropout_rejects_bad_rate():
 
 
 def test_dropout_gradient_routes_through_mask(rng):
-    from eegitnet.tensor import square
     x = rng.standard_normal((4, 5))
     check_gradients(
-        lambda ts: square(ops.dropout(ts[0], 0.4, "train",
-                                      rng=np.random.default_rng(7))).sum(), [x])
+        lambda ts: to_scalar(ops.dropout(ts[0], 0.4, "train",
+                                         rng=np.random.default_rng(7))), [x])
 
 
 def test_dense_and_flatten(rng):
-    from eegitnet.tensor import square
     x = rng.standard_normal((3, 2, 2, 2))
     flat = ops.flatten(Tensor(x, dtype=np.float64))
     assert flat.shape == (3, 8)
@@ -431,7 +421,7 @@ def test_dense_and_flatten(rng):
     w = rng.standard_normal((8, 4))
     b = rng.standard_normal(4)
     check_gradients(
-        lambda ts: square(ops.dense(ops.flatten(ts[0]), ts[1], ts[2])).sum(),
+        lambda ts: to_scalar(ops.dense(ops.flatten(ts[0]), ts[1], ts[2])),
         [x, w, b])
 
 
@@ -450,9 +440,8 @@ def test_softmax_is_shift_invariant(rng):
 
 
 def test_softmax_gradients(rng):
-    from eegitnet.tensor import square
     x = rng.standard_normal((3, 4))
-    check_gradients(lambda ts: square(ops.softmax_rows(ts[0])).sum(), [x])
+    check_gradients(lambda ts: to_scalar(ops.softmax_rows(ts[0])), [x])
 
 
 def test_cross_entropy_matches_log_softmax(rng):

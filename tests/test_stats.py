@@ -8,7 +8,7 @@ import scipy.special
 import scipy.stats
 from scipy.integrate import quad
 
-from eegitnet.stats import (EXACT_LIMIT, PairedSample, betainc_reg,
+from eegitnet.stats import (EXACT_LIMIT, betainc_reg,
                             paired_t_right, rank_sum_counts, t_sf,
                             wilcoxon_one_sided)
 
@@ -154,13 +154,6 @@ def test_exact_and_approximate_agree_near_the_boundary():
     z = (exact.statistic - mu + 0.5) / math.sqrt(var)
     approx_p = 0.5 * math.erfc(-z / math.sqrt(2))
     assert exact.p_value == pytest.approx(approx_p, abs=0.015)
-
-
-def test_paired_sample_diffs():
-    s = PairedSample((3.0, 4.0, 5.0), (1.0, 4.5, 2.0))
-    np.testing.assert_allclose(s.diffs, [2.0, -0.5, 3.0])
-    with pytest.raises(ValueError):
-        PairedSample((1.0,), (2.0,))
 
 
 # ----------------------------------------------------------------------

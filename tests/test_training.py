@@ -264,6 +264,30 @@ def test_parallel_jobs_do_not_change_results(cohort):
     assert report_csv_text(serial) == report_csv_text(parallel)
 
 
+def test_worker_pool_is_capped_at_the_subject_count(cohort, monkeypatch):
+    import eegitnet.training as training
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(training, "ProcessPoolExecutor", SerialPool)
+    run_scenario("within", cohort[:2], ARCH, FAST, jobs=500)
+    assert started == [2]
+    with pytest.raises(ValueError, match="jobs"):
+        run_scenario("within", cohort[:2], ARCH, FAST, jobs=0)
+
+
 def test_cross_pools_the_other_subjects(cohort):
     report = run_scenario("cross", cohort, ARCH, FAST)
     assert [r.pool for r in report.subjects] == [
