@@ -28,9 +28,10 @@ import sys
 from .data import SourceSpec, SynthSpec, load_epochs, save_epochs, synth_generate
 from .errors import FormatError
 from .explain import build_atlas, export_atlas
-from .fileio import atomic_write, read_key_values
-from .model import (arch_config_from_items, arch_config_to_items, load_model,
-                    plan_kernel, receptive_field_blocks, save_model)
+from .fileio import (atomic_write, config_items, key_value_text, parse_config_items,
+                     read_key_values)
+from .model import (arch_config_from_items, load_model, plan_kernel,
+                    receptive_field_blocks, save_model)
 from .stats import paired_t_right, wilcoxon_one_sided
 from .training import (TrainConfig, default_train_config, history_csv_text,
                        report_csv_text, run_scenario, summary_text)
@@ -40,12 +41,6 @@ EXIT_DATA = 3
 EXIT_RUNTIME = 4
 
 _SCENARIO_FLAGS = {"within": "within", "cross": "cross", "cross-ft": "cross_finetuned"}
-
-_TRAIN_TYPES = {
-    "max_epochs_cv": int, "patience": int, "extra_epochs_max": int,
-    "extra_lr": float, "base_lr": float, "batch_size": int,
-    "folds": int, "seed": int,
-}
 
 _DATA_DERIVED_ARCH = ("n_channels", "n_samples", "n_classes")
 
@@ -70,30 +65,20 @@ def _read_kv(path):
 
 _SOURCE_KEY = re.compile(r"^class(\d+)\.source(\d+)\.(center_freq|bandwidth|amplitude|mixing)$")
 
-_SYNTH_SCALARS = {
-    "n_trials": int, "n_channels": int, "n_classes": int,
-    "fs": float, "duration_s": float, "noise_sigma": float, "seed": int,
-}
-
-
 def _parse_synth_spec(items):
     scalars = {}
     per_source = {}
     for key, raw in items.items():
-        if key in _SYNTH_SCALARS:
-            try:
-                scalars[key] = _SYNTH_SCALARS[key](raw)
-            except ValueError:
-                raise CliError(EXIT_USAGE, f"synth key {key}: bad value {raw!r}") from None
-            continue
         m = _SOURCE_KEY.match(key)
-        if not m:
-            raise CliError(EXIT_USAGE, f"unknown synth key {key!r}")
-        cls, src, fieldname = int(m.group(1)), int(m.group(2)), m.group(3)
-        per_source.setdefault((cls, src), {})[fieldname] = raw
-    for required in ("n_trials", "n_channels", "n_classes", "fs", "duration_s"):
-        if required not in scalars:
-            raise CliError(EXIT_USAGE, f"synth spec is missing {required}")
+        if m:
+            cls, src, fieldname = int(m.group(1)), int(m.group(2)), m.group(3)
+            per_source.setdefault((cls, src), {})[fieldname] = raw
+        else:
+            scalars[key] = raw
+    try:
+        scalars = parse_config_items(SynthSpec, scalars, "synth", skip=("sources",))
+    except ValueError as exc:
+        raise CliError(EXIT_USAGE, str(exc)) from None
     n_classes = scalars["n_classes"]
     sources = []
     for cls in range(n_classes):
@@ -175,30 +160,16 @@ def _split_train_config(items, path):
         else:
             raise CliError(EXIT_USAGE,
                            f"{path}: keys must start with train. or arch., got {key!r}")
-    unknown = sorted(set(train_items) - set(_TRAIN_TYPES))
-    if unknown:
-        raise CliError(EXIT_USAGE, f"{path}: unknown train keys: {', '.join(unknown)}")
+    try:
+        overrides = parse_config_items(TrainConfig, train_items, "train")
+    except ValueError as exc:
+        raise CliError(EXIT_USAGE, f"{path}: {exc}") from None
     derived = sorted(set(arch_items) & set(_DATA_DERIVED_ARCH))
     if derived:
         raise CliError(EXIT_USAGE,
                        f"{path}: {', '.join(derived)} are derived from the data; "
                        "remove them from the config")
-    overrides = {}
-    for key, raw in train_items.items():
-        try:
-            overrides[key] = _TRAIN_TYPES[key](raw)
-        except ValueError:
-            raise CliError(EXIT_USAGE, f"{path}: train.{key}: bad value {raw!r}") from None
     return overrides, arch_items
-
-
-def _effective_config_text(train_config: TrainConfig, arch_items):
-    lines = [f"train.{k}={getattr(train_config, k)!r}"
-             if isinstance(getattr(train_config, k), float)
-             else f"train.{k}={getattr(train_config, k)}"
-             for k in _TRAIN_TYPES]
-    lines += [f"arch.{k}={v}" for k, v in arch_items.items()]
-    return "\n".join(lines) + "\n"
 
 
 def cmd_train(args):
@@ -229,9 +200,9 @@ def cmd_train(args):
         raise CliError(EXIT_USAGE, f"bad architecture config: {exc}") from None
 
     os.makedirs(args.out, exist_ok=True)
+    effective = {**config_items(train_config, "train."), **config_items(arch, "arch.")}
     atomic_write(os.path.join(args.out, "config.effective"),
-                 _effective_config_text(train_config,
-                                        arch_config_to_items(arch)).encode("utf-8"))
+                 key_value_text(effective).encode("utf-8"))
     try:
         report = run_scenario(scenario, subjects, arch, train_config,
                               names=names, jobs=args.jobs)
@@ -331,6 +302,10 @@ def _read_accuracy_table(path):
     return rows
 
 
+_STATS_TESTS = {"wilcoxon": (wilcoxon_one_sided, "n_effective"),
+                "ttest": (paired_t_right, "df")}
+
+
 def cmd_stats(args):
     table_a = _read_accuracy_table(args.table)
     table_b = _read_accuracy_table(args.vs)
@@ -343,26 +318,16 @@ def cmd_stats(args):
     subjects = sorted(table_a)
     a = [table_a[s] for s in subjects]
     b = [table_b[s] for s in subjects]
+    test, detail = _STATS_TESTS[args.test]
     try:
-        if args.test == "wilcoxon":
-            res = wilcoxon_one_sided(a, b)
-            print("test=wilcoxon_one_sided")
-            print(f"n_pairs={len(a)}")
-            print(f"n_effective={res.n_effective}")
-            print(f"statistic={res.statistic!r}")
-            print(f"p_value={res.p_value!r}")
-            p = res.p_value
-        else:
-            res = paired_t_right(a, b)
-            print("test=paired_t_right")
-            print(f"n_pairs={len(a)}")
-            print(f"df={res.df}")
-            print(f"statistic={res.statistic!r}")
-            print(f"p_value={res.p_value!r}")
-            p = res.p_value
+        res = test(a, b)
     except ValueError as exc:
         raise CliError(EXIT_DATA, str(exc)) from None
-    print(f"significant_at_0.05={'yes' if p < 0.05 else 'no'}")
+    print(key_value_text({"test": test.__name__, "n_pairs": len(a),
+                          detail: getattr(res, detail), "statistic": res.statistic,
+                          "p_value": res.p_value,
+                          "significant_at_0.05": "yes" if res.p_value < 0.05 else "no"}),
+          end="")
     return 0
 
 

@@ -95,23 +95,36 @@ class EpochSet:
         return replace(self, trials=self.trials[indices], labels=self.labels[indices])
 
 
+def check_compatible(sets, names=None):
+    """Raise ``ValueError`` unless every set shares the first set's class
+    names, channel names, sampling rate and trial length.  ``names`` label
+    the sets in the message (default ``set 0``, ``set 1``, ...)."""
+    sets = list(sets)
+    if names is None:
+        names = [f"set {i}" for i in range(len(sets))]
+    first = sets[0]
+    for name, other in zip(names[1:], sets[1:]):
+        if other.class_names != first.class_names:
+            raise ValueError(f"label-space mismatch: {name} has classes {other.class_names}, "
+                             f"expected {first.class_names}")
+        if other.channel_names != first.channel_names:
+            raise ValueError(f"channel mismatch: {name} has channels {other.channel_names}, "
+                             f"expected {first.channel_names}")
+        if other.fs != first.fs:
+            raise ValueError(f"sampling rate mismatch: {name} has {other.fs:g} Hz, "
+                             f"expected {first.fs:g} Hz")
+        if other.n_samples != first.n_samples:
+            raise ValueError(f"trial length mismatch: {name} has {other.n_samples} samples, "
+                             f"expected {first.n_samples}")
+
+
 def concat_epochs(sets):
     """Stack several sets recorded with identical metadata into one."""
     sets = list(sets)
     if not sets:
         raise ValueError("no sets to concatenate")
-    first = sets[0]
-    for other in sets[1:]:
-        if other.class_names != first.class_names:
-            raise ValueError(
-                f"label-space mismatch: {other.class_names} vs {first.class_names}")
-        if other.channel_names != first.channel_names:
-            raise ValueError("channel names differ between sets")
-        if other.fs != first.fs:
-            raise ValueError(f"sampling rates differ: {other.fs} vs {first.fs}")
-        if other.n_samples != first.n_samples:
-            raise ValueError(f"trial lengths differ: {other.n_samples} vs {first.n_samples}")
-    return replace(first,
+    check_compatible(sets)
+    return replace(sets[0],
                    trials=np.concatenate([s.trials for s in sets]),
                    labels=np.concatenate([s.labels for s in sets]))
 

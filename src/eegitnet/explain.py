@@ -21,7 +21,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .data import default_channels
-from .fileio import atomic_write
+from .fileio import atomic_write, csv_text
 from .model import ITNetModel
 
 
@@ -164,7 +164,6 @@ class FilterEntry:
     freqs: np.ndarray
     raw_spectrum: np.ndarray
     smoothed_spectrum: np.ndarray
-    unmixing_row: np.ndarray
     pattern: np.ndarray
     degenerate: bool
 
@@ -178,8 +177,6 @@ class FilterAtlas:
     channel_xy: np.ndarray
     fs: float
     nyquist_hz: float
-    savgol_half_width: int
-    savgol_order: int
 
 
 def build_atlas(model: ITNetModel, fs, savgol_half_width=5, savgol_order=3,
@@ -210,29 +207,13 @@ def build_atlas(model: ITNetModel, fs, savgol_half_width=5, savgol_order=3,
                 peak = np.abs(pattern).max()
                 if peak > 0:
                     pattern /= peak
-            entries.append(FilterEntry(i, j, k, freqs, raw, smoothed,
-                                       w[row].copy(), pattern, degenerate))
+            entries.append(FilterEntry(i, j, k, freqs, raw, smoothed, pattern, degenerate))
             row += 1
-    return FilterAtlas(entries, tuple(channel_names), channel_xy,
-                       float(fs), float(fs) / 2.0, savgol_half_width, savgol_order)
+    return FilterAtlas(entries, tuple(channel_names), channel_xy, float(fs), float(fs) / 2.0)
 
 
 # ----------------------------------------------------------------------
 # export
-
-def _spectrum_csv(entry):
-    lines = ["freq,raw,smoothed"]
-    for f, r, s in zip(entry.freqs, entry.raw_spectrum, entry.smoothed_spectrum):
-        lines.append(f"{float(f)!r},{float(r)!r},{float(s)!r}")
-    return "\n".join(lines) + "\n"
-
-
-def _pattern_csv(entry, names, xy):
-    lines = ["channel,x,y,value"]
-    for name, (x, y), v in zip(names, xy, entry.pattern):
-        lines.append(f"{name},{float(x)!r},{float(y)!r},{float(v)!r}")
-    return "\n".join(lines) + "\n"
-
 
 def _idw_topomap(xy, values, res=26, power=2):
     """Inverse-distance-weighted interpolation of electrode values on a
@@ -330,11 +311,14 @@ def export_atlas(atlas: FilterAtlas, out_dir):
     written = []
     for entry in atlas.entries:
         spec_path = os.path.join(out_dir, f"spectrum_b{entry.branch}_f{entry.index}.csv")
-        atomic_write(spec_path, _spectrum_csv(entry).encode("utf-8"))
+        atomic_write(spec_path, csv_text(
+            ("freq", "raw", "smoothed"),
+            zip(entry.freqs, entry.raw_spectrum, entry.smoothed_spectrum)).encode("utf-8"))
         written.append(spec_path)
         pat_path = os.path.join(out_dir, f"pattern_b{entry.branch}_f{entry.index}.csv")
-        atomic_write(pat_path, _pattern_csv(entry, atlas.channel_names,
-                                            atlas.channel_xy).encode("utf-8"))
+        atomic_write(pat_path, csv_text(
+            ("channel", "x", "y", "value"),
+            zip(atlas.channel_names, *atlas.channel_xy.T, entry.pattern)).encode("utf-8"))
         written.append(pat_path)
     svg_path = os.path.join(out_dir, "atlas.svg")
     atomic_write(svg_path, atlas_svg_text(atlas).encode("utf-8"))

@@ -1,12 +1,18 @@
 """Low-level helpers shared by the file formats.
 
 Binary values are little-endian; strings are u16 length + UTF-8.  Text
-configs (CLI config files, the model sidecar) are flat ``key=value`` lines.
+configs (CLI config files, the model sidecar) are flat ``key=value`` lines
+whose keys and value types are the fields of a config dataclass; tables
+are CSV.  Both write floats by ``repr`` so they read back exactly.
 """
 from __future__ import annotations
 
 import os
 import struct
+import typing
+from dataclasses import MISSING, fields
+
+import numpy as np
 
 from .errors import FormatError
 
@@ -48,13 +54,16 @@ def read_string(f, what):
 def read_key_values(path):
     """Flat ``key=value`` file -> dict in file order; blank lines and ``#``
     comments are skipped.  Raises ``OSError`` when the file cannot be read
-    and ``ValueError`` naming ``path:line`` for a line without ``=`` or a
-    repeated key."""
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.readlines()
+    and ``ValueError`` naming ``path:line`` for a line that is not UTF-8,
+    has no ``=``, or repeats a key."""
+    with open(path, "rb") as f:
+        lines = f.read().splitlines()
     items = {}
-    for ln, line in enumerate(lines, 1):
-        line = line.strip()
+    for ln, raw in enumerate(lines, 1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}:{ln}: not UTF-8 text") from None
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
@@ -65,3 +74,55 @@ def read_key_values(path):
             raise ValueError(f"{path}:{ln}: duplicate key {key!r}")
         items[key] = value.strip()
     return items
+
+
+def format_value(value):
+    """Text of one value or CSV cell: empty for ``None``, ``repr`` of the
+    Python float for floats (a numpy scalar never prints as
+    ``np.float64(...)``), ``str`` otherwise."""
+    if value is None:
+        return ""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def key_value_text(items):
+    return "".join(f"{key}={format_value(value)}\n" for key, value in items.items())
+
+
+def csv_text(header, rows):
+    lines = [",".join(header)]
+    lines += [",".join(format_value(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def config_items(config, prefix=""):
+    """``{prefix + field name: text}`` for every field of a config
+    dataclass, in field order.  A field whose metadata holds a ``format``
+    function is written with it."""
+    return {prefix + f.name: f.metadata.get("format", format_value)(getattr(config, f.name))
+            for f in fields(config)}
+
+
+def parse_config_items(cls, items, label, skip=()):
+    """Typed values for ``{key: text}`` items naming fields of the config
+    dataclass ``cls``; each field parses with its metadata ``parse``
+    function or its annotated type.  ``skip`` names fields that are not
+    keys.  Raises ``ValueError`` for unknown keys, a bad value, or a
+    missing field that has no default."""
+    known = {f.name: f for f in fields(cls) if f.name not in skip}
+    unknown = sorted(set(items) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {label} keys: {', '.join(unknown)}")
+    types = typing.get_type_hints(cls)
+    values = {}
+    for key, raw in items.items():
+        try:
+            values[key] = known[key].metadata.get("parse", types[key])(raw)
+        except ValueError:
+            raise ValueError(f"{label} key {key}: bad value {raw!r}") from None
+    for name, f in known.items():
+        if name not in values and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"{label} config is missing {name}")
+    return values

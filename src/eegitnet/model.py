@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import FormatError
-from .fileio import atomic_write, pack_string, read_exact, read_key_values
+from .fileio import (atomic_write, config_items, key_value_text, pack_string,
+                     parse_config_items, read_exact, read_key_values)
 from .ops import (ConvSpec, RunningStats, avg_pool_time, batch_norm,
                   conv_temporal, dense, dropout, elu, flatten, softmax_rows)
 from .tensor import Tensor, concat_channels, no_grad
@@ -82,6 +83,18 @@ def plan_kernel(target_r, layers_per_block, dilation_base, n_blocks):
 # ----------------------------------------------------------------------
 # configuration
 
+def _format_branches(branches):
+    return ",".join(f"{f}x{k}" for f, k in branches)
+
+
+def _parse_branches(text):
+    branches = []
+    for part in text.split(","):
+        f, _, k = part.strip().partition("x")
+        branches.append((int(f), int(k)))
+    return tuple(branches)
+
+
 @dataclass(frozen=True)
 class ArchConfig:
     """Static shape of the network.
@@ -95,7 +108,9 @@ class ArchConfig:
     n_channels: int
     n_samples: int
     n_classes: int
-    inception_branches: tuple = ((2, 16), (4, 32), (8, 64))
+    inception_branches: tuple = field(
+        default=((2, 16), (4, 32), (8, 64)),
+        metadata={"format": _format_branches, "parse": _parse_branches})
     pool1: int = 4
     tc_blocks: int = 4
     tc_layers_per_block: int = 2
@@ -156,6 +171,11 @@ class ArchConfig:
         """History (in pooled samples) one causal-stack output can see."""
         return receptive_field_blocks(self.tc_layers_per_block, self.tc_kernel,
                                       self.dilation_base, self.tc_blocks)
+
+
+def arch_config_from_items(items):
+    """Build an ArchConfig from a ``{field name: text}`` mapping."""
+    return ArchConfig(**parse_config_items(ArchConfig, items, "architecture"))
 
 
 # ----------------------------------------------------------------------
@@ -357,61 +377,6 @@ def build(config: ArchConfig, seed=0, dtype=np.float32) -> ITNetModel:
 
 
 # ----------------------------------------------------------------------
-# config text serialization (key=value lines)
-
-def _format_branches(branches):
-    return ",".join(f"{f}x{k}" for f, k in branches)
-
-
-def _parse_branches(text):
-    branches = []
-    for part in text.split(","):
-        f, _, k = part.strip().partition("x")
-        try:
-            branches.append((int(f), int(k)))
-        except ValueError:
-            raise ValueError(f"bad branch spec {part!r}; expected FILTERSxKERNEL") from None
-    return tuple(branches)
-
-
-_ARCH_PARSERS = {
-    "n_channels": int, "n_samples": int, "n_classes": int,
-    "inception_branches": _parse_branches,
-    "pool1": int, "tc_blocks": int, "tc_layers_per_block": int,
-    "tc_kernel": int, "dilation_base": int, "dr_filters": int, "pool2": int,
-    "dropout_rate": float,
-}
-
-
-def arch_config_to_items(config: ArchConfig):
-    items = {}
-    for f in fields(ArchConfig):
-        value = getattr(config, f.name)
-        if f.name == "inception_branches":
-            items[f.name] = _format_branches(value)
-        else:
-            items[f.name] = repr(value) if isinstance(value, float) else str(value)
-    return items
-
-
-def arch_config_from_items(items):
-    """Build an ArchConfig from a {key: string} mapping; unknown keys are errors."""
-    unknown = sorted(set(items) - set(_ARCH_PARSERS))
-    if unknown:
-        raise ValueError(f"unknown architecture keys: {', '.join(unknown)}")
-    kwargs = {}
-    for key, raw in items.items():
-        try:
-            kwargs[key] = _ARCH_PARSERS[key](raw)
-        except ValueError as exc:
-            raise ValueError(f"architecture key {key}: {exc}") from None
-    for required in ("n_channels", "n_samples", "n_classes"):
-        if required not in kwargs:
-            raise ValueError(f"architecture key {required} is required")
-    return ArchConfig(**kwargs)
-
-
-# ----------------------------------------------------------------------
 # binary model files
 
 def _pack_entry(name, arr):
@@ -435,8 +400,7 @@ def save_model(model: ITNetModel, path):
         parts.append(_pack_entry(name + ".running_mean", rs.mean))
         parts.append(_pack_entry(name + ".running_var", rs.var))
     atomic_write(path, b"".join(parts))
-    cfg_lines = [f"{k}={v}" for k, v in arch_config_to_items(model.config).items()]
-    atomic_write(path + ".cfg", ("\n".join(cfg_lines) + "\n").encode("utf-8"))
+    atomic_write(path + ".cfg", key_value_text(config_items(model.config)).encode("utf-8"))
 
 
 def load_model(path) -> ITNetModel:

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import EpochSet, concat_epochs, standardize
+from .data import EpochSet, check_compatible, concat_epochs, standardize
+from .fileio import csv_text, key_value_text
 from .model import ArchConfig, ITNetModel, build
 from .ops import softmax_cross_entropy
 from .optim import Adam
@@ -279,24 +280,11 @@ class ScenarioReport:
     subjects: list
     mean: float
     std: float
-    stats: dict = None
 
     @classmethod
-    def from_results(cls, scenario, results, stats=None):
+    def from_results(cls, scenario, results):
         accs = np.array([r.accuracy for r in results], dtype=np.float64)
-        return cls(scenario, list(results), float(accs.mean()), float(accs.std()), stats)
-
-
-def _check_cohort(subjects):
-    first_train = subjects[0][0]
-    for si, (train, test) in enumerate(subjects):
-        for part, name in ((train, "train"), (test, "test")):
-            if part.class_names != first_train.class_names:
-                raise ValueError(
-                    f"label-space mismatch: subject {si} {name} has classes "
-                    f"{part.class_names}, expected {first_train.class_names}")
-            if part.channel_names != first_train.channel_names:
-                raise ValueError(f"channel mismatch: subject {si} {name}")
+        return cls(scenario, list(results), float(accs.mean()), float(accs.std()))
 
 
 def _run_subject(scenario, si, names, subjects, arch, config):
@@ -345,7 +333,8 @@ def run_scenario(scenario, subjects, arch: ArchConfig, config: TrainConfig,
         names = [f"s{i + 1:02d}" for i in range(len(subjects))]
     elif len(names) != len(subjects):
         raise ValueError("one name per subject required")
-    _check_cohort(subjects)
+    check_compatible([s for pair in subjects for s in pair],
+                     [f"{name} {part}" for name in names for part in ("train", "test")])
     tasks = [(scenario, si, list(names), subjects, arch, config)
              for si in range(len(subjects))]
     if jobs > 1 and len(subjects) > 1:
@@ -359,40 +348,24 @@ def run_scenario(scenario, subjects, arch: ArchConfig, config: TrainConfig,
 # ----------------------------------------------------------------------
 # report serialization
 
-def _fmt(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def history_csv_text(history):
-    lines = ["epoch,phase,train_loss,val_loss,train_acc,val_acc"]
-    for row in history:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return csv_text(HistoryRow._fields, history)
+
+
+_REPORT_COLUMNS = ("subject", "scenario", "accuracy", "best_accuracy", "selected_fold",
+                   "epochs_run")
 
 
 def report_csv_text(report: ScenarioReport):
-    lines = ["subject,scenario,accuracy,best_accuracy,selected_fold,epochs_run"]
-    for r in report.subjects:
-        lines.append(",".join(_fmt(v) for v in
-                              (r.subject, r.scenario, r.accuracy, r.best_accuracy,
-                               r.selected_fold, r.epochs_run)))
-    return "\n".join(lines) + "\n"
+    return csv_text(_REPORT_COLUMNS,
+                    ([getattr(r, c) for c in _REPORT_COLUMNS] for r in report.subjects))
 
 
 def summary_text(report: ScenarioReport):
-    lines = [f"scenario={report.scenario}",
-             f"n_subjects={len(report.subjects)}",
-             f"mean_accuracy={report.mean!r}",
-             f"std_accuracy={report.std!r}"]
+    items = {"scenario": report.scenario, "n_subjects": len(report.subjects),
+             "mean_accuracy": report.mean, "std_accuracy": report.std}
     for r in report.subjects:
-        lines.append(f"accuracy.{r.subject}={r.accuracy!r}")
+        items[f"accuracy.{r.subject}"] = r.accuracy
         if r.pool:
-            lines.append(f"pool.{r.subject}={'+'.join(r.pool)}")
-    if report.stats:
-        for key, value in report.stats.items():
-            lines.append(f"stats.{key}={value!r}")
-    return "\n".join(lines) + "\n"
+            items[f"pool.{r.subject}"] = "+".join(r.pool)
+    return key_value_text(items)

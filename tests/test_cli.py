@@ -1,4 +1,5 @@
 """End-to-end command line coverage through main(argv)."""
+import dataclasses
 import json
 import os
 
@@ -7,7 +8,8 @@ import pytest
 
 from eegitnet.cli import main
 from eegitnet.data import load_epochs
-from eegitnet.model import load_model
+from eegitnet.model import ArchConfig, load_model
+from eegitnet.training import TrainConfig
 
 SPEC = """\
 # two separable rhythms on four channels
@@ -81,6 +83,7 @@ def test_synth_writes_a_loadable_cohort(tmp_path, capsys):
 
 @pytest.mark.parametrize("mutate,fragment", [
     (lambda t: t.replace("n_trials=24\n", ""), "missing n_trials"),
+    (lambda t: t.replace("fs=64\n", ""), "missing fs"),
     (lambda t: t + "volume=11\n", "unknown synth key"),
     (lambda t: t.replace("n_trials=24", "n_trials=lots"), "bad value"),
     (lambda t: t.replace("center_freq=24", "center_freq=40"), "Nyquist"),
@@ -108,6 +111,13 @@ def test_config_parser_rejects_malformed_lines(tmp_path, capsys):
     assert main(["synth", "--spec", str(tmp_path / "nope"), "--out", "x"]) == 2
 
 
+def test_config_that_is_not_utf8_names_file_and_line(tmp_path, capsys):
+    spec = tmp_path / "spec"
+    spec.write_bytes(b"n_trials=24\nn_channels=\xff4\n")
+    assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "x")]) == 2
+    assert f"{spec}:2: not UTF-8 text" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # train
 
@@ -124,6 +134,9 @@ def test_train_within_outputs(within_run, capsys):
     assert "arch.n_channels=4" in effective
     assert "arch.n_samples=64" in effective
     assert "arch.dropout_rate=0.4" in effective
+    keys = [line.partition("=")[0] for line in effective.splitlines()]
+    assert keys == ([f"train.{f.name}" for f in dataclasses.fields(TrainConfig)]
+                    + [f"arch.{f.name}" for f in dataclasses.fields(ArchConfig)])
 
     table = (within_run / "table.csv").read_text().splitlines()
     assert table[0].startswith("subject,scenario,accuracy")
@@ -227,6 +240,23 @@ def test_train_rejects_non_finite_samples(data_dir, tmp_path, capsys):
     assert "non-finite sample at trial 23, channel 3, sample 63" in err
 
 
+def test_train_rejects_mismatched_trial_lengths_before_training(data_dir, tmp_path, capsys):
+    mixed = tmp_path / "mixed"
+    mixed.mkdir()
+    for part in ("train", "test"):
+        (mixed / f"s01.{part}.eegepoch").write_bytes(
+            (data_dir / f"s01.{part}.eegepoch").read_bytes())
+        spec = write(tmp_path / f"s02.{part}.spec",
+                     SPEC.format(seed=9).replace("duration_s=1", "duration_s=1.5"))
+        assert main(["synth", "--spec", spec, "--out", str(mixed / f"s02.{part}.eegepoch")]) == 0
+    out = tmp_path / "run"
+    assert main(["train", "--scenario", "within", "--data", str(mixed), "--out", str(out),
+                 "--config", write(tmp_path / "cfg", TRAIN_CFG)]) == 3
+    assert "trial length mismatch: s02 train has 96 samples, expected 64" \
+        in capsys.readouterr().err
+    assert not [n for n in os.listdir(out) if n.endswith(".itnetmdl")]
+
+
 def test_cross_needs_two_subjects(data_dir, tmp_path, capsys):
     solo = tmp_path / "solo"
     solo.mkdir()
@@ -272,6 +302,16 @@ def test_explain_rejects_a_repeated_sidecar_key(within_run, tmp_path, capsys):
     assert main(["explain", "--model", str(model), "--out", str(tmp_path / "atlas"),
                  "--fs", "64"]) == 3
     assert "duplicate key 'dropout_rate'" in capsys.readouterr().err
+
+
+def test_explain_rejects_a_sidecar_that_is_not_utf8(within_run, tmp_path, capsys):
+    model = tmp_path / "m.itnetmdl"
+    model.write_bytes((within_run / "model_s01.itnetmdl").read_bytes())
+    cfg = (within_run / "model_s01.itnetmdl.cfg").read_bytes()
+    (tmp_path / "m.itnetmdl.cfg").write_bytes(cfg.replace(b"pool1=4", b"pool1=\xff"))
+    assert main(["explain", "--model", str(model), "--out", str(tmp_path / "atlas"),
+                 "--fs", "64"]) == 3
+    assert "m.itnetmdl.cfg:5: not UTF-8 text" in capsys.readouterr().err
 
 
 def test_explain_missing_or_corrupt_model(tmp_path, capsys):

@@ -1,15 +1,18 @@
 """Architecture, receptive-field arithmetic, causality, serialization."""
+import dataclasses
 import struct
 
 import numpy as np
 import pytest
 
 from eegitnet.errors import FormatError
-from eegitnet.model import (ArchConfig, arch_config_from_items,
-                            arch_config_to_items, build, load_model,
+from eegitnet.fileio import (config_items, key_value_text, parse_config_items,
+                             read_key_values)
+from eegitnet.model import (ArchConfig, arch_config_from_items, build, load_model,
                             plan_kernel, receptive_field_blocks,
                             receptive_field_plain, save_model)
 from eegitnet.tensor import Tensor
+from eegitnet.training import TrainConfig
 
 
 def default_config(**overrides):
@@ -123,12 +126,24 @@ def test_config_validation():
 
 def test_config_item_round_trip():
     cfg = default_config(dropout_rate=0.25, tc_kernel=5)
-    items = arch_config_to_items(cfg)
+    items = config_items(cfg)
     assert arch_config_from_items(items) == cfg
 
 
+def test_train_config_round_trips_through_text(tmp_path):
+    # every field differs from its default, and neither float has a short decimal form
+    cfg = TrainConfig(max_epochs_cv=7, patience=3, extra_epochs_max=2, extra_lr=0.1 + 0.2,
+                      base_lr=1 / 3, batch_size=5, folds=4, seed=11)
+    path = tmp_path / "train.cfg"
+    path.write_text(key_value_text(config_items(cfg)))
+    items = read_key_values(path)
+    assert list(items) == [f.name for f in dataclasses.fields(TrainConfig)]
+    back = TrainConfig(**parse_config_items(TrainConfig, items, "train"))
+    assert back == cfg
+
+
 def test_config_items_reject_unknown_keys():
-    items = arch_config_to_items(default_config())
+    items = config_items(default_config())
     items["bogus"] = "1"
     with pytest.raises(ValueError, match="unknown"):
         arch_config_from_items(items)

@@ -4,6 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from eegitnet import training
 from eegitnet.data import SourceSpec, SynthSpec, synth_generate
 from eegitnet.model import ArchConfig, build
 from eegitnet.training import (SCENARIOS, ScenarioReport, TrainConfig,
@@ -324,6 +325,25 @@ def test_cohorts_must_share_label_and_channel_spaces(cohort):
     renamed = dataclasses.replace(train, channel_names=("a", "b", "c", "d"))
     with pytest.raises(ValueError, match="channel"):
         run_scenario("cross", [cohort[1], (renamed, test)], ARCH, FAST)
+
+
+@pytest.mark.parametrize("part, change, fragment", [
+    # the second subject records 96-sample trials
+    (0, lambda s: dataclasses.replace(s, trials=np.concatenate([s.trials, s.trials[:, :, :32]],
+                                                               axis=2)),
+     "trial length mismatch: s02 train"),
+    # its test session was recorded at another sampling rate
+    (1, lambda s: dataclasses.replace(s, fs=128.0), "sampling rate mismatch: s02 test"),
+])
+def test_incompatible_sets_fail_before_any_fit(cohort, monkeypatch, part, change, fragment):
+    calls = []
+    monkeypatch.setattr(training, "fit_with_early_stopping",
+                        lambda *args, **kwargs: calls.append(args))
+    second = list(cohort[1])
+    second[part] = change(second[part])
+    with pytest.raises(ValueError, match=fragment):
+        run_scenario("within", [cohort[0], tuple(second)], ARCH, FAST)
+    assert calls == []
 
 
 # ----------------------------------------------------------------------
