@@ -17,13 +17,15 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import FormatError
 from .fileio import (atomic_write, config_items, key_value_text, pack_string,
                      parse_config_items, read_exact, read_key_values)
-from .ops import (ConvSpec, RunningStats, avg_pool_time, batch_norm,
-                  conv_temporal, dense, dropout, elu, flatten, softmax_rows)
-from .tensor import Tensor, concat_channels, no_grad
+from .ops import (BN_EPS, ConvSpec, RunningStats, avg_pool_time, batch_norm,
+                  conv_temporal, dense, dropout, elu, elu_values, flatten,
+                  softmax_rows)
+from .tensor import Tensor, concat_channels
 
 MODEL_MAGIC = b"ITNETMDL"
 MODEL_VERSION = 1
@@ -181,17 +183,100 @@ def arch_config_from_items(items):
 # ----------------------------------------------------------------------
 # model
 
+_BLOCK = 32   # outputs per block of the banded-matrix convolution
+
+
+def _depthwise(z, taps, left, dilation=1):
+    """Correlate each filter's row of (N, F, T) ``z`` with its row of (F, K)
+    ``taps``, dilated, after ``left`` zeros on the time axis and as many
+    zeros after it as the last output needs.
+
+    Time is cut into blocks of ``_BLOCK`` outputs.  A block's outputs are
+    its input span times the filter's banded (Toeplitz) matrix of taps, so
+    the convolution runs as one batched matrix product.
+    """
+    n, f, t = z.shape
+    span = dilation * (taps.shape[1] - 1) + _BLOCK
+    blocks = -(-t // _BLOCK)
+    zp = np.zeros((n, f, (blocks - 1) * _BLOCK + span), dtype=z.dtype)
+    zp[..., left:left + t] = z
+    s = zp.strides
+    spans = np.ascontiguousarray(
+        as_strided(zp, (n, f, blocks, span), s[:2] + (_BLOCK * s[2], s[2]), writeable=False))
+    band = np.zeros((f, span, _BLOCK), dtype=z.dtype)
+    rows = dilation * np.arange(taps.shape[1])[:, None] + np.arange(_BLOCK)
+    band[:, rows, np.arange(_BLOCK)] = taps[:, :, None]
+    return np.matmul(spans, band).reshape(n, f, -1)[..., :t]
+
+
+def _avg_pool(y, pool):
+    """Non-overlapping mean pooling along the last axis, floor semantics,
+    summed from ``pool`` strided slices (a mean over a short last axis is
+    several times slower)."""
+    end = y.shape[-1] // pool * pool
+    out = y[..., 0:end:pool].copy()
+    for j in range(1, pool):
+        out += y[..., j:end:pool]
+    out /= pool
+    return out
+
+
 def _glorot(rng, shape, fan_in, fan_out, dtype):
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return Tensor(rng.uniform(-limit, limit, size=shape).astype(dtype), requires_grad=True)
 
 
-def _zeros(shape, dtype):
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
+def _layout(config: ArchConfig):
+    """Every array of a model of ``config``, in build and file order.
+
+    Yields ``(name, shape, init)``.  ``init`` is ``(fan_in, fan_out)`` for a
+    Glorot-drawn weight, ``0`` or ``1`` for a constant parameter, and
+    ``None`` for a batch-norm layer's running statistics: then ``name`` is
+    the layer's and ``shape`` that of its mean and of its variance.
+    """
+    c = config.n_channels
+    width = config.branch_filters
+    for i, (f, k) in enumerate(config.inception_branches):
+        yield f"branch{i}.temporal.w", (f, 1, 1, k), (k, f * k)
+        yield f"branch{i}.temporal.b", (f,), 0
+        yield from _norm_layout(f"branch{i}.bn1", f)
+        yield f"branch{i}.spatial.w", (f, 1, c, 1), (c, c)
+        yield from _norm_layout(f"branch{i}.bn2", f)
+    t = config.tc_kernel
+    for j in range(config.tc_blocks):
+        for l in range(config.tc_layers_per_block):
+            yield f"tc{j}.conv{l}.w", (width, 1, 1, t), (t, t)
+            yield from _norm_layout(f"tc{j}.bn{l}", width)
+    d = config.dr_filters
+    yield "dr.w", (d, width, 1, 1), (width, d)
+    yield "dr.b", (d,), 0
+    yield from _norm_layout("dr.bn", d)
+    yield "head.w", (config.feature_dim, config.n_classes), (config.feature_dim, config.n_classes)
+    yield "head.b", (config.n_classes,), 0
 
 
-def _ones(shape, dtype):
-    return Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
+def _norm_layout(name, width):
+    yield name + ".gamma", (width,), 1
+    yield name + ".beta", (width,), 0
+    yield name, (width,), None
+
+
+def _check_state(config: ArchConfig, state):
+    """Raise ``ValueError`` unless ``state`` holds exactly the arrays of
+    :meth:`ITNetModel.state_arrays` for ``config``, each of its shape."""
+    shapes = {}
+    for name, shape, init in _layout(config):
+        if init is None:
+            shapes[name + ".running_mean"] = shapes[name + ".running_var"] = shape
+        else:
+            shapes[name] = shape
+    if set(state) != set(shapes):
+        missing = sorted(set(shapes) - set(state))
+        extra = sorted(set(state) - set(shapes))
+        raise ValueError(f"state mismatch: missing {missing}, unexpected {extra}")
+    for name, shape in shapes.items():
+        if np.shape(state[name]) != shape:
+            raise ValueError(f"parameter {name}: shape {np.shape(state[name])} != {shape}")
 
 
 class ITNetModel:
@@ -232,9 +317,15 @@ class ITNetModel:
         return x
 
     def forward_logits(self, x, mode="infer", rng=None):
-        """Class scores before softmax for a (N, 1, electrodes, time) batch."""
+        """Class scores before softmax for a (N, 1, electrodes, time) batch.
+
+        Train mode records the autodiff graph; infer mode runs
+        :meth:`_infer_logits` and returns a tensor with no parents.
+        """
         cfg = self.config
         x = self._as_input(x)
+        if mode == "infer":
+            return Tensor(self._infer_logits(x.data[:, 0]))
         branch_outs = []
         for i, (f, k) in enumerate(cfg.inception_branches):
             t = conv_temporal(x, ConvSpec(k, 1, "same", False, f),
@@ -275,6 +366,8 @@ class ITNetModel:
         if y.shape[1] != cfg.branch_filters:
             raise ValueError(
                 f"filter axis mismatch: causal stack expects {cfg.branch_filters}, got {y.shape[1]}")
+        if mode == "infer":
+            return Tensor(self._infer_tc(y.data[:, :, 0])[:, :, None])
         for j in range(cfg.tc_blocks):
             skip = y
             dilation = cfg.dilation_base ** j
@@ -296,10 +389,77 @@ class ITNetModel:
         return softmax_rows(self.forward_logits(x, mode=mode, rng=rng))
 
     def predict(self, x):
-        """Hard labels for an array of trials, without recording gradients."""
-        with no_grad():
-            probs = self.forward(x, mode="infer")
-        return np.argmax(probs.data, axis=1)
+        """Hard labels for an array of trials."""
+        return np.argmax(self.forward_logits(x, mode="infer").data, axis=1)
+
+    # ------------------------------------------------------------------
+    # inference: plain numpy, every batch norm folded into the layer before it
+    def _folded_norm(self, name):
+        """Infer-mode batch norm ``name`` as float64 per-filter ``(scale,
+        shift)``, so that it maps u to ``scale * u + shift``.  Folded on every
+        call: the optimizer updates the parameters in place."""
+        running = self.buffers[name]
+        scale = self.params[name + ".gamma"].data / np.sqrt(
+            running.var.astype(np.float64) + BN_EPS)
+        return scale, self.params[name + ".beta"].data - scale * running.mean
+
+    def _infer_dtype(self, a):
+        """The float type the graph would compute in: the wider of the
+        input's and the parameters'."""
+        return np.result_type(a, self.params["head.w"].data)
+
+    def _infer_logits(self, x):
+        """Infer-mode logits of (N, electrodes, time) trials, with no tape.
+
+        Each inception filter is linear up to its first ELU: temporal conv,
+        bias, BN1, spatial sum over electrodes, BN2.  It runs spatial first,
+        then a "same" temporal conv of the filter's virtual channel with the
+        taps scaled by both norms, plus one constant.  Zero padding commutes
+        with the electrode sum, so this is exact up to rounding.
+        """
+        cfg = self.config
+        x = x.astype(self._infer_dtype(x), copy=False)
+        spatial = np.concatenate([self.params[f"branch{i}.spatial.w"].data[:, 0, :, 0]
+                                  for i in range(len(cfg.inception_branches))])
+        z = np.matmul(spatial.astype(x.dtype), x)
+        branch_outs = []
+        start = 0
+        for i, (f, k) in enumerate(cfg.inception_branches):
+            scale1, shift1 = self._folded_norm(f"branch{i}.bn1")
+            scale2, shift2 = self._folded_norm(f"branch{i}.bn2")
+            taps = self.params[f"branch{i}.temporal.w"].data[:, 0, 0] \
+                * (scale1 * scale2)[:, None]
+            bias = self.params[f"branch{i}.temporal.b"].data
+            electrode_sum = spatial[start:start + f].sum(axis=1, dtype=np.float64)
+            const = scale2 * (scale1 * bias + shift1) * electrode_sum + shift2
+            t = _depthwise(z[:, start:start + f], taps.astype(x.dtype), (k - 1) // 2)
+            branch_outs.append(t + const.astype(x.dtype)[:, None])
+            start += f
+        y = _avg_pool(elu_values(np.concatenate(branch_outs, axis=1)), cfg.pool1)
+        y = self._infer_tc(y)
+        scale, shift = self._folded_norm("dr.bn")
+        w = self.params["dr.w"].data[:, :, 0, 0] * scale[:, None]
+        b = scale * self.params["dr.b"].data + shift
+        y = elu_values(np.matmul(w.astype(x.dtype), y) + b.astype(x.dtype)[:, None])
+        y = _avg_pool(y, cfg.pool2).reshape(len(y), -1)
+        return y @ self.params["head.w"].data + self.params["head.b"].data
+
+    def _infer_tc(self, y):
+        """Infer-mode causal stack on (N, width, time) features."""
+        cfg = self.config
+        k = cfg.tc_kernel
+        y = y.astype(self._infer_dtype(y), copy=False)
+        for j in range(cfg.tc_blocks):
+            skip = y
+            dilation = cfg.dilation_base ** j
+            for l in range(cfg.tc_layers_per_block):
+                scale, shift = self._folded_norm(f"tc{j}.bn{l}")
+                # lag order -> correlation order, scaled by the norm
+                taps = self.params[f"tc{j}.conv{l}.w"].data[:, 0, 0, ::-1] * scale[:, None]
+                y = _depthwise(y, taps.astype(y.dtype), (k - 1) * dilation, dilation)
+                y = elu_values(y + shift.astype(y.dtype)[:, None])
+            y = elu_values(y + skip)
+        return y
 
     # ------------------------------------------------------------------
     # checkpointing
@@ -312,19 +472,9 @@ class ITNetModel:
         return state
 
     def load_state_arrays(self, state):
-        expected = set(self.params)
-        for name in self.buffers:
-            expected.add(name + ".running_mean")
-            expected.add(name + ".running_var")
-        if set(state) != expected:
-            missing = sorted(expected - set(state))
-            extra = sorted(set(state) - expected)
-            raise ValueError(f"state mismatch: missing {missing}, unexpected {extra}")
+        _check_state(self.config, state)
         for name, p in self.params.items():
-            arr = np.asarray(state[name])
-            if arr.shape != p.shape:
-                raise ValueError(f"parameter {name}: shape {arr.shape} != {p.shape}")
-            p.data = arr.copy()
+            p.data = np.asarray(state[name]).copy()
         for name, rs in self.buffers.items():
             rs.mean = np.asarray(state[name + ".running_mean"]).copy()
             rs.var = np.asarray(state[name + ".running_var"]).copy()
@@ -336,43 +486,13 @@ def build(config: ArchConfig, seed=0, dtype=np.float32) -> ITNetModel:
     rng = np.random.default_rng(seed)
     params = {}
     buffers = {}
-    c = config.n_channels
-
-    for i, (f, k) in enumerate(config.inception_branches):
-        params[f"branch{i}.temporal.w"] = _glorot(rng, (f, 1, 1, k), fan_in=k, fan_out=f * k,
-                                                  dtype=dtype)
-        params[f"branch{i}.temporal.b"] = _zeros((f,), dtype)
-        params[f"branch{i}.bn1.gamma"] = _ones((f,), dtype)
-        params[f"branch{i}.bn1.beta"] = _zeros((f,), dtype)
-        buffers[f"branch{i}.bn1"] = RunningStats(f, dtype)
-        params[f"branch{i}.spatial.w"] = _glorot(rng, (f, 1, c, 1), fan_in=c, fan_out=c,
-                                                 dtype=dtype)
-        params[f"branch{i}.bn2.gamma"] = _ones((f,), dtype)
-        params[f"branch{i}.bn2.beta"] = _zeros((f,), dtype)
-        buffers[f"branch{i}.bn2"] = RunningStats(f, dtype)
-
-    width = config.branch_filters
-    for j in range(config.tc_blocks):
-        for l in range(config.tc_layers_per_block):
-            params[f"tc{j}.conv{l}.w"] = _glorot(
-                rng, (width, 1, 1, config.tc_kernel),
-                fan_in=config.tc_kernel, fan_out=config.tc_kernel, dtype=dtype)
-            params[f"tc{j}.bn{l}.gamma"] = _ones((width,), dtype)
-            params[f"tc{j}.bn{l}.beta"] = _zeros((width,), dtype)
-            buffers[f"tc{j}.bn{l}"] = RunningStats(width, dtype)
-
-    params["dr.w"] = _glorot(rng, (config.dr_filters, width, 1, 1),
-                             fan_in=width, fan_out=config.dr_filters, dtype=dtype)
-    params["dr.b"] = _zeros((config.dr_filters,), dtype)
-    params["dr.bn.gamma"] = _ones((config.dr_filters,), dtype)
-    params["dr.bn.beta"] = _zeros((config.dr_filters,), dtype)
-    buffers["dr.bn"] = RunningStats(config.dr_filters, dtype)
-
-    params["head.w"] = _glorot(rng, (config.feature_dim, config.n_classes),
-                               fan_in=config.feature_dim, fan_out=config.n_classes,
-                               dtype=dtype)
-    params["head.b"] = _zeros((config.n_classes,), dtype)
-
+    for name, shape, init in _layout(config):
+        if init is None:
+            buffers[name] = RunningStats(shape[0], dtype)
+        elif isinstance(init, tuple):
+            params[name] = _glorot(rng, shape, *init, dtype=dtype)
+        else:
+            params[name] = Tensor(np.full(shape, init, dtype=dtype), requires_grad=True)
     return ITNetModel(config, params, buffers)
 
 
@@ -414,7 +534,6 @@ def load_model(path) -> ITNetModel:
     except ValueError as exc:
         raise FormatError("bad_value", str(exc)) from None
 
-    model = build(config, seed=0)
     state = {}
     with open(path, "rb") as f:
         magic = f.read(len(MODEL_MAGIC))
@@ -447,7 +566,16 @@ def load_model(path) -> ITNetModel:
             raw = read_exact(f, count * dt.itemsize, f"{name} values")
             state[name] = np.frombuffer(raw, dtype=dt).reshape(extents).copy()
     try:
-        model.load_state_arrays(state)
+        _check_state(config, state)
     except ValueError as exc:
         raise FormatError("bad_value", str(exc)) from None
-    return model
+    params = {}
+    buffers = {}
+    for name, shape, init in _layout(config):
+        if init is None:
+            running = buffers[name] = RunningStats(shape[0])
+            running.mean = state[name + ".running_mean"]
+            running.var = state[name + ".running_var"]
+        else:
+            params[name] = Tensor(state[name], requires_grad=True)
+    return ITNetModel(config, params, buffers)

@@ -14,6 +14,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .tensor import Tensor, accumulate, flip_time, from_op
 
 PAD_MODES = ("same", "valid", "causal")
+BN_EPS = 1e-3
 
 
 @dataclass(frozen=True)
@@ -209,7 +210,7 @@ def _channel_sum(a, b=None):
     return np.einsum("ncs,ncs->c", a3, b.reshape(a3.shape))
 
 
-def batch_norm(x, gamma, beta, eps=1e-3, mode="train", running=None, momentum=0.99):
+def batch_norm(x, gamma, beta, eps=BN_EPS, mode="train", running=None, momentum=0.99):
     """Normalize per channel (axis 1) over all other axes.
 
     Train mode uses biased batch moments and, when ``running`` is given,
@@ -272,11 +273,16 @@ def batch_norm(x, gamma, beta, eps=1e-3, mode="train", running=None, momentum=0.
 # ----------------------------------------------------------------------
 # activations, pooling, dropout, dense head
 
+def elu_values(a):
+    """Exponential linear unit (alpha = 1) of an array, as a new array."""
+    out = np.minimum(a, 0)
+    np.expm1(out, out=out)
+    return np.maximum(out, a, out=out)
+
+
 def elu(x):
     """Exponential linear unit with alpha = 1."""
-    out = np.minimum(x.data, 0)
-    np.expm1(out, out=out)
-    np.maximum(out, x.data, out=out)
+    out = elu_values(x.data)
 
     def backward(g):
         gx = np.minimum(out, 0)

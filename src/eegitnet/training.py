@@ -14,6 +14,7 @@ decision draws from a stream spawned off the config seed with a
 """
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -25,7 +26,6 @@ from .fileio import csv_text, key_value_text
 from .model import ArchConfig, ITNetModel, build
 from .ops import softmax_cross_entropy
 from .optim import Adam
-from .tensor import no_grad
 
 SCENARIOS = ("within", "cross", "cross_finetuned")
 
@@ -56,6 +56,8 @@ class TrainConfig:
             raise ValueError("folds must be >= 2")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 (batch statistics need 2+ trials)")
+        if not (math.isfinite(self.base_lr) and math.isfinite(self.extra_lr)):
+            raise ValueError("base_lr and extra_lr must be finite")
         if self.base_lr <= 0 or self.extra_lr < 0:
             raise ValueError("base_lr must be positive and extra_lr non-negative")
 
@@ -143,12 +145,11 @@ def evaluate(model, x, y, batch_size=256):
         raise ValueError("nothing to evaluate")
     total_loss = 0.0
     correct = 0
-    with no_grad():
-        for c in range(0, n, batch_size):
-            xb, yb = x[c:c + batch_size], y[c:c + batch_size]
-            logits = model.forward_logits(xb, mode="infer")
-            total_loss += softmax_cross_entropy(logits, yb).item() * len(yb)
-            correct += int((np.argmax(logits.data, axis=1) == yb).sum())
+    for c in range(0, n, batch_size):
+        xb, yb = x[c:c + batch_size], y[c:c + batch_size]
+        logits = model.forward_logits(xb, mode="infer")   # records no graph
+        total_loss += softmax_cross_entropy(logits, yb).item() * len(yb)
+        correct += int((np.argmax(logits.data, axis=1) == yb).sum())
     return total_loss / n, 100.0 * correct / n
 
 

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import check_gradients, to_scalar
+from oracles import check_gradients, to_scalar
 from eegitnet.data import (SourceSpec, SynthSpec, load_epochs, save_epochs,
                            synth_generate)
 from eegitnet.explain import build_atlas, savgol_coeffs, savgol_smooth

@@ -191,6 +191,15 @@ def test_train_config_errors(data_dir, tmp_path, capsys, extra, fragment):
     assert fragment in capsys.readouterr().err
 
 
+def test_train_rejects_a_non_finite_learning_rate(data_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    cfg = write(tmp_path / "cfg", TRAIN_CFG + "train.base_lr=nan\n")
+    assert main(["train", "--scenario", "within", "--data", str(data_dir),
+                 "--out", str(out), "--config", cfg]) == 2
+    assert "base_lr and extra_lr must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_rejects_jobs_below_one(data_dir, tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["train", "--scenario", "within", "--data", str(data_dir),

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from eegitnet import model as model_module
 from eegitnet.errors import FormatError
 from eegitnet.fileio import (config_items, key_value_text, parse_config_items,
                              read_key_values)
@@ -263,6 +264,23 @@ def test_model_round_trip_is_bit_exact(tmp_path, rng):
                                       model.buffers[name].var)
     # and the loaded model predicts identically
     np.testing.assert_array_equal(loaded.predict(x), model.predict(x))
+
+
+def test_load_wraps_the_file_arrays_without_drawing_weights(tmp_path, monkeypatch):
+    model = build(default_config(n_channels=6, n_samples=80), seed=9)
+    path = tmp_path / "m.itnetmdl"
+    save_model(model, path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_model drew a Glorot weight")
+
+    monkeypatch.setattr(model_module, "_glorot", refuse)
+    loaded = load_model(path)
+    again = tmp_path / "again.itnetmdl"
+    save_model(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+    assert (tmp_path / "again.itnetmdl.cfg").read_bytes() == \
+        (tmp_path / "m.itnetmdl.cfg").read_bytes()
 
 
 def test_missing_sidecar_is_reported(tmp_path):

@@ -1,7 +1,7 @@
 """Layer primitives against independent oracles.
 
 Every convolution variant is checked against the loop-based reference in
-conftest, every primitive gets a finite-difference gradient check, and the
+oracles, every primitive gets a finite-difference gradient check, and the
 statistics of batch norm / dropout are verified against their definitions.
 """
 import numpy as np
@@ -11,8 +11,8 @@ from eegitnet import ops
 from eegitnet.ops import ConvSpec, RunningStats, conv_temporal
 from eegitnet.tensor import Tensor
 
-from conftest import (batch_norm_train_reference, check_gradients, conv_oracle,
-                      elu_reference, to_scalar, window_conv_reference)
+from oracles import (batch_norm_train_reference, check_gradients, conv_oracle,
+                     elu_reference, to_scalar, window_conv_reference)
 
 
 # ----------------------------------------------------------------------

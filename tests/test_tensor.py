@@ -5,7 +5,7 @@ import pytest
 from eegitnet import tensor as T
 from eegitnet.tensor import Tensor, no_grad
 
-from conftest import check_gradients, to_scalar
+from oracles import check_gradients, to_scalar
 
 
 def test_tensor_defaults_to_float32():

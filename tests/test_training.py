@@ -59,6 +59,11 @@ def test_default_configs_per_scenario():
     (dict(batch_size=1), "batch_size"),
     (dict(base_lr=0.0), "base_lr"),
     (dict(extra_lr=-1e-4), "extra_lr|base_lr"),
+    (dict(base_lr=float("nan")), "finite"),
+    (dict(base_lr=float("inf")), "finite"),
+    (dict(extra_lr=float("inf")), "finite"),
+    (dict(extra_lr=float("nan")), "finite"),
+    (dict(extra_lr=float("-inf")), "finite"),
 ])
 def test_train_config_validation(kwargs, match):
     with pytest.raises(ValueError, match=match):
