@@ -17,14 +17,13 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import FormatError
 from .fileio import (atomic_write, config_items, key_value_text, pack_string,
                      parse_config_items, read_exact, read_key_values)
-from .ops import (BN_EPS, ConvSpec, RunningStats, avg_pool_time, batch_norm,
-                  conv_temporal, dense, dropout, elu, elu_values, flatten,
-                  softmax_rows)
+from .ops import (BN_EPS, ConvSpec, RunningStats, avg_pool_time, avg_pool_values,
+                  band_conv, batch_norm, conv_temporal, dense, dropout, elu,
+                  elu_values, flatten, softmax_rows)
 from .tensor import Tensor, concat_channels
 
 MODEL_MAGIC = b"ITNETMDL"
@@ -182,44 +181,6 @@ def arch_config_from_items(items):
 
 # ----------------------------------------------------------------------
 # model
-
-_BLOCK = 32   # outputs per block of the banded-matrix convolution
-
-
-def _depthwise(z, taps, left, dilation=1):
-    """Correlate each filter's row of (N, F, T) ``z`` with its row of (F, K)
-    ``taps``, dilated, after ``left`` zeros on the time axis and as many
-    zeros after it as the last output needs.
-
-    Time is cut into blocks of ``_BLOCK`` outputs.  A block's outputs are
-    its input span times the filter's banded (Toeplitz) matrix of taps, so
-    the convolution runs as one batched matrix product.
-    """
-    n, f, t = z.shape
-    span = dilation * (taps.shape[1] - 1) + _BLOCK
-    blocks = -(-t // _BLOCK)
-    zp = np.zeros((n, f, (blocks - 1) * _BLOCK + span), dtype=z.dtype)
-    zp[..., left:left + t] = z
-    s = zp.strides
-    spans = np.ascontiguousarray(
-        as_strided(zp, (n, f, blocks, span), s[:2] + (_BLOCK * s[2], s[2]), writeable=False))
-    band = np.zeros((f, span, _BLOCK), dtype=z.dtype)
-    rows = dilation * np.arange(taps.shape[1])[:, None] + np.arange(_BLOCK)
-    band[:, rows, np.arange(_BLOCK)] = taps[:, :, None]
-    return np.matmul(spans, band).reshape(n, f, -1)[..., :t]
-
-
-def _avg_pool(y, pool):
-    """Non-overlapping mean pooling along the last axis, floor semantics,
-    summed from ``pool`` strided slices (a mean over a short last axis is
-    several times slower)."""
-    end = y.shape[-1] // pool * pool
-    out = y[..., 0:end:pool].copy()
-    for j in range(1, pool):
-        out += y[..., j:end:pool]
-    out /= pool
-    return out
-
 
 def _glorot(rng, shape, fan_in, fan_out, dtype):
     limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -432,16 +393,16 @@ class ITNetModel:
             bias = self.params[f"branch{i}.temporal.b"].data
             electrode_sum = spatial[start:start + f].sum(axis=1, dtype=np.float64)
             const = scale2 * (scale1 * bias + shift1) * electrode_sum + shift2
-            t = _depthwise(z[:, start:start + f], taps.astype(x.dtype), (k - 1) // 2)
-            branch_outs.append(t + const.astype(x.dtype)[:, None])
+            t = band_conv(z[:, start:start + f, None], taps.astype(x.dtype), (k - 1) // 2)
+            branch_outs.append(t[:, :, 0] + const.astype(x.dtype)[:, None])
             start += f
-        y = _avg_pool(elu_values(np.concatenate(branch_outs, axis=1)), cfg.pool1)
+        y = avg_pool_values(elu_values(np.concatenate(branch_outs, axis=1)), cfg.pool1)
         y = self._infer_tc(y)
         scale, shift = self._folded_norm("dr.bn")
         w = self.params["dr.w"].data[:, :, 0, 0] * scale[:, None]
         b = scale * self.params["dr.b"].data + shift
         y = elu_values(np.matmul(w.astype(x.dtype), y) + b.astype(x.dtype)[:, None])
-        y = _avg_pool(y, cfg.pool2).reshape(len(y), -1)
+        y = avg_pool_values(y, cfg.pool2).reshape(len(y), -1)
         return y @ self.params["head.w"].data + self.params["head.b"].data
 
     def _infer_tc(self, y):
@@ -456,7 +417,8 @@ class ITNetModel:
                 scale, shift = self._folded_norm(f"tc{j}.bn{l}")
                 # lag order -> correlation order, scaled by the norm
                 taps = self.params[f"tc{j}.conv{l}.w"].data[:, 0, 0, ::-1] * scale[:, None]
-                y = _depthwise(y, taps.astype(y.dtype), (k - 1) * dilation, dilation)
+                y = band_conv(y[:, :, None], taps.astype(y.dtype), (k - 1) * dilation,
+                              dilation)[:, :, 0]
                 y = elu_values(y + shift.astype(y.dtype)[:, None])
             y = elu_values(y + skip)
         return y

@@ -3,13 +3,16 @@
 All operate on :class:`~eegitnet.tensor.Tensor` and record gradients through
 :func:`~eegitnet.tensor.from_op`.  Inputs to the convolution ops are 4-D
 ``(batch, filters, electrodes, time)``; time is always the last axis.
+``band_conv``, ``elu_values`` and ``avg_pool_values`` are the array kernels
+beneath the ops, shared with the model's tape-free inference.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .tensor import Tensor, accumulate, flip_time, from_op
 
@@ -45,7 +48,139 @@ class ConvSpec:
 
 
 # ----------------------------------------------------------------------
-# core 2-D convolution (correlation orientation, dilation on the time axis)
+# convolution kernels: one banded matrix product along time, one contraction
+# over electrodes
+
+_BLOCK = 32                # outputs per block of the banded-matrix convolution
+_CHUNK_BYTES = 1 << 20     # spans and block outputs built at once
+
+
+def _block_shape(k, dilation):
+    """(outputs per block, input span per block) for ``k`` dilated taps.  A
+    one-tap kernel takes one output per block, so its band is the tap."""
+    block = _BLOCK if k > 1 else 1
+    return block, dilation * (k - 1) + block
+
+
+@functools.lru_cache(maxsize=64)
+def _band_cells(k, dilation, block):
+    """(rows, columns) of a banded matrix's cells that hold taps: tap b sits
+    in row ``j + b * dilation`` of column j.  Cached, so read-only."""
+    cells = dilation * np.arange(k)[:, None] + np.arange(block), np.arange(block)
+    for a in cells:
+        a.setflags(write=False)
+    return cells
+
+
+def _span_chunks(z, left, span, block, blocks, out_filters):
+    """Yield ``(first trial, spans)`` for chunks of the (N, G, R, T) rows
+    ``z``, read after ``left`` zeros (a negative ``left`` skips samples) and
+    zero past its end.
+
+    ``spans`` is an (n, G, R, blocks, span) strided view: ``spans[..., b, :]``
+    holds the samples that block b of a row reads.  Each caller copies it
+    into the matrix layout its product needs.  A chunk holds as many trials
+    as fit ``_CHUNK_BYTES`` of spans and block outputs.
+    """
+    n, g, r, t = z.shape
+    total = (blocks - 1) * block + span
+    per_trial = (g * span + out_filters * block) * r * blocks * z.itemsize
+    step = max(1, _CHUNK_BYTES // per_trial)
+    for lo in range(0, n, step):
+        zc = z[lo:lo + step]
+        if left == 0 and total <= t:
+            zp = np.ascontiguousarray(zc)
+        else:
+            zp = np.zeros(zc.shape[:3] + (total,), dtype=z.dtype)
+            a, b = max(left, 0), min(left + t, total)
+            if b > a:
+                zp[..., a:b] = zc[..., a - left:b - left]
+        s = zp.strides
+        yield lo, np.ndarray(zc.shape[:3] + (blocks, span), z.dtype, zp, 0,
+                             s[:3] + (block * s[3], s[3]))
+
+
+def band_conv(z, taps, left=0, dilation=1, length=None):
+    """Correlate the rows of (N, G, R, T) ``z`` along time with ``taps``,
+    dilated, after ``left`` zeros and with zeros after the input as far as
+    the last of ``length`` outputs reads (``length`` defaults to T).
+
+    Depthwise ``taps`` are (G, K): filter g runs on the rows of input filter
+    g.  Dense ``taps`` are (F, G, K): output filter f sums the correlations of
+    every input filter g with ``taps[f, g]``.
+
+    Time is cut into blocks of ``_BLOCK`` outputs.  A block's outputs are its
+    input span times the filter's banded (Toeplitz) matrix of taps, so the
+    convolution runs as one batched matrix product per chunk of trials,
+    written in place.  Returns an (N, F, R, length) view that leaves out the
+    last block's outputs past ``length``.
+    """
+    n, g, r, t = z.shape
+    length = t if length is None else length
+    k = taps.shape[-1]
+    block, span = _block_shape(k, dilation)
+    blocks = -(-length // block)
+    band = np.zeros(taps.shape[:-1] + (span, block), dtype=taps.dtype)
+    band[(Ellipsis,) + _band_cells(k, dilation, block)] = taps[..., None]
+    if taps.ndim == 3:
+        band = band.reshape(len(taps), g * span, block)
+    out = np.empty((n, len(taps), r * blocks, block), dtype=np.result_type(z, taps))
+    for lo, spans in _span_chunks(z, left, span, block, blocks, len(taps)):
+        c = len(spans)
+        if taps.ndim == 3:   # a row holds every input filter's span
+            spans = np.ascontiguousarray(spans.transpose(0, 2, 3, 1, 4)).reshape(
+                c, 1, r * blocks, g * span)
+        else:
+            spans = np.ascontiguousarray(spans).reshape(c, g, r * blocks, span)
+        np.matmul(spans, band, out=out[lo:lo + c])
+    return out.reshape(n, len(taps), r, blocks * block)[..., :length]
+
+
+def band_conv_taps_grad(z, taps, grad, left=0, dilation=1):
+    """Gradient of :func:`band_conv`'s ``taps`` for the output gradient
+    ``grad``, taken from the same input spans: a banded matrix's gradient is
+    its spans times its blocks of output gradient, and tap b sums the band's
+    cells that hold it."""
+    _, g, r, _ = z.shape
+    f, length = grad.shape[1], grad.shape[3]
+    k = taps.shape[-1]
+    block, span = _block_shape(k, dilation)
+    blocks = -(-length // block)
+    band_grad = 0
+    for lo, spans in _span_chunks(z, left, span, block, blocks, f):
+        c = len(spans)
+        if taps.ndim == 3:
+            # one product per trial and output filter, summed over the trials
+            spans = np.ascontiguousarray(spans.transpose(0, 2, 3, 1, 4)).reshape(
+                c, 1, r * blocks, g * span)
+            gc = _zero_padded(grad[lo:lo + c], blocks * block).reshape(c, f, r * blocks, block)
+            band_grad = band_grad + np.matmul(spans.swapaxes(-1, -2), gc).sum(axis=0)
+        else:
+            # one product per filter, with every trial's blocks in its rows
+            spans = np.ascontiguousarray(spans.transpose(1, 0, 2, 3, 4)).reshape(
+                g, c * r * blocks, span)
+            gc = _zero_padded(grad[lo:lo + c].transpose(1, 0, 2, 3), blocks * block)
+            band_grad = band_grad + np.matmul(spans.swapaxes(-1, -2),
+                                              gc.reshape(f, c * r * blocks, block))
+    band_grad = band_grad.reshape(taps.shape[:-1] + (span, block))
+    return band_grad[(Ellipsis,) + _band_cells(k, dilation, block)].sum(axis=-1)
+
+
+def _zero_padded(a, length):
+    """A new contiguous copy of ``a`` with zeros after its last axis up to
+    ``length``."""
+    out = np.zeros(a.shape[:-1] + (length,), dtype=a.dtype)
+    out[..., :a.shape[-1]] = a
+    return out
+
+
+def _pad(a, pad_h, pad_t):
+    """``a`` zero-padded on its electrode and time axes; ``a`` itself when
+    no padding is asked for."""
+    if pad_h == (0, 0) and pad_t == (0, 0):
+        return a
+    return np.pad(a, ((0, 0), (0, 0), pad_h, pad_t))
+
 
 def conv2d(x, w, pad_h=(0, 0), pad_t=(0, 0), dilation=1, depthwise=False):
     """Full or depthwise 2-D convolution over (electrode, time) axes with
@@ -54,9 +189,11 @@ def conv2d(x, w, pad_h=(0, 0), pad_t=(0, 0), dilation=1, depthwise=False):
     ``x``: (N, C_in, H, W); ``w``: (C_out, C_in, KH, KW), or (C_in, 1, KH, KW)
     in depthwise mode.
 
-    A full convolution is one GEMM per trial against that trial's im2col
-    matrix, so at most one trial's window copy exists at a time.  A depthwise
-    convolution is ``KH * KW`` shifted multiply-adds with no window copy.
+    A depthwise kernel that spans only electrodes (KW == 1) is one
+    contraction over each output row's electrodes, forward and backward.
+    Every other kernel runs :func:`band_conv` along time once per electrode
+    tap.  Its input gradient is the same kernel with reversed taps (and, for
+    a dense kernel, input and output filters swapped).
     """
     c_in = x.shape[1]
     if depthwise:
@@ -67,67 +204,63 @@ def conv2d(x, w, pad_h=(0, 0), pad_t=(0, 0), dilation=1, depthwise=False):
         raise ValueError(
             f"filter axis mismatch: weights expect {w.shape[1]} input filters, input has {c_in}")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), pad_h, pad_t))
+    n, _, h, t = x.shape
     kh, kw = w.shape[2], w.shape[3]
-    span_h, span_w = kh, dilation * (kw - 1) + 1
-    if span_h > xp.shape[2]:
+    hp, tp = h + pad_h[0] + pad_h[1], t + pad_t[0] + pad_t[1]
+    span_w = dilation * (kw - 1) + 1
+    if kh > hp:
         raise ValueError(
-            f"electrode axis too short: kernel spans {span_h}, padded input has {xp.shape[2]}")
-    if span_w > xp.shape[3]:
+            f"electrode axis too short: kernel spans {kh}, padded input has {hp}")
+    if span_w > tp:
         raise ValueError(
-            f"time axis too short: dilated kernel spans {span_w}, padded input has {xp.shape[3]}")
-
-    n = xp.shape[0]
-    ho, wo = xp.shape[2] - span_h + 1, xp.shape[3] - span_w + 1
+            f"time axis too short: dilated kernel spans {span_w}, padded input has {tp}")
+    ho, wo = hp - kh + 1, tp - span_w + 1
     w_data = w.data
-    taps = [(a, b) for a in range(kh) for b in range(kw)]
 
-    def shifted(a, b):
-        """The padded input under kernel tap (a, b): (N, C_in, Ho, Wo)."""
-        return xp[:, :, a:a + ho, b * dilation:b * dilation + wo]
+    if depthwise and kw == 1:
+        xe = _pad(x.data, pad_h, pad_t)
+        s = xe.strides
+        # windows[n, c, i] is output row i's (kh, time) block of electrodes
+        windows = as_strided(xe, (n, c_in, ho, kh, tp), s[:3] + s[2:], writeable=False)
+        out = np.matmul(w_data.swapaxes(2, 3), windows).reshape(n, c_in, ho, tp)
 
-    if depthwise:
-        out = None
-        for a, b in taps:
-            term = shifted(a, b) * w_data[:, 0, a, b].reshape(1, -1, 1, 1)
-            out = term if out is None else np.add(out, term, out=out)
-    else:
-        c_out = w.shape[0]
-        w_mat = w_data.reshape(c_out, -1)
-        # a view, not a copy: windows[i] is trial i's (C_in, kh, kw, Ho, Wo)
-        # im2col matrix, its rows in the column order of w.reshape(C_out, -1)
-        windows = sliding_window_view(xp, (kh, span_w), axis=(2, 3))[..., ::dilation]
-        windows = windows.transpose(0, 1, 4, 5, 2, 3)
-        cols = np.empty(windows.shape[1:], dtype=xp.dtype)
-        out = np.empty((n, c_out, ho, wo), dtype=np.result_type(xp, w_data))
-        for i in range(n):
-            np.copyto(cols, windows[i])
-            np.matmul(w_mat, cols.reshape(-1, ho * wo), out=out[i].reshape(c_out, -1))
+        def backward(g):
+            if w.requires_grad:
+                gw = np.matmul(windows, g[..., None]).sum(axis=(0, 2))
+                accumulate(w, gw[:, None])
+            if x.requires_grad:
+                outer = w_data[None] * g[:, :, :, None, :]   # (N, C, Ho, kh, T)
+                if ho == 1:
+                    gxe = outer.reshape(xe.shape)
+                else:
+                    gxe = np.zeros_like(xe)
+                    for i in range(ho):
+                        gxe[:, :, i:i + kh] += outer[:, :, i]
+                accumulate(x, gxe[:, :, pad_h[0]:pad_h[0] + h, pad_t[0]:pad_t[0] + t])
+
+        return from_op(out, (x, w), backward)
+
+    xe = _pad(x.data, pad_h, (0, 0))
+    taps = w_data[:, 0] if depthwise else w_data   # (..., kh, kw)
+    out = band_conv(xe[:, :, :ho], taps[..., 0, :], pad_t[0], dilation, wo)
+    for a in range(1, kh):
+        out += band_conv(xe[:, :, a:a + ho], taps[..., a, :], pad_t[0], dilation, wo)
 
     def backward(g):
         if w.requires_grad:
-            if depthwise:
-                gw = np.empty_like(w_data)
-                for a, b in taps:
-                    gw[:, 0, a, b] = np.einsum("ncij,ncij->c", g, shifted(a, b))
-            else:
-                gw_t = np.zeros((w_mat.shape[1], c_out), dtype=g.dtype)
-                cols = np.empty(windows.shape[1:], dtype=xp.dtype)
-                for i in range(n):
-                    np.copyto(cols, windows[i])
-                    gw_t += cols.reshape(-1, ho * wo) @ g[i].reshape(c_out, -1).T
-                gw = gw_t.T.reshape(w.shape)
-            accumulate(w, gw)
+            gw = np.stack([band_conv_taps_grad(xe[:, :, a:a + ho], taps[..., a, :], g,
+                                               pad_t[0], dilation) for a in range(kh)], axis=-2)
+            accumulate(w, gw[:, None] if depthwise else gw)
         if x.requires_grad:
-            gxp = np.zeros_like(xp)
-            for a, b in taps:
-                if depthwise:
-                    contrib = g * w_data[:, 0, a, b].reshape(1, -1, 1, 1)
-                else:
-                    contrib = np.einsum("noij,oc->ncij", g, w_data[:, :, a, b], optimize=True)
-                gxp[:, :, a:a + ho, b * dilation:b * dilation + wo] += contrib
-            gx = gxp[:, :, pad_h[0]:pad_h[0] + x.shape[2], pad_t[0]:pad_t[0] + x.shape[3]]
-            accumulate(x, np.ascontiguousarray(gx))
+            back = taps[..., ::-1] if depthwise else taps[..., ::-1].transpose(1, 0, 2, 3)
+            left = dilation * (kw - 1) - pad_t[0]
+            if kh == 1 and pad_h == (0, 0):
+                accumulate(x, band_conv(g, back[..., 0, :], left, dilation, t))
+                return
+            gxe = np.zeros(xe.shape, dtype=g.dtype)
+            for a in range(kh):
+                gxe[:, :, a:a + ho] += band_conv(g, back[..., a, :], left, dilation, t)
+            accumulate(x, gxe[:, :, pad_h[0]:pad_h[0] + h])
 
     return from_op(out, (x, w), backward)
 
@@ -293,21 +426,34 @@ def elu(x):
     return from_op(out, (x,), backward)
 
 
+def avg_pool_values(a, pool):
+    """Non-overlapping mean pooling of an array along its last axis, floor
+    semantics, summed from ``pool`` strided slices (a mean over a short last
+    axis is several times slower)."""
+    end = a.shape[-1] // pool * pool
+    out = a[..., 0:end:pool].copy()
+    for j in range(1, pool):
+        out += a[..., j:end:pool]
+    out /= pool
+    return out
+
+
 def avg_pool_time(x, pool):
     """Non-overlapping mean pooling along the last axis, floor semantics."""
     if pool < 1:
         raise ValueError("pool must be >= 1")
     s = x.shape[-1]
-    s_out = s // pool
-    if s_out < 1:
+    if s // pool < 1:
         raise ValueError(f"pool {pool} exceeds time extent {s}")
-    lead = x.shape[:-1]
-    trimmed = x.data[..., :s_out * pool]
-    out = trimmed.reshape(lead + (s_out, pool)).mean(axis=-1)
+    out = avg_pool_values(x.data, pool)
+    end = s // pool * pool
 
     def backward(g):
-        gx = np.zeros_like(x.data)
-        gx[..., :s_out * pool] = np.repeat(g / pool, pool, axis=-1)
+        gx = np.empty_like(x.data)
+        gx[..., end:] = 0
+        share = g / pool
+        for j in range(pool):
+            gx[..., j:end:pool] = share
         accumulate(x, gx)
 
     return from_op(out, (x,), backward)

@@ -97,7 +97,8 @@ class Tensor:
 
         Each recorded graph may be walked once; a second call on the same
         output is rejected.  Intermediate nodes release their graph
-        references as they are consumed.
+        references as they are consumed, and the walk drops its own
+        reference to each node once its closure has run.
         """
         if self.data.size != 1:
             raise ValueError("backward requires a scalar (got shape %r)" % (self.shape,))
@@ -122,8 +123,11 @@ class Tensor:
                 if id(parent) not in seen:
                     stack.append((parent, False))
 
+        # pop, so that a walked node is freed (data, gradient and closure)
+        # as soon as nothing but the tape held it
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             fn = node._backward_fn
             if fn is not None and node.grad is not None:
                 fn(node.grad)
@@ -172,8 +176,11 @@ def accumulate(tensor, grad):
     if not tensor.requires_grad:
         return
     if tensor.grad is None:
-        tensor.grad = np.zeros_like(tensor.data)
-    np.add(tensor.grad, grad, out=tensor.grad, casting="same_kind")
+        # first touch: ``grad + 0`` in a fresh array, never ``grad`` itself;
+        # adding zero turns -0.0 into 0.0, as adding into zeros did
+        tensor.grad = np.add(grad, 0, out=np.empty_like(tensor.data), casting="same_kind")
+    else:
+        np.add(tensor.grad, grad, out=tensor.grad, casting="same_kind")
 
 
 def _unbroadcast(grad, shape):

@@ -7,7 +7,9 @@ convolution layer, deliberately written as plain loops so it shares no code
 with the implementation under test.
 ``window_conv_reference``, ``batch_norm_train_reference`` and
 ``elu_reference`` are straightforward whole-batch versions of those layers,
-forward and backward, kept as references for the kernels in ``ops``.
+forward and backward, kept as references for the kernels in ``ops``;
+``window_conv2d`` and ``mean_pool_time`` wrap the convolution and pooling
+references as recorded ops, so a whole training step can run on them.
 ``graph_infer_logits`` and ``graph_infer_tc`` run the model in infer mode
 as a graph of ``ops`` layers, unfolded, as the reference for the model's
 own plain-numpy inference.
@@ -127,18 +129,27 @@ def _windows(xp, kh, kw, dilation):
     return win  # (N, C, Ho, Wo, kh, kw)
 
 
-def window_conv_reference(x, w, g, pad_h=(0, 0), pad_t=(0, 0), dilation=1, depthwise=False):
-    """Whole-batch sliding-window convolution: ``(out, grad_x, grad_w)`` for
-    output gradient ``g``, with the same arguments as ``ops.conv2d``."""
+def _window_conv(x, w, pad_h, pad_t, dilation, depthwise):
+    """Padded input, its sliding windows and the convolution output."""
     xp = np.pad(x, ((0, 0), (0, 0), pad_h, pad_t))
     kh, kw = w.shape[2], w.shape[3]
     win = _windows(xp, kh, kw, dilation)
     if depthwise:
         out = np.einsum("ncijab,cab->ncij", win, w[:, 0], optimize=True)
-        gw = np.einsum("ncij,ncijab->cab", g, win, optimize=True)[:, None]
     else:
         out = np.tensordot(win, w, axes=([1, 4, 5], [1, 2, 3]))
         out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+    return xp, win, out
+
+
+def window_conv_reference(x, w, g, pad_h=(0, 0), pad_t=(0, 0), dilation=1, depthwise=False):
+    """Whole-batch sliding-window convolution: ``(out, grad_x, grad_w)`` for
+    output gradient ``g``, with the same arguments as ``ops.conv2d``."""
+    xp, win, out = _window_conv(x, w, pad_h, pad_t, dilation, depthwise)
+    kh, kw = w.shape[2], w.shape[3]
+    if depthwise:
+        gw = np.einsum("ncij,ncijab->cab", g, win, optimize=True)[:, None]
+    else:
         gw = np.tensordot(g, win, axes=([0, 2, 3], [0, 2, 3]))
     ho, wo = out.shape[2], out.shape[3]
     gxp = np.zeros_like(xp)
@@ -156,6 +167,34 @@ def window_conv_reference(x, w, g, pad_h=(0, 0), pad_t=(0, 0), dilation=1, depth
                 gxp[:, :, a:a + ho, off:off + wo] += contrib
     gx = gxp[:, :, pad_h[0]:pad_h[0] + x.shape[2], pad_t[0]:pad_t[0] + x.shape[3]]
     return out, np.ascontiguousarray(gx), gw
+
+
+def window_conv2d(x, w, pad_h=(0, 0), pad_t=(0, 0), dilation=1, depthwise=False):
+    """``ops.conv2d`` computed by :func:`window_conv_reference` and recorded
+    through ``from_op``: a drop-in reference for the convolution op."""
+    out = _window_conv(x.data, w.data, pad_h, pad_t, dilation, depthwise)[2]
+
+    def backward(g):
+        _, gx, gw = window_conv_reference(x.data, w.data, g, pad_h, pad_t, dilation, depthwise)
+        accumulate(x, gx)
+        accumulate(w, gw)
+
+    return from_op(out, (x, w), backward)
+
+
+def mean_pool_time(x, pool):
+    """``ops.avg_pool_time`` as a ``mean`` over a (time, pool) reshape, with
+    an ``np.repeat`` backward."""
+    s_out = x.shape[-1] // pool
+    trimmed = x.data[..., :s_out * pool]
+    out = trimmed.reshape(x.shape[:-1] + (s_out, pool)).mean(axis=-1)
+
+    def backward(g):
+        gx = np.zeros_like(x.data)
+        gx[..., :s_out * pool] = np.repeat(g / pool, pool, axis=-1)
+        accumulate(x, gx)
+
+    return from_op(out, (x,), backward)
 
 
 def batch_norm_train_reference(x, gamma, beta, g, eps=1e-3):

@@ -115,9 +115,10 @@ def test_causal_dilated_conv_gradients(rng):
 
 
 def test_dense_conv_gradients_across_filters_electrodes_and_dilation(rng):
-    # C_in > 1, kh > 1 and dilation > 1 together pin the im2col column order
-    # against w.reshape(C_out, -1); conv_temporal forbids 2-D kernels, so
-    # this goes through conv2d directly
+    # C_in > 1, kh > 1 and dilation > 1 together pin the dense banded
+    # kernel's input-filter order, its loop over electrode taps and its
+    # dilated band; conv_temporal forbids 2-D kernels, so this goes through
+    # conv2d directly
     x = rng.standard_normal((2, 3, 4, 9))
     w = rng.standard_normal((2, 3, 2, 3))
 

@@ -1,9 +1,11 @@
 """Autodiff core: graph recording, reverse pass, primitive gradients."""
+import weakref
+
 import numpy as np
 import pytest
 
 from eegitnet import tensor as T
-from eegitnet.tensor import Tensor, no_grad
+from eegitnet.tensor import Tensor, accumulate, from_op, no_grad
 
 from oracles import check_gradients, to_scalar
 
@@ -36,6 +38,38 @@ def test_diamond_graph_accumulates_both_paths():
     z = sq + sq
     z.backward()
     assert x.grad == pytest.approx(8.0)  # d/dx 2x^2 = 4x
+
+
+def test_walked_nodes_are_freed_before_earlier_ops_run():
+    # once b's backward has run, nothing but the walk held b: its data must
+    # be gone by the time the op that made a runs its backward
+    x = Tensor(np.ones(3), requires_grad=True, dtype=np.float64)
+    b_alive = []
+
+    def a_backward(g):
+        b_alive.append(b_data() is not None)
+        accumulate(x, 2.0 * g)
+
+    a = from_op(x.data * 2.0, (x,), a_backward)
+    b = a * 3.0
+    b_data = weakref.ref(b.data)
+    loss = to_scalar(b, 1.0)
+    del a, b
+    loss.backward()
+    assert b_alive == [False]
+    np.testing.assert_allclose(x.grad, 6.0)
+
+
+def test_first_gradient_is_a_fresh_array():
+    x = Tensor(np.ones(3), requires_grad=True, dtype=np.float32)
+    g = np.array([-0.0, 1.0, 2.0])
+    accumulate(x, g)
+    assert x.grad is not g and not np.shares_memory(x.grad, g)
+    assert x.grad.dtype == np.float32
+    np.testing.assert_array_equal(x.grad.view(np.uint32), np.float32([0.0, 1.0, 2.0]).view(np.uint32))
+    accumulate(x, g)
+    np.testing.assert_array_equal(g, [-0.0, 1.0, 2.0])
+    np.testing.assert_array_equal(x.grad, [0.0, 2.0, 4.0])
 
 
 def test_backward_rejects_non_scalar():

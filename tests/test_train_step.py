@@ -1,0 +1,68 @@
+"""One whole training step at the paper shape against the previous kernels.
+
+The step runs twice on copies of one model: on the package's kernels, and
+with the convolution and pooling ops swapped for the whole-batch references
+in ``oracles`` (``window_conv2d``, ``mean_pool_time``).  Loss, every
+parameter gradient and every running statistic must agree.
+
+BN1's batch statistics cancel the temporal biases, and BN2 renormalises each
+filter, so the gradients of those biases and of BN1's beta are rounding noise
+in both runs.  The gradient bound therefore scales with the step's largest
+gradient, not with each array's own magnitude.
+"""
+import copy
+
+import numpy as np
+import pytest
+
+import eegitnet.model as model_module
+import eegitnet.ops as ops_module
+from eegitnet.model import ArchConfig, build
+from eegitnet.ops import softmax_cross_entropy
+
+from oracles import mean_pool_time, window_conv2d
+
+PAPER = ArchConfig(n_channels=22, n_samples=1125, n_classes=4)
+
+
+def _perturbed_model(dtype):
+    model = build(PAPER, seed=3, dtype=dtype)
+    rng = np.random.default_rng(4)
+    for p in model.params.values():
+        p.data += (0.2 * rng.standard_normal(p.shape)).astype(dtype)
+    return model
+
+
+def _step(model):
+    rng = np.random.default_rng(5)
+    x = (0.5 + 3.0 * rng.standard_normal((16, 1, 22, 1125))).astype(model.params["head.w"].dtype)
+    y = np.arange(16) % 4
+    logits = model.forward_logits(x, mode="train", rng=np.random.default_rng(6))
+    loss = softmax_cross_entropy(logits, y)
+    loss.backward()
+    stats = {}
+    for name, running in model.buffers.items():
+        stats[name + ".running_mean"] = running.mean
+        stats[name + ".running_var"] = running.var
+    return loss.item(), {n: p.grad for n, p in model.params.items()}, stats
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-9), (np.float32, 1e-5)])
+def test_training_step_matches_the_window_kernels(monkeypatch, dtype, tol):
+    model = _perturbed_model(dtype)
+    reference = copy.deepcopy(model)
+    loss, grads, stats = _step(model)
+    with monkeypatch.context() as patch:
+        patch.setattr(ops_module, "conv2d", window_conv2d)
+        patch.setattr(model_module, "avg_pool_time", mean_pool_time)
+        ref_loss, ref_grads, ref_stats = _step(reference)
+
+    assert loss == pytest.approx(ref_loss, rel=tol)
+    largest = max(np.abs(g).max() for g in ref_grads.values())
+    for name, ref in ref_grads.items():
+        assert grads[name].dtype == dtype
+        err = np.abs(grads[name] - ref).max() / largest
+        assert err <= tol, f"{name}: error {err:.2e} of the largest gradient"
+    for name, ref in ref_stats.items():
+        err = np.abs(stats[name] - ref).max() / np.abs(ref).max()
+        assert err <= tol, f"{name}: error {err:.2e} of its largest value"
