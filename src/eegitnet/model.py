@@ -291,10 +291,10 @@ class ITNetModel:
         for i, (f, k) in enumerate(cfg.inception_branches):
             t = conv_temporal(x, ConvSpec(k, 1, "same", False, f),
                               self.params[f"branch{i}.temporal.w"])
-            t = t + self.params[f"branch{i}.temporal.b"].reshape((1, f, 1, 1))
             t = batch_norm(t, self.params[f"branch{i}.bn1.gamma"],
                            self.params[f"branch{i}.bn1.beta"],
-                           mode=mode, running=self.buffers[f"branch{i}.bn1"])
+                           mode=mode, running=self.buffers[f"branch{i}.bn1"],
+                           bias=self.params[f"branch{i}.temporal.b"])
             t = conv_temporal(t, ConvSpec(cfg.n_channels, 1, "valid", True, f),
                               self.params[f"branch{i}.spatial.w"])
             t = batch_norm(t, self.params[f"branch{i}.bn2.gamma"],
@@ -308,9 +308,8 @@ class ITNetModel:
         y = self.tc_features(y, mode=mode, rng=rng)
         y = conv_temporal(y, ConvSpec(1, 1, "same", False, cfg.dr_filters),
                           self.params["dr.w"])
-        y = y + self.params["dr.b"].reshape((1, cfg.dr_filters, 1, 1))
         y = batch_norm(y, self.params["dr.bn.gamma"], self.params["dr.bn.beta"],
-                       mode=mode, running=self.buffers["dr.bn"])
+                       mode=mode, running=self.buffers["dr.bn"], bias=self.params["dr.b"])
         y = elu(y)
         y = dropout(y, cfg.dropout_rate, mode, rng)
         y = avg_pool_time(y, cfg.pool2)

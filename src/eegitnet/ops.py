@@ -229,14 +229,18 @@ def conv2d(x, w, pad_h=(0, 0), pad_t=(0, 0), dilation=1, depthwise=False):
                 gw = np.matmul(windows, g[..., None]).sum(axis=(0, 2))
                 accumulate(w, gw[:, None])
             if x.requires_grad:
-                outer = w_data[None] * g[:, :, :, None, :]   # (N, C, Ho, kh, T)
                 if ho == 1:
-                    gxe = outer.reshape(xe.shape)
+                    # (1, C, kh, 1) taps times (N, C, 1, T): the padded input's shape
+                    gxe = w_data.reshape(1, c_in, kh, 1) * g
                 else:
+                    outer = w_data[None] * g[:, :, :, None, :]   # (N, C, Ho, kh, T)
                     gxe = np.zeros_like(xe)
                     for i in range(ho):
                         gxe[:, :, i:i + kh] += outer[:, :, i]
-                accumulate(x, gxe[:, :, pad_h[0]:pad_h[0] + h, pad_t[0]:pad_t[0] + t])
+                if xe is x.data:
+                    accumulate(x, gxe, fresh=True)
+                else:
+                    accumulate(x, gxe[:, :, pad_h[0]:pad_h[0] + h, pad_t[0]:pad_t[0] + t])
 
         return from_op(out, (x, w), backward)
 
@@ -336,71 +340,78 @@ def _per_channel(v, ndim):
 
 def _channel_sum(a, b=None):
     """Per-channel (axis 1) sum of ``a``, or of ``a * b``, over all other axes,
-    without an elementwise temporary."""
-    a3 = a.reshape(a.shape[0], a.shape[1], -1)
+    without an elementwise temporary.  Strided arrays (a convolution's output
+    is a view that leaves out its last block's overhang) are summed in place,
+    not copied by a reshape."""
+    axes = "nc" + "defghijk"[:a.ndim - 2]
     if b is None:
-        return np.einsum("ncs->c", a3)
-    return np.einsum("ncs,ncs->c", a3, b.reshape(a3.shape))
+        return np.einsum(f"{axes}->c", a)
+    return np.einsum(f"{axes},{axes}->c", a, b)
 
 
-def batch_norm(x, gamma, beta, eps=BN_EPS, mode="train", running=None, momentum=0.99):
+def batch_norm(x, gamma, beta, eps=BN_EPS, mode="train", running=None, momentum=0.99,
+               bias=None):
     """Normalize per channel (axis 1) over all other axes.
 
+    ``bias``, when given, is a per-channel tensor added to ``x`` before the
+    norm (the bias of the convolution in front of it).  It never touches the
+    full-size array: train mode subtracts the batch mean, which cancels it,
+    and infer mode shifts the running mean by it.  Its gradient is the
+    channel sum of the norm's input gradient.
+
     Train mode uses biased batch moments and, when ``running`` is given,
-    folds them into the running buffers.  Infer mode is a per-channel affine
-    map using the running statistics.
+    folds them into the running buffers (the mean of ``x`` plus ``bias``).
+    Infer mode is a per-channel affine map using the running statistics.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
+    parents = (x, gamma, beta) if bias is None else (x, gamma, beta, bias)
+    m = x.size // x.shape[1]
     if mode == "infer":
         if running is None:
             raise ValueError("running statistics are required in infer mode")
-        axes = tuple(i for i in range(x.ndim) if i != 1)
+        mean = running.mean.astype(x.dtype)
+        if bias is not None:
+            mean = mean - bias.data
+    else:
+        if x.shape[0] == 1:
+            raise ValueError("batch of size 1 in train mode: batch variance is undefined up to eps")
+        mean = _channel_sum(x.data) / m
+    centered = x.data - _per_channel(mean, x.ndim)
+    if mode == "infer":
         inv = 1.0 / np.sqrt(running.var.astype(x.dtype) + eps)
-        centered = x.data - _per_channel(running.mean.astype(x.dtype), x.ndim)
-        scale = gamma.data * inv
-        out = _per_channel(scale, x.ndim) * centered + _per_channel(beta.data, x.ndim)
-
-        def backward(g):
-            accumulate(x, g * _per_channel(scale, x.ndim))
-            if gamma.requires_grad:
-                accumulate(gamma, (g * centered).sum(axis=axes) * inv)
-            if beta.requires_grad:
-                accumulate(beta, g.sum(axis=axes))
-
-        return from_op(out, (x, gamma, beta), backward)
-
-    if x.shape[0] == 1:
-        raise ValueError("batch of size 1 in train mode: batch variance is undefined up to eps")
-    m = x.size // x.shape[1]
-    mu = _channel_sum(x.data) / m
-    centered = x.data - _per_channel(mu, x.ndim)
-    var = _channel_sum(centered, centered) / m
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered
-    xhat *= _per_channel(inv, x.ndim)
-    out = _per_channel(gamma.data, x.ndim) * xhat
+    else:
+        var = _channel_sum(centered, centered) / m
+        inv = 1.0 / np.sqrt(var + eps)
+        if running is not None:
+            running.update(mean if bias is None else mean + bias.data, var, momentum)
+    scale = gamma.data * inv
+    out = centered * _per_channel(scale, x.ndim)
     out += _per_channel(beta.data, x.ndim)
-    if running is not None:
-        running.update(mu, var, momentum)
 
     def backward(g):
-        g_sum = _channel_sum(g)              # the beta gradient
-        g_xhat_sum = _channel_sum(g, xhat)   # the gamma gradient
+        g_sum = _channel_sum(g)                 # the beta gradient
+        g_c_sum = _channel_sum(g, centered)     # the gamma gradient over inv
         if gamma.requires_grad:
-            accumulate(gamma, g_xhat_sum)
+            accumulate(gamma, g_c_sum * inv)
         if beta.requires_grad:
             accumulate(beta, g_sum)
-        if x.requires_grad:
-            # gx = gamma * inv * (g - mean(g) - xhat * mean(g * xhat)): both
-            # means come from the gamma and beta gradient sums above
-            gx = xhat * _per_channel(g_xhat_sum / m, x.ndim)
+        if not (x.requires_grad or bias is not None and bias.requires_grad):
+            return
+        if mode == "infer":
+            gx = g * _per_channel(scale, x.ndim)
+        else:
+            # gx = scale * (g - mean(g) - xhat * mean(g * xhat)), with
+            # xhat = centered * inv
+            gx = centered * _per_channel(g_c_sum * (inv * inv / m), x.ndim)
             gx += _per_channel(g_sum / m, x.ndim)
             np.subtract(g, gx, out=gx)
-            gx *= _per_channel(gamma.data * inv, x.ndim)
-            accumulate(x, gx.astype(x.dtype, copy=False))
+            gx *= _per_channel(scale, x.ndim)
+        if bias is not None:
+            accumulate(bias, _channel_sum(gx))
+        accumulate(x, gx, fresh=True)
 
-    return from_op(out, (x, gamma, beta), backward)
+    return from_op(out, parents, backward)
 
 
 # ----------------------------------------------------------------------
@@ -454,7 +465,7 @@ def avg_pool_time(x, pool):
         share = g / pool
         for j in range(pool):
             gx[..., j:end:pool] = share
-        accumulate(x, gx)
+        accumulate(x, gx, fresh=True)
 
     return from_op(out, (x,), backward)
 
@@ -471,11 +482,18 @@ def dropout(x, rate, mode, rng=None):
     if rng is None:
         raise ValueError("train-mode dropout needs an rng")
     scale = np.asarray(1.0 / (1.0 - rate), dtype=x.dtype)
-    mask = (rng.random(x.shape) >= rate).astype(x.dtype) * scale
-    out = x.data * mask
+    keep = rng.random(x.shape) >= rate
+    # a cast from bool and two passes in place: faster than a product with
+    # the bool mask, which numpy casts in buffered chunks
+    out = keep.astype(x.dtype)
+    out *= x.data
+    out *= scale
 
     def backward(g):
-        accumulate(x, g * mask)
+        gx = keep.astype(x.dtype)
+        gx *= g
+        gx *= scale
+        accumulate(x, gx, fresh=True)
 
     return from_op(out, (x,), backward)
 

@@ -28,15 +28,26 @@ class Adam:
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
-        for i, p in enumerate(self.params):
+        for p, m, v in zip(self.params, self.m, self.v):
             if p.grad is None:
                 continue
             g = p.grad
-            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1.0 - b2) * (g * g)
-            mhat = self.m[i] / bias1
-            vhat = self.v[i] / bias2
-            p.data -= (self.lr * mhat / (np.sqrt(vhat) + self.eps)).astype(p.dtype, copy=False)
+            # m = b1 * m + (1 - b1) * g and v = b2 * v + (1 - b2) * g * g,
+            # p -= lr * mhat / (sqrt(vhat) + eps): the same operations in the
+            # same order as the plain formula, written into place
+            np.multiply(m, b1, out=m)
+            m += (1.0 - b1) * g
+            np.multiply(v, b2, out=v)
+            gg = np.multiply(g, g)
+            gg *= 1.0 - b2
+            v += gg
+            step = np.divide(m, bias1)
+            np.multiply(step, self.lr, out=step)
+            denom = np.divide(v, bias2, out=gg)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            step /= denom
+            p.data -= step
 
     def zero_grad(self):
         for p in self.params:

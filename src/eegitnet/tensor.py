@@ -171,11 +171,22 @@ def from_op(data, parents, backward_fn):
     return out
 
 
-def accumulate(tensor, grad):
-    """Add ``grad`` into ``tensor.grad`` (no-op for constants)."""
+def accumulate(tensor, grad, fresh=False):
+    """Add ``grad`` into ``tensor.grad`` (no-op for constants).
+
+    ``fresh`` marks an array the caller has just built and holds nowhere
+    else: on first touch the tensor takes it over as its gradient, without a
+    copy, when it owns its memory, is writeable and C-contiguous, and matches
+    the tensor's dtype and shape.  Any other first gradient is copied.
+    """
     if not tensor.requires_grad:
         return
     if tensor.grad is None:
+        flags = grad.flags
+        if (fresh and flags.owndata and flags.writeable and flags.c_contiguous
+                and grad.dtype == tensor.dtype and grad.shape == tensor.shape):
+            tensor.grad = grad
+            return
         # first touch: ``grad + 0`` in a fresh array, never ``grad`` itself;
         # adding zero turns -0.0 into 0.0, as adding into zeros did
         tensor.grad = np.add(grad, 0, out=np.empty_like(tensor.data), casting="same_kind")

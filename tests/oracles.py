@@ -8,8 +8,9 @@ with the implementation under test.
 ``window_conv_reference``, ``batch_norm_train_reference`` and
 ``elu_reference`` are straightforward whole-batch versions of those layers,
 forward and backward, kept as references for the kernels in ``ops``;
-``window_conv2d`` and ``mean_pool_time`` wrap the convolution and pooling
-references as recorded ops, so a whole training step can run on them.
+``window_conv2d``, ``mean_pool_time``, ``bias_add_batch_norm`` and
+``float_mask_dropout`` wrap those references, and the previous pooling and
+dropout, as recorded ops, so a whole training step can run on them.
 ``graph_infer_logits`` and ``graph_infer_tc`` run the model in infer mode
 as a graph of ``ops`` layers, unfolded, as the reference for the model's
 own plain-numpy inference.
@@ -215,6 +216,44 @@ def batch_norm_train_reference(x, gamma, beta, g, eps=1e-3):
     s2 = (gxhat * xhat).sum(axis=axes)
     gx = (gxhat - (s1 / m).reshape(shape) - xhat * (s2 / m).reshape(shape)) * inv.reshape(shape)
     return out, gx.astype(x.dtype, copy=False), ggamma, gbeta, mu, var
+
+
+def bias_add_batch_norm(x, gamma, beta, eps=1e-3, mode="train", running=None,
+                        momentum=0.99, bias=None):
+    """Train-mode ``ops.batch_norm`` as a chain of two recorded ops: the bias
+    added by its own op, then :func:`batch_norm_train_reference`."""
+    if mode != "train":
+        raise ValueError("the reference norm runs in train mode only")
+    if bias is not None:
+        x = x + bias.reshape((1, -1) + (1,) * (x.ndim - 2))
+    out, _, _, _, mu, var = batch_norm_train_reference(x.data, gamma.data, beta.data,
+                                                       np.zeros_like(x.data), eps)
+    if running is not None:
+        running.update(mu, var, momentum)
+
+    def backward(g):
+        _, gx, ggamma, gbeta, _, _ = batch_norm_train_reference(x.data, gamma.data,
+                                                                beta.data, g, eps)
+        accumulate(x, gx)
+        accumulate(gamma, ggamma)
+        accumulate(beta, gbeta)
+
+    return from_op(out, (x, gamma, beta), backward)
+
+
+def float_mask_dropout(x, rate, mode, rng=None):
+    """``ops.dropout`` with the mask cast to floats and scaled before the
+    product, from the same uniform draw."""
+    if mode == "infer" or rate == 0.0:
+        return x
+    scale = np.asarray(1.0 / (1.0 - rate), dtype=x.dtype)
+    mask = (rng.random(x.shape) >= rate).astype(x.dtype) * scale
+    out = x.data * mask
+
+    def backward(g):
+        accumulate(x, g * mask)
+
+    return from_op(out, (x,), backward)
 
 
 def elu_reference(x, g):

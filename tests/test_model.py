@@ -209,6 +209,30 @@ def test_all_parameters_receive_gradients(rng):
     assert not missing, f"no gradient reached: {missing}"
 
 
+def test_conv_biases_enter_the_graph_only_through_their_norms(rng):
+    # no separate bias-add node: each conv bias is a direct parent of the
+    # batch norm after its conv, and of nothing else
+    model = build(default_config(n_channels=4, n_samples=60), seed=2)
+    x = rng.standard_normal((4, 1, 4, 60)).astype(np.float32)
+    logits = model.forward_logits(Tensor(x), mode="train", rng=np.random.default_rng(0))
+    consumers = {}
+    seen, stack = set(), [logits]
+    while stack:
+        node = stack.pop()
+        for parent in node._parents:
+            consumers.setdefault(id(parent), []).append(node)
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    p = model.params
+    norms = {f"branch{i}.temporal.b": f"branch{i}.bn1" for i in range(3)}
+    norms["dr.b"] = "dr.bn"
+    for bias, norm in norms.items():
+        users = consumers[id(p[bias])]
+        assert len(users) == 1, bias
+        assert users[0]._parents[1:] == (p[norm + ".gamma"], p[norm + ".beta"], p[bias])
+
+
 def test_input_shape_validation(rng):
     model = build(default_config(n_channels=4, n_samples=60))
     with pytest.raises(ValueError):

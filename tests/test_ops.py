@@ -332,6 +332,77 @@ def test_batch_norm_infer_gradients(rng):
         [x, gamma, beta])
 
 
+@pytest.mark.parametrize("mode", ["train", "infer"])
+def test_batch_norm_bias_matches_an_explicit_add(rng, mode):
+    # the absorbed bias against the chain it replaces: a bias-add op, then the
+    # norm; outputs, every gradient and the running statistics agree
+    x = rng.standard_normal((5, 3, 2, 4)) + 1.0
+    gamma, beta, bias = rng.uniform(0.5, 1.5, 3), rng.standard_normal(3), rng.standard_normal(3)
+    g = rng.standard_normal(x.shape)
+    results = []
+    for absorbed in (True, False):
+        running = RunningStats(3, dtype=np.float64)
+        running.mean[:] = [0.5, -0.5, 1.0]
+        xt, gt, bt, ct = (Tensor(a, requires_grad=True, dtype=np.float64)
+                          for a in (x, gamma, beta, bias))
+        if absorbed:
+            out = ops.batch_norm(xt, gt, bt, mode=mode, running=running, bias=ct)
+        else:
+            out = ops.batch_norm(xt + ct.reshape((1, 3, 1, 1)), gt, bt, mode=mode,
+                                 running=running)
+        _backward_with(out, g)
+        results.append([out.data, xt.grad, gt.grad, bt.grad, ct.grad, running.mean,
+                        running.var])
+    for got, want in zip(*results):
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["train", "infer"])
+def test_batch_norm_bias_gradients(rng, mode):
+    running = RunningStats(3, dtype=np.float64)
+    running.mean[:] = rng.standard_normal(3)
+    running.var[:] = rng.uniform(0.5, 2.0, 3)
+    check_gradients(
+        lambda ts: to_scalar(ops.batch_norm(ts[0], ts[1], ts[2], mode=mode,
+                                            running=running, bias=ts[3]),
+                             np.arange(60.0).reshape(5, 3, 1, 4)),
+        [rng.standard_normal((5, 3, 1, 4)), rng.uniform(0.5, 1.5, 3),
+         rng.standard_normal(3), rng.standard_normal(3)])
+
+
+# float32 errors of the previous train-mode norm on the inputs of the test
+# below (seed 10), as (output, x gradient, gamma gradient) by input mean
+PREVIOUS_FLOAT32_BN_ERRORS = {
+    0.5: (2.750e-7, 3.466e-7, 2.334e-6),
+    10.0: (3.715e-7, 3.468e-7, 2.272e-6),
+    100.0: (1.093e-6, 2.996e-7, 2.063e-6),
+}
+
+
+@pytest.mark.parametrize("mean", [0.5, 10.0, 100.0])
+def test_batch_norm_float32_accuracy_on_offset_inputs(mean):
+    # float32 output, x gradient and gamma gradient against a float64 run on
+    # the same float32 values, each error relative to the largest value, within
+    # twice the previous norm's (the one that kept xhat for its backward)
+    rng = np.random.default_rng(10)
+    x = (mean + 3.0 * rng.standard_normal((16, 8, 22, 1125))).astype(np.float32)
+    gamma = rng.uniform(0.5, 1.5, 8).astype(np.float32)
+    beta = rng.standard_normal(8).astype(np.float32)
+    g = rng.standard_normal(x.shape).astype(np.float32)
+
+    def run(dtype):
+        xt, gt, bt = (Tensor(a, requires_grad=True, dtype=dtype) for a in (x, gamma, beta))
+        out = ops.batch_norm(xt, gt, bt, mode="train")
+        _backward_with(out, g.astype(dtype))
+        return out.data, xt.grad, gt.grad
+
+    got, want = run(np.float32), run(np.float64)
+    for name, a, b, previous in zip(("output", "x gradient", "gamma gradient"), got, want,
+                                    PREVIOUS_FLOAT32_BN_ERRORS[mean]):
+        err = np.abs(a - b).max() / np.abs(b).max()
+        assert err <= 2.0 * previous, f"{name}: error {err:.2e}, previously {previous:.2e}"
+
+
 # ----------------------------------------------------------------------
 # elu / pooling / dropout / dense / softmax
 

@@ -72,6 +72,31 @@ def test_first_gradient_is_a_fresh_array():
     np.testing.assert_array_equal(x.grad, [0.0, 2.0, 4.0])
 
 
+def test_a_fresh_gradient_is_adopted_without_a_copy():
+    x = Tensor(np.ones((2, 3)), requires_grad=True, dtype=np.float32)
+    g = np.full((2, 3), -0.0, dtype=np.float32)
+    accumulate(x, g, fresh=True)
+    assert x.grad is g
+    accumulate(x, g, fresh=True)   # later touches add in place
+    assert x.grad is g
+
+
+@pytest.mark.parametrize("make", [
+    lambda: np.ones((2, 6), dtype=np.float32)[:, :3],                  # a view
+    lambda: np.ones((4, 3), dtype=np.float32)[1:3],                    # a contiguous view
+    lambda: np.broadcast_to(np.ones(3, dtype=np.float32), (2, 3)),     # a broadcast
+    lambda: np.ones((2, 3), dtype=np.float64),                         # another dtype
+    lambda: np.ones((3, 2), dtype=np.float32).T,                       # not C-contiguous
+])
+def test_a_fresh_gradient_that_cannot_be_adopted_is_copied(make):
+    x = Tensor(np.ones((2, 3)), requires_grad=True, dtype=np.float32)
+    g = make()
+    accumulate(x, g, fresh=True)
+    assert not np.shares_memory(x.grad, g)
+    assert x.grad.dtype == np.float32 and x.grad.shape == (2, 3)
+    np.testing.assert_array_equal(x.grad, 1.0)
+
+
 def test_backward_rejects_non_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ValueError):

@@ -1,9 +1,12 @@
-"""One whole training step at the paper shape against the previous kernels.
+"""One whole training step against the previous kernels and op chain.
 
-The step runs twice on copies of one model: on the package's kernels, and
-with the convolution and pooling ops swapped for the whole-batch references
-in ``oracles`` (``window_conv2d``, ``mean_pool_time``).  Loss, every
-parameter gradient and every running statistic must agree.
+The step runs twice on copies of one model: on the package's ops, and with
+the ops swapped for whole-batch references from ``oracles``: convolution
+(``window_conv2d``), pooling (``mean_pool_time``), batch norm with the conv
+bias as its own add op in front (``bias_add_batch_norm``) and dropout with
+a scaled float mask (``float_mask_dropout``).  Loss, every parameter
+gradient and every running statistic must agree, at the paper shape and at
+the desk shape.
 
 BN1's batch statistics cancel the temporal biases, and BN2 renormalises each
 filter, so the gradients of those biases and of BN1's beta are rounding noise
@@ -20,13 +23,15 @@ import eegitnet.ops as ops_module
 from eegitnet.model import ArchConfig, build
 from eegitnet.ops import softmax_cross_entropy
 
-from oracles import mean_pool_time, window_conv2d
+from oracles import bias_add_batch_norm, float_mask_dropout, mean_pool_time, window_conv2d
 
 PAPER = ArchConfig(n_channels=22, n_samples=1125, n_classes=4)
+DESK = ArchConfig(n_channels=8, n_samples=375, n_classes=2)
+DTYPE_TOLERANCES = [(np.float64, 1e-9), (np.float32, 1e-5)]
 
 
-def _perturbed_model(dtype):
-    model = build(PAPER, seed=3, dtype=dtype)
+def _perturbed_model(config, dtype):
+    model = build(config, seed=3, dtype=dtype)
     rng = np.random.default_rng(4)
     for p in model.params.values():
         p.data += (0.2 * rng.standard_normal(p.shape)).astype(dtype)
@@ -34,9 +39,11 @@ def _perturbed_model(dtype):
 
 
 def _step(model):
+    cfg = model.config
     rng = np.random.default_rng(5)
-    x = (0.5 + 3.0 * rng.standard_normal((16, 1, 22, 1125))).astype(model.params["head.w"].dtype)
-    y = np.arange(16) % 4
+    x = (0.5 + 3.0 * rng.standard_normal((16, 1, cfg.n_channels, cfg.n_samples))).astype(
+        model.params["head.w"].dtype)
+    y = np.arange(16) % cfg.n_classes
     logits = model.forward_logits(x, mode="train", rng=np.random.default_rng(6))
     loss = softmax_cross_entropy(logits, y)
     loss.backward()
@@ -47,14 +54,15 @@ def _step(model):
     return loss.item(), {n: p.grad for n, p in model.params.items()}, stats
 
 
-@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-9), (np.float32, 1e-5)])
-def test_training_step_matches_the_window_kernels(monkeypatch, dtype, tol):
-    model = _perturbed_model(dtype)
+def _assert_step_matches_the_references(monkeypatch, config, dtype, tol):
+    model = _perturbed_model(config, dtype)
     reference = copy.deepcopy(model)
     loss, grads, stats = _step(model)
     with monkeypatch.context() as patch:
         patch.setattr(ops_module, "conv2d", window_conv2d)
         patch.setattr(model_module, "avg_pool_time", mean_pool_time)
+        patch.setattr(model_module, "batch_norm", bias_add_batch_norm)
+        patch.setattr(model_module, "dropout", float_mask_dropout)
         ref_loss, ref_grads, ref_stats = _step(reference)
 
     assert loss == pytest.approx(ref_loss, rel=tol)
@@ -66,3 +74,13 @@ def test_training_step_matches_the_window_kernels(monkeypatch, dtype, tol):
     for name, ref in ref_stats.items():
         err = np.abs(stats[name] - ref).max() / np.abs(ref).max()
         assert err <= tol, f"{name}: error {err:.2e} of its largest value"
+
+
+@pytest.mark.parametrize("dtype,tol", DTYPE_TOLERANCES)
+def test_training_step_matches_the_window_kernels(monkeypatch, dtype, tol):
+    _assert_step_matches_the_references(monkeypatch, PAPER, dtype, tol)
+
+
+@pytest.mark.parametrize("dtype,tol", DTYPE_TOLERANCES)
+def test_desk_training_step_matches_the_window_kernels(monkeypatch, dtype, tol):
+    _assert_step_matches_the_references(monkeypatch, DESK, dtype, tol)
