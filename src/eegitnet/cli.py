@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -231,8 +232,8 @@ def cmd_train(args):
 # explain
 
 def cmd_explain(args):
-    if args.fs <= 0:
-        raise CliError(EXIT_USAGE, "--fs must be positive")
+    if not (math.isfinite(args.fs) and args.fs > 0):
+        raise CliError(EXIT_USAGE, f"--fs must be a finite positive number, got {args.fs:g}")
     try:
         model = load_model(args.model)
     except FileNotFoundError as exc:

@@ -11,12 +11,13 @@ checked against ground truth.
 """
 from __future__ import annotations
 
+import math
+import operator
 import struct
 from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import filtfilt
 
 from .errors import FormatError
 from .fileio import atomic_write, pack_string, read_exact, read_string
@@ -204,16 +205,22 @@ def decimate(signal, factor):
     A 63-tap windowed-sinc low-pass at 0.45 of the new sampling rate is
     applied forward and backward (zero phase), then every ``factor``-th
     sample is kept; output length is floor(n / factor).  ``factor=1``
-    returns the signal unchanged.
+    returns the signal unchanged.  This is the package's only use of scipy,
+    and scipy.signal is loaded on the first call, not at import.
     """
     signal = np.asarray(signal)
     n = signal.shape[-1]
+    try:
+        factor = operator.index(factor)
+    except TypeError:
+        raise TypeError(f"factor must be an integer, got {factor!r}") from None
     if factor < 1:
         raise ValueError("factor must be >= 1")
     if factor > n:
         raise ValueError(f"factor {factor} exceeds signal length {n}")
     if factor == 1:
         return signal.copy()
+    from scipy.signal import filtfilt
     h = _lowpass_fir(0.45 / factor)
     smoothed = filtfilt(h, [1.0], signal, axis=-1, padlen=min(3 * len(h), n - 1))
     out = smoothed[..., : (n // factor) * factor : factor]
@@ -311,6 +318,13 @@ def default_channels(n):
 # ----------------------------------------------------------------------
 # synthetic generator
 
+def _require_finite(spec, names):
+    for name in names:
+        value = getattr(spec, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class SourceSpec:
     """One planted source: a band-limited carrier spread over the channels
@@ -322,7 +336,10 @@ class SourceSpec:
     mixing: tuple
 
     def __post_init__(self):
+        _require_finite(self, ("center_freq", "bandwidth", "amplitude"))
         mixing = np.asarray(self.mixing, dtype=np.float64)
+        if not np.isfinite(mixing).all():
+            raise ValueError("mixing weights must be finite")
         norm = float(np.linalg.norm(mixing))
         if norm == 0.0:
             raise ValueError("mixing column must be nonzero")
@@ -355,6 +372,7 @@ class SynthSpec:
     def __post_init__(self):
         object.__setattr__(self, "sources",
                            tuple(tuple(class_sources) for class_sources in self.sources))
+        _require_finite(self, ("fs", "duration_s", "noise_sigma"))
         if self.n_trials < 1 or self.n_channels < 1:
             raise ValueError("n_trials and n_channels must be >= 1")
         if self.n_classes < 2:

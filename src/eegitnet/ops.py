@@ -362,6 +362,11 @@ def batch_norm(x, gamma, beta, eps=BN_EPS, mode="train", running=None, momentum=
     Train mode uses biased batch moments and, when ``running`` is given,
     folds them into the running buffers (the mean of ``x`` plus ``bias``).
     Infer mode is a per-channel affine map using the running statistics.
+
+    For its backward the op keeps only per-channel arrays (the mean, the
+    inverse standard deviation and the scale) beside ``x``, which the tape
+    holds anyway: the backward centres ``x`` again into a new buffer and
+    turns that buffer into the input gradient in place.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
@@ -377,19 +382,20 @@ def batch_norm(x, gamma, beta, eps=BN_EPS, mode="train", running=None, momentum=
         if x.shape[0] == 1:
             raise ValueError("batch of size 1 in train mode: batch variance is undefined up to eps")
         mean = _channel_sum(x.data) / m
-    centered = x.data - _per_channel(mean, x.ndim)
+    out = x.data - _per_channel(mean, x.ndim)   # centred; becomes the output in place
     if mode == "infer":
         inv = 1.0 / np.sqrt(running.var.astype(x.dtype) + eps)
     else:
-        var = _channel_sum(centered, centered) / m
+        var = _channel_sum(out, out) / m
         inv = 1.0 / np.sqrt(var + eps)
         if running is not None:
             running.update(mean if bias is None else mean + bias.data, var, momentum)
     scale = gamma.data * inv
-    out = centered * _per_channel(scale, x.ndim)
+    out *= _per_channel(scale, x.ndim)
     out += _per_channel(beta.data, x.ndim)
 
     def backward(g):
+        centered = x.data - _per_channel(mean, x.ndim)
         g_sum = _channel_sum(g)                 # the beta gradient
         g_c_sum = _channel_sum(g, centered)     # the gamma gradient over inv
         if gamma.requires_grad:
@@ -403,7 +409,8 @@ def batch_norm(x, gamma, beta, eps=BN_EPS, mode="train", running=None, momentum=
         else:
             # gx = scale * (g - mean(g) - xhat * mean(g * xhat)), with
             # xhat = centered * inv
-            gx = centered * _per_channel(g_c_sum * (inv * inv / m), x.ndim)
+            gx = centered
+            gx *= _per_channel(g_c_sum * (inv * inv / m), x.ndim)
             gx += _per_channel(g_sum / m, x.ndim)
             np.subtract(g, gx, out=gx)
             gx *= _per_channel(scale, x.ndim)

@@ -90,6 +90,17 @@ def test_synth_writes_a_loadable_cohort(tmp_path, capsys):
     (lambda t: t + "class0.source2.center_freq=9\n", "source indices"),
     (lambda t: t + "class7.source0.center_freq=9\n", "class range"),
     (lambda t: t.replace("mixing=1,0.5,0,0", "mixing=1,0.5"), "invalid synth spec"),
+    (lambda t: t.replace("fs=64", "fs=nan"), "fs must be finite, got nan"),
+    (lambda t: t.replace("fs=64", "fs=inf"), "fs must be finite, got inf"),
+    (lambda t: t.replace("duration_s=1", "duration_s=nan"), "duration_s must be finite"),
+    (lambda t: t.replace("duration_s=1", "duration_s=inf"), "duration_s must be finite, got inf"),
+    (lambda t: t.replace("noise_sigma=0.1", "noise_sigma=nan"), "noise_sigma must be finite"),
+    (lambda t: t.replace("center_freq=8", "center_freq=nan"), "center_freq must be finite"),
+    (lambda t: t.replace("bandwidth=2\nclass0", "bandwidth=inf\nclass0"),
+     "bandwidth must be finite"),
+    (lambda t: t.replace("amplitude=1\nclass0", "amplitude=inf\nclass0"),
+     "amplitude must be finite"),
+    (lambda t: t.replace("mixing=1,0.5,0,0", "mixing=1,nan,0,0"), "mixing weights must be finite"),
 ])
 def test_synth_rejects_bad_specs(tmp_path, capsys, mutate, fragment):
     spec = write(tmp_path / "spec", mutate(SPEC.format(seed=0)))
@@ -301,6 +312,15 @@ def test_explain_flag_validation(within_run, tmp_path, capsys):
     assert main(["explain", "--model", model, "--out", str(tmp_path),
                  "--fs", "64", "--pad-to", "4"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("fs", ["nan", "inf"])
+def test_explain_rejects_a_non_finite_fs(within_run, tmp_path, capsys, fs):
+    out = tmp_path / "atlas"
+    assert main(["explain", "--model", str(within_run / "model_s01.itnetmdl"),
+                 "--out", str(out), "--fs", fs]) == 2
+    assert f"--fs must be a finite positive number, got {fs}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_explain_rejects_a_repeated_sidecar_key(within_run, tmp_path, capsys):

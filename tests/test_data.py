@@ -1,7 +1,14 @@
 """Containers, the binary trial format, decimation, and the generator."""
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.signal import welch
+
+import eegitnet
 
 from eegitnet.data import (EPOCH_MAGIC, EpochSet, SourceSpec, SynthSpec, concat_epochs,
                            decimate, extract_epochs, load_epochs, montage_22,
@@ -183,6 +190,44 @@ def test_decimate_length_and_identity(rng):
         decimate(x, 0)
     with pytest.raises(ValueError):
         decimate(x, 200)
+
+
+def test_decimate_rejects_a_non_integer_factor(rng):
+    x = rng.standard_normal(101)
+    with pytest.raises(TypeError, match="factor must be an integer"):
+        decimate(x, 2.0)
+    np.testing.assert_array_equal(decimate(x, np.int64(2)), decimate(x, 2))
+
+
+def test_scipy_signal_is_loaded_only_by_decimate():
+    # scipy.signal is most of the package's import time and resident memory;
+    # importing the package and running a subcommand must not load it
+    probe = """
+import json, sys
+import numpy as np
+import eegitnet, eegitnet.cli
+seen = ["scipy.signal" in sys.modules]
+eegitnet.cli.main(["plan", "--target-r", "91"])
+seen.append("scipy.signal" in sys.modules)
+try:
+    eegitnet.decimate(np.zeros(64), 2.0)
+except TypeError:
+    pass
+seen.append("scipy.signal" in sys.modules)
+eegitnet.decimate(np.zeros(64), 2)
+seen.append("scipy.signal" in sys.modules)
+print(json.dumps(seen))
+"""
+    src = os.path.dirname(os.path.dirname(eegitnet.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, check=True)
+    after_import, after_plan, after_bad_factor, after_decimate = json.loads(
+        proc.stdout.splitlines()[-1])
+    assert not after_import
+    assert not after_plan
+    assert not after_bad_factor
+    assert after_decimate
 
 
 def test_decimate_passband_sine_survives_with_zero_phase():

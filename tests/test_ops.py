@@ -4,6 +4,8 @@ Every convolution variant is checked against the loop-based reference in
 oracles, every primitive gets a finite-difference gradient check, and the
 statistics of batch norm / dropout are verified against their definitions.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -206,6 +208,25 @@ def test_batch_norm_train_matches_reference_at_paper_shape():
     assert_close_to_reference(bt.grad, gbeta)
     assert_close_to_reference(running.mean, ref_running.mean)
     assert_close_to_reference(running.var, ref_running.var)
+
+
+@pytest.mark.parametrize("mode", ["train", "infer"])
+def test_batch_norm_keeps_no_full_size_copy_for_its_backward(mode):
+    # once the forward returns, the memory it still holds is its output plus
+    # per-channel arrays; the input it centres again in the backward is
+    # already held by the tape
+    rng = np.random.default_rng(11)
+    xt, gt, bt, bias = _tensors(rng.standard_normal((16, 8, 22, 1125)).astype(np.float32),
+                                *rng.standard_normal((3, 8)).astype(np.float32))
+    running = RunningStats(8)
+    tracemalloc.start()
+    try:
+        out = ops.batch_norm(xt, gt, bt, mode=mode, running=running, bias=bias)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.data.nbytes <= held < out.data.nbytes + 64 * 1024, \
+        f"{held} bytes held for a {out.data.nbytes}-byte output"
 
 
 def test_elu_is_bit_identical_to_reference_at_paper_shape():
