@@ -9,7 +9,6 @@ import pytest
 from scipy.signal import welch
 
 import eegitnet
-
 from eegitnet.data import (EPOCH_MAGIC, EpochSet, SourceSpec, SynthSpec, concat_epochs,
                            decimate, extract_epochs, load_epochs, montage_22,
                            ring_layout, save_epochs, standardize,
