@@ -22,7 +22,7 @@ from .errors import FormatError
 from .fileio import (atomic_write, config_items, key_value_text, pack_string,
                      parse_config_items, read_exact, read_key_values)
 from .ops import (BN_EPS, ConvSpec, RunningStats, avg_pool_time, avg_pool_values,
-                  band_conv, batch_norm, conv_temporal, dense, dropout, elu,
+                  band_conv, band_matrix, batch_norm, conv_temporal, dense, dropout, elu,
                   elu_values, flatten, softmax_rows)
 from .tensor import Tensor, concat_channels
 
@@ -182,6 +182,32 @@ def arch_config_from_items(items):
 # ----------------------------------------------------------------------
 # model
 
+@dataclass(frozen=True)
+class _Plan:
+    """A model's infer-mode network with every batch norm folded in, all in
+    one compute dtype.
+
+    ``spatial`` stacks the branches' spatial filters, (total filters,
+    electrodes).  ``branches`` holds one (temporal :func:`band_matrix`,
+    (f, 1) constant) pair per inception branch, ``causal`` one list of
+    (band, (width, 1) shift) pairs per residual block, and ``dr`` the 1x1
+    reduction's (weight, (d, 1) shift).
+    """
+
+    spatial: np.ndarray
+    branches: list
+    causal: list
+    dr: tuple
+
+
+# The last plan folded in this process, as (key, plan).  One entry, not one
+# per model: the within protocol's fold models would each keep a plan (about
+# 0.75 MB at the paper shape) alive for the whole run.  The key holds the
+# bytes of the arrays folded, so an in-place write (Adam, running statistics,
+# load_state_arrays) can never serve a stale plan.
+_last_plan = None
+
+
 def _glorot(rng, shape, fan_in, fan_out, dtype):
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return Tensor(rng.uniform(-limit, limit, size=shape).astype(dtype), requires_grad=True)
@@ -275,6 +301,10 @@ class ITNetModel:
         if x.shape[3] != self.config.n_samples:
             raise ValueError(
                 f"time axis mismatch: model expects {self.config.n_samples}, got {x.shape[3]}")
+        finite = np.isfinite(x.data)
+        if not finite.all():
+            t, _, c, s = np.unravel_index(np.argmin(finite), x.shape)
+            raise ValueError(f"non-finite sample at trial {t}, electrode {c}, sample {s}")
         return x
 
     def forward_logits(self, x, mode="infer", rng=None):
@@ -327,7 +357,9 @@ class ITNetModel:
             raise ValueError(
                 f"filter axis mismatch: causal stack expects {cfg.branch_filters}, got {y.shape[1]}")
         if mode == "infer":
-            return Tensor(self._infer_tc(y.data[:, :, 0])[:, :, None])
+            y = y.data[:, :, 0]
+            y = y.astype(self._infer_dtype(y), copy=False)
+            return Tensor(self._infer_tc(y, self._plan(y.dtype).causal)[:, :, None])
         for j in range(cfg.tc_blocks):
             skip = y
             dilation = cfg.dilation_base ** j
@@ -356,8 +388,7 @@ class ITNetModel:
     # inference: plain numpy, every batch norm folded into the layer before it
     def _folded_norm(self, name):
         """Infer-mode batch norm ``name`` as float64 per-filter ``(scale,
-        shift)``, so that it maps u to ``scale * u + shift``.  Folded on every
-        call: the optimizer updates the parameters in place."""
+        shift)``, so that it maps u to ``scale * u + shift``."""
         running = self.buffers[name]
         scale = self.params[name + ".gamma"].data / np.sqrt(
             running.var.astype(np.float64) + BN_EPS)
@@ -368,8 +399,9 @@ class ITNetModel:
         input's and the parameters'."""
         return np.result_type(a, self.params["head.w"].data)
 
-    def _infer_logits(self, x):
-        """Infer-mode logits of (N, electrodes, time) trials, with no tape.
+    def _fold(self, dtype):
+        """The infer-mode network with every batch norm folded in, all in
+        ``dtype``.
 
         Each inception filter is linear up to its first ELU: temporal conv,
         bias, BN1, spatial sum over electrodes, BN2.  It runs spatial first,
@@ -378,11 +410,9 @@ class ITNetModel:
         with the electrode sum, so this is exact up to rounding.
         """
         cfg = self.config
-        x = x.astype(self._infer_dtype(x), copy=False)
         spatial = np.concatenate([self.params[f"branch{i}.spatial.w"].data[:, 0, :, 0]
                                   for i in range(len(cfg.inception_branches))])
-        z = np.matmul(spatial.astype(x.dtype), x)
-        branch_outs = []
+        branches = []
         start = 0
         for i, (f, k) in enumerate(cfg.inception_branches):
             scale1, shift1 = self._folded_norm(f"branch{i}.bn1")
@@ -392,33 +422,71 @@ class ITNetModel:
             bias = self.params[f"branch{i}.temporal.b"].data
             electrode_sum = spatial[start:start + f].sum(axis=1, dtype=np.float64)
             const = scale2 * (scale1 * bias + shift1) * electrode_sum + shift2
-            t = band_conv(z[:, start:start + f, None], taps.astype(x.dtype), (k - 1) // 2)
-            branch_outs.append(t[:, :, 0] + const.astype(x.dtype)[:, None])
+            branches.append((band_matrix(taps.astype(dtype)), const.astype(dtype)[:, None]))
             start += f
-        y = avg_pool_values(elu_values(np.concatenate(branch_outs, axis=1)), cfg.pool1)
-        y = self._infer_tc(y)
-        scale, shift = self._folded_norm("dr.bn")
-        w = self.params["dr.w"].data[:, :, 0, 0] * scale[:, None]
-        b = scale * self.params["dr.b"].data + shift
-        y = elu_values(np.matmul(w.astype(x.dtype), y) + b.astype(x.dtype)[:, None])
-        y = avg_pool_values(y, cfg.pool2).reshape(len(y), -1)
-        return y @ self.params["head.w"].data + self.params["head.b"].data
-
-    def _infer_tc(self, y):
-        """Infer-mode causal stack on (N, width, time) features."""
-        cfg = self.config
-        k = cfg.tc_kernel
-        y = y.astype(self._infer_dtype(y), copy=False)
+        causal = []
         for j in range(cfg.tc_blocks):
-            skip = y
-            dilation = cfg.dilation_base ** j
+            layers = []
             for l in range(cfg.tc_layers_per_block):
                 scale, shift = self._folded_norm(f"tc{j}.bn{l}")
                 # lag order -> correlation order, scaled by the norm
                 taps = self.params[f"tc{j}.conv{l}.w"].data[:, 0, 0, ::-1] * scale[:, None]
-                y = band_conv(y[:, :, None], taps.astype(y.dtype), (k - 1) * dilation,
-                              dilation)[:, :, 0]
-                y = elu_values(y + shift.astype(y.dtype)[:, None])
+                layers.append((band_matrix(taps.astype(dtype), cfg.dilation_base ** j),
+                               shift.astype(dtype)[:, None]))
+            causal.append(layers)
+        scale, shift = self._folded_norm("dr.bn")
+        w = self.params["dr.w"].data[:, :, 0, 0] * scale[:, None]
+        b = scale * self.params["dr.b"].data + shift
+        return _Plan(spatial.astype(dtype), branches, causal,
+                     (w.astype(dtype), b.astype(dtype)[:, None]))
+
+    def _plan(self, dtype):
+        """The folded network for ``dtype``: the cached one when the config,
+        ``dtype`` and the bytes of every parameter and running statistic
+        match those it was folded from, else a new one that replaces it."""
+        global _last_plan
+        arrays = [p.data for p in self.params.values()]
+        for running in self.buffers.values():
+            arrays += (running.mean, running.var)
+        key = (self.config, dtype, tuple(a.dtype for a in arrays),
+               b"".join(a.tobytes() for a in arrays))
+        cached = _last_plan
+        if cached is not None and cached[0] == key:
+            return cached[1]
+        plan = self._fold(dtype)
+        _last_plan = (key, plan)
+        return plan
+
+    def _infer_logits(self, x):
+        """Infer-mode logits of (N, electrodes, time) trials, with no tape,
+        from the folded network."""
+        cfg = self.config
+        x = x.astype(self._infer_dtype(x), copy=False)
+        plan = self._plan(x.dtype)
+        z = np.matmul(plan.spatial, x)
+        branch_outs = []
+        start = 0
+        for (f, k), (band, const) in zip(cfg.inception_branches, plan.branches):
+            t = band_conv(z[:, start:start + f, None], band, (k - 1) // 2)
+            branch_outs.append(t[:, :, 0] + const)
+            start += f
+        y = avg_pool_values(elu_values(np.concatenate(branch_outs, axis=1)), cfg.pool1)
+        y = self._infer_tc(y, plan.causal)
+        w, b = plan.dr
+        y = elu_values(np.matmul(w, y) + b)
+        y = avg_pool_values(y, cfg.pool2).reshape(len(y), -1)
+        return y @ self.params["head.w"].data + self.params["head.b"].data
+
+    def _infer_tc(self, y, causal):
+        """Infer-mode causal stack on (N, width, time) features in the
+        compute dtype, with the folded ``causal`` layers of a plan."""
+        cfg = self.config
+        for j, layers in enumerate(causal):
+            skip = y
+            left = (cfg.tc_kernel - 1) * cfg.dilation_base ** j
+            for band, shift in layers:
+                y = band_conv(y[:, :, None], band, left)[:, :, 0]
+                y = elu_values(y + shift)
             y = elu_values(y + skip)
         return y
 

@@ -3,8 +3,9 @@
 All operate on :class:`~eegitnet.tensor.Tensor` and record gradients through
 :func:`~eegitnet.tensor.from_op`.  Inputs to the convolution ops are 4-D
 ``(batch, filters, electrodes, time)``; time is always the last axis.
-``band_conv``, ``elu_values`` and ``avg_pool_values`` are the array kernels
-beneath the ops, shared with the model's tape-free inference.
+``band_matrix``, ``band_conv``, ``elu_values`` and ``avg_pool_values`` are
+the array kernels beneath the ops, shared with the model's tape-free
+inference.
 """
 from __future__ import annotations
 
@@ -100,47 +101,59 @@ def _span_chunks(z, left, span, block, blocks, out_filters):
                              s[:3] + (block * s[3], s[3]))
 
 
-def band_conv(z, taps, left=0, dilation=1, length=None):
-    """Correlate the rows of (N, G, R, T) ``z`` along time with ``taps``,
-    dilated, after ``left`` zeros and with zeros after the input as far as
-    the last of ``length`` outputs reads (``length`` defaults to T).
+def band_matrix(taps, dilation=1):
+    """The banded (Toeplitz) matrix of ``taps``, dilated, that
+    :func:`band_conv` multiplies each block's input span by: tap b sits in
+    row ``j + b * dilation`` of column j, every other cell is zero.
 
-    Depthwise ``taps`` are (G, K): filter g runs on the rows of input filter
-    g.  Dense ``taps`` are (F, G, K): output filter f sums the correlations of
-    every input filter g with ``taps[f, g]``.
+    Depthwise ``taps`` are (G, K) and give a (G, span, block) band; dense
+    ``taps`` are (F, G, K) and give an (F, G, span, block) band.
+    """
+    k = taps.shape[-1]
+    block, span = _block_shape(k, dilation)
+    band = np.zeros(taps.shape[:-1] + (span, block), dtype=taps.dtype)
+    band[(Ellipsis,) + _band_cells(k, dilation, block)] = taps[..., None]
+    return band
 
-    Time is cut into blocks of ``_BLOCK`` outputs.  A block's outputs are its
-    input span times the filter's banded (Toeplitz) matrix of taps, so the
-    convolution runs as one batched matrix product per chunk of trials,
-    written in place.  Returns an (N, F, R, length) view that leaves out the
-    last block's outputs past ``length``.
+
+def band_conv(z, band, left=0, length=None):
+    """Correlate the rows of (N, G, R, T) ``z`` along time with the taps of
+    :func:`band_matrix` ``band``, after ``left`` zeros and with zeros after
+    the input as far as the last of ``length`` outputs reads (``length``
+    defaults to T).
+
+    A depthwise band runs filter g on the rows of input filter g.  A dense
+    band's output filter f sums the correlations of every input filter.
+
+    Time is cut into blocks of the band's width.  A block's outputs are its
+    input span times the band, so the convolution runs as one batched matrix
+    product per chunk of trials, written in place.  Returns an (N, F, R,
+    length) view that leaves out the last block's outputs past ``length``.
     """
     n, g, r, t = z.shape
     length = t if length is None else length
-    k = taps.shape[-1]
-    block, span = _block_shape(k, dilation)
+    span, block = band.shape[-2:]
     blocks = -(-length // block)
-    band = np.zeros(taps.shape[:-1] + (span, block), dtype=taps.dtype)
-    band[(Ellipsis,) + _band_cells(k, dilation, block)] = taps[..., None]
-    if taps.ndim == 3:
-        band = band.reshape(len(taps), g * span, block)
-    out = np.empty((n, len(taps), r * blocks, block), dtype=np.result_type(z, taps))
-    for lo, spans in _span_chunks(z, left, span, block, blocks, len(taps)):
+    dense = band.ndim == 4
+    if dense:
+        band = band.reshape(len(band), g * span, block)
+    out = np.empty((n, len(band), r * blocks, block), dtype=np.result_type(z, band))
+    for lo, spans in _span_chunks(z, left, span, block, blocks, len(band)):
         c = len(spans)
-        if taps.ndim == 3:   # a row holds every input filter's span
+        if dense:   # a row holds every input filter's span
             spans = np.ascontiguousarray(spans.transpose(0, 2, 3, 1, 4)).reshape(
                 c, 1, r * blocks, g * span)
         else:
             spans = np.ascontiguousarray(spans).reshape(c, g, r * blocks, span)
         np.matmul(spans, band, out=out[lo:lo + c])
-    return out.reshape(n, len(taps), r, blocks * block)[..., :length]
+    return out.reshape(n, len(band), r, blocks * block)[..., :length]
 
 
 def band_conv_taps_grad(z, taps, grad, left=0, dilation=1):
-    """Gradient of :func:`band_conv`'s ``taps`` for the output gradient
-    ``grad``, taken from the same input spans: a banded matrix's gradient is
-    its spans times its blocks of output gradient, and tap b sums the band's
-    cells that hold it."""
+    """Gradient of the ``taps`` behind :func:`band_conv`'s band for the
+    output gradient ``grad``, taken from the same input spans: a banded
+    matrix's gradient is its spans times its blocks of output gradient, and
+    tap b sums the band's cells that hold it."""
     _, g, r, _ = z.shape
     f, length = grad.shape[1], grad.shape[3]
     k = taps.shape[-1]
@@ -192,8 +205,9 @@ def conv2d(x, w, pad_h=(0, 0), pad_t=(0, 0), dilation=1, depthwise=False):
     A depthwise kernel that spans only electrodes (KW == 1) is one
     contraction over each output row's electrodes, forward and backward.
     Every other kernel runs :func:`band_conv` along time once per electrode
-    tap.  Its input gradient is the same kernel with reversed taps (and, for
-    a dense kernel, input and output filters swapped).
+    tap, with that tap's :func:`band_matrix`.  Its input gradient is the same
+    kernel with reversed taps (and, for a dense kernel, input and output
+    filters swapped).
     """
     c_in = x.shape[1]
     if depthwise:
@@ -246,9 +260,10 @@ def conv2d(x, w, pad_h=(0, 0), pad_t=(0, 0), dilation=1, depthwise=False):
 
     xe = _pad(x.data, pad_h, (0, 0))
     taps = w_data[:, 0] if depthwise else w_data   # (..., kh, kw)
-    out = band_conv(xe[:, :, :ho], taps[..., 0, :], pad_t[0], dilation, wo)
+    out = band_conv(xe[:, :, :ho], band_matrix(taps[..., 0, :], dilation), pad_t[0], wo)
     for a in range(1, kh):
-        out += band_conv(xe[:, :, a:a + ho], taps[..., a, :], pad_t[0], dilation, wo)
+        out += band_conv(xe[:, :, a:a + ho], band_matrix(taps[..., a, :], dilation),
+                         pad_t[0], wo)
 
     def backward(g):
         if w.requires_grad:
@@ -259,11 +274,12 @@ def conv2d(x, w, pad_h=(0, 0), pad_t=(0, 0), dilation=1, depthwise=False):
             back = taps[..., ::-1] if depthwise else taps[..., ::-1].transpose(1, 0, 2, 3)
             left = dilation * (kw - 1) - pad_t[0]
             if kh == 1 and pad_h == (0, 0):
-                accumulate(x, band_conv(g, back[..., 0, :], left, dilation, t))
+                accumulate(x, band_conv(g, band_matrix(back[..., 0, :], dilation), left, t))
                 return
             gxe = np.zeros(xe.shape, dtype=g.dtype)
             for a in range(kh):
-                gxe[:, :, a:a + ho] += band_conv(g, back[..., a, :], left, dilation, t)
+                gxe[:, :, a:a + ho] += band_conv(g, band_matrix(back[..., a, :], dilation),
+                                                 left, t)
             accumulate(x, gxe[:, :, pad_h[0]:pad_h[0] + h])
 
     return from_op(out, (x, w), backward)

@@ -4,12 +4,15 @@ Infer mode folds every batch norm into the layer before it and runs each
 inception filter spatial first.  The oracle in ``oracles.py`` applies the
 same layers one by one, as the training graph does.  Running statistics,
 batch-norm scales and shifts and the biases are randomised first, so that
-every folded term is exercised.
+every folded term is exercised.  The folded network is cached between calls;
+every change to the arrays it is folded from must reach the next call.
 """
 import numpy as np
 import pytest
 
+from eegitnet import model as model_module
 from eegitnet.model import ArchConfig, build
+from eegitnet.optim import Adam
 from eegitnet.tensor import Tensor
 
 from oracles import graph_infer_logits, graph_infer_tc
@@ -87,6 +90,7 @@ def test_float64_input_gives_float64_logits():
     config = ArchConfig(**SHAPES["desk"][0])
     model = randomised_model(config)
     x = trials(config, 4, dtype=np.float64)
+    model.forward_logits(x.astype(np.float32))   # folds the network in float32
     logits = model.forward_logits(x)
     assert logits.dtype == np.float64
     np.testing.assert_allclose(logits.data, graph_infer_logits(model, x).data,
@@ -109,3 +113,65 @@ def test_infer_mode_records_nothing_and_changes_no_state():
     assert x.grad is None and y.grad is None
     after = model.state_arrays()
     assert all(np.array_equal(before[name], after[name]) for name in before)
+
+
+def test_a_cached_plan_gives_the_logits_of_a_cold_build(monkeypatch):
+    config = ArchConfig(**SHAPES["paper"][0])
+    model = randomised_model(config)
+    x = trials(config, 4)
+    monkeypatch.setattr(model_module, "_last_plan", None)
+    cold = model.forward_logits(x).data
+    cached = model_module._last_plan
+    np.testing.assert_array_equal(model.forward_logits(x).data, cold)
+    twin = build(config, seed=7)
+    twin.load_state_arrays(model.state_arrays())
+    np.testing.assert_array_equal(twin.forward_logits(x).data, cold)
+    assert model_module._last_plan is cached
+
+
+def adam_step(model, x):
+    for p in model.parameters():
+        p.grad = np.full_like(p.data, 0.5)
+    Adam(model.parameters(), lr=1e-2).step()
+
+
+def nudge_one_spatial_weight(model, x):
+    model.params["branch1.spatial.w"].data[2, 0, 5, 0] += 0.5
+
+
+def double_one_causal_variance(model, x):
+    model.buffers["tc1.bn0"].var *= 2
+
+
+def load_another_models_state(model, x):
+    model.load_state_arrays(randomised_model(model.config, seed=9).state_arrays())
+
+
+def train_mode_forward(model, x):
+    model.forward_logits(x, mode="train", rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("change", [adam_step, nudge_one_spatial_weight,
+                                    double_one_causal_variance, load_another_models_state,
+                                    train_mode_forward], ids=lambda f: f.__name__)
+def test_a_change_between_calls_reaches_the_next_call(change):
+    config = ArchConfig(**SHAPES["desk"][0])
+    model = randomised_model(config)
+    x = trials(config, 8)
+    before = model.forward_logits(x).data
+    change(model, x)
+    want = graph_infer_logits(model, x).data
+    assert float(np.abs(want - before).max()) > LOGIT_ATOL
+    assert_same_logits(model.forward_logits(x).data, want)
+
+
+def test_models_with_equal_arrays_and_different_configs_each_fold_their_own():
+    fields = SHAPES["desk"][0]
+    models = [randomised_model(ArchConfig(**fields, dilation_base=b)) for b in (2, 3)]
+    first, second = (m.state_arrays() for m in models)
+    assert all(np.array_equal(first[name], second[name]) for name in first)
+    x = trials(models[0].config, 4)
+    want = [graph_infer_logits(m, x).data for m in models]
+    assert float(np.abs(want[0] - want[1]).max()) > LOGIT_ATOL
+    for i in (0, 1, 0, 1):
+        assert_same_logits(models[i].forward_logits(x).data, want[i])

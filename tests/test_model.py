@@ -241,6 +241,19 @@ def test_input_shape_validation(rng):
         model.predict(rng.standard_normal((2, 1, 4, 61)).astype(np.float32))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_trials_fail_before_the_network_runs(rng, bad):
+    model = build(default_config(n_channels=4, n_samples=60))
+    x = rng.standard_normal((3, 1, 4, 60)).astype(np.float32)
+    x[1, 0, 3, 17] = bad
+    where = "non-finite sample at trial 1, electrode 3, sample 17"
+    with pytest.raises(ValueError, match=where):
+        model.predict(x)
+    with pytest.raises(ValueError, match=where):
+        model.forward_logits(x, mode="train", rng=rng)
+    assert all(p.grad is None for p in model.parameters())
+
+
 # ----------------------------------------------------------------------
 # isolated residual stack causality
 

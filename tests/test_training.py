@@ -163,10 +163,11 @@ def test_early_stopping_restores_the_best_epoch():
 def test_early_stopping_reports_when_no_validation_loss_is_finite():
     train, val = random_split(2)
     bad_x = val[0].copy()
-    bad_x[0, 0, 0] = np.nan
+    bad_x[0] = np.finfo(np.float32).max   # finite, but the network overflows to NaN
     config = TrainConfig(max_epochs_cv=5, patience=2, folds=2)
     # a NaN loss never improves on the last, so patience runs out after 2 epochs
-    with pytest.raises(FloatingPointError, match="no finite validation loss in 2 epochs"):
+    with pytest.raises(FloatingPointError, match="no finite validation loss in 2 epochs"), \
+            np.errstate(over="ignore", invalid="ignore"):
         fit_with_early_stopping(build(ARCH, seed=2), train, (bad_x, val[1]), config,
                                 np.random.default_rng(2))
 
@@ -229,6 +230,18 @@ def test_evaluate_uniform_model():
     assert acc == 60.0
     with pytest.raises(ValueError, match="nothing"):
         evaluate(build(ARCH, seed=0), x[:0], y[:0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_evaluate_rejects_a_non_finite_trial(bad):
+    train, val = random_split(3)
+    x = val[0].copy()
+    x[5, 2, 40] = bad
+    with pytest.raises(ValueError, match="non-finite sample at trial 5, electrode 2, sample 40"):
+        evaluate(build(ARCH, seed=0), x, val[1])
+    with pytest.raises(ValueError, match="trial 5"):
+        fit_with_early_stopping(build(ARCH, seed=0), train, (x, val[1]),
+                                TrainConfig(max_epochs_cv=2, patience=1))
 
 
 # ----------------------------------------------------------------------
