@@ -200,10 +200,13 @@ def cmd_train(args):
     except ValueError as exc:
         raise CliError(EXIT_USAGE, f"bad architecture config: {exc}") from None
 
-    os.makedirs(args.out, exist_ok=True)
     effective = {**config_items(train_config, "train."), **config_items(arch, "arch.")}
-    atomic_write(os.path.join(args.out, "config.effective"),
-                 key_value_text(effective).encode("utf-8"))
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        atomic_write(os.path.join(args.out, "config.effective"),
+                     key_value_text(effective).encode("utf-8"))
+    except OSError as exc:
+        raise CliError(EXIT_DATA, f"cannot write {args.out}: {exc}") from None
     try:
         report = run_scenario(scenario, subjects, arch, train_config,
                               names=names, jobs=args.jobs)
@@ -245,7 +248,10 @@ def cmd_explain(args):
                             savgol_order=args.savgol_p, pad_to=args.pad_to)
     except ValueError as exc:
         raise CliError(EXIT_USAGE, str(exc)) from None
-    paths = export_atlas(atlas, args.out)
+    try:
+        paths = export_atlas(atlas, args.out)
+    except OSError as exc:
+        raise CliError(EXIT_DATA, f"cannot write {args.out}: {exc}") from None
     spectra = sum(os.path.basename(p).startswith("spectrum") for p in paths)
     patterns = sum(os.path.basename(p).startswith("pattern") for p in paths)
     print(f"wrote {spectra} spectrum CSVs, {patterns} pattern CSVs and atlas.svg "

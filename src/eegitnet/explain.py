@@ -233,9 +233,10 @@ def _idw_topomap(xy, values, res=26, power=2):
     return grid, inside
 
 
-def _gray(v):
-    g = int(round(255 * (np.clip(v, -1.0, 1.0) + 1.0) / 2.0))
-    return f"rgb({g},{g},{g})"
+def _gray_levels(grid):
+    """Grey level, 0 to 255, of each value of ``grid`` clipped to [-1, 1],
+    rounded half to even, as nested lists of ints."""
+    return np.rint(255 * (np.clip(grid, -1.0, 1.0) + 1.0) / 2.0).astype(int).tolist()
 
 
 _CELL_W, _SPEC_W, _SPEC_H, _TOPO_R, _CELL_H, _PAD = 360, 200, 90, 48, 130, 20
@@ -267,16 +268,14 @@ def _svg_cell(entry, atlas, x0, y0):
                      f'font-family="sans-serif">degenerate</text>')
     else:
         grid, inside = _idw_topomap(atlas.channel_xy, entry.pattern)
-        res = grid.shape[0]
-        cell = 2.0 * _TOPO_R / res
-        for r in range(res):
-            for ccol in range(res):
-                if not inside[r, ccol]:
-                    continue
-                px = cx - _TOPO_R + ccol * cell
-                py = cy + _TOPO_R - (r + 1) * cell  # row 0 is y=-1
-                parts.append(f'<rect x="{px:.1f}" y="{py:.1f}" width="{cell:.2f}" '
-                             f'height="{cell:.2f}" fill="{_gray(grid[r, ccol])}"/>')
+        levels = _gray_levels(grid)
+        cell = 2.0 * _TOPO_R / grid.shape[0]
+        for r, ccol in np.argwhere(inside).tolist():
+            px = cx - _TOPO_R + ccol * cell
+            py = cy + _TOPO_R - (r + 1) * cell  # row 0 is y=-1
+            g = levels[r][ccol]
+            parts.append(f'<rect x="{px:.1f}" y="{py:.1f}" width="{cell:.2f}" '
+                         f'height="{cell:.2f}" fill="rgb({g},{g},{g})"/>')
     parts.append(f'<circle cx="{cx}" cy="{cy}" r="{_TOPO_R}" fill="none" '
                  f'stroke="#000000" stroke-width="1"/>')
     for (ex, ey) in atlas.channel_xy:

@@ -319,14 +319,16 @@ class ITNetModel:
             return Tensor(self._infer_logits(x.data[:, 0]))
         branch_outs = []
         for i, (f, k) in enumerate(cfg.inception_branches):
-            t = conv_temporal(x, ConvSpec(k, 1, "same", False, f),
+            # BN1 is applied through the spatial sum: it reads the temporal
+            # conv's output only for its batch moments
+            u = conv_temporal(x, ConvSpec(k, 1, "same", False, f),
                               self.params[f"branch{i}.temporal.w"])
-            t = batch_norm(t, self.params[f"branch{i}.bn1.gamma"],
+            s = self.params[f"branch{i}.spatial.w"]
+            z = conv_temporal(u, ConvSpec(cfg.n_channels, 1, "valid", True, f), s)
+            t = batch_norm(u, self.params[f"branch{i}.bn1.gamma"],
                            self.params[f"branch{i}.bn1.beta"],
                            mode=mode, running=self.buffers[f"branch{i}.bn1"],
-                           bias=self.params[f"branch{i}.temporal.b"])
-            t = conv_temporal(t, ConvSpec(cfg.n_channels, 1, "valid", True, f),
-                              self.params[f"branch{i}.spatial.w"])
+                           bias=self.params[f"branch{i}.temporal.b"], through=(z, s))
             t = batch_norm(t, self.params[f"branch{i}.bn2.gamma"],
                            self.params[f"branch{i}.bn2.beta"],
                            mode=mode, running=self.buffers[f"branch{i}.bn2"])

@@ -52,14 +52,17 @@ class ConvSpec:
 # convolution kernels: one banded matrix product along time, one contraction
 # over electrodes
 
-_BLOCK = 32                # outputs per block of the banded-matrix convolution
 _CHUNK_BYTES = 1 << 20     # spans and block outputs built at once
 
 
 def _block_shape(k, dilation):
-    """(outputs per block, input span per block) for ``k`` dilated taps.  A
-    one-tap kernel takes one output per block, so its band is the tap."""
-    block = _BLOCK if k > 1 else 1
+    """(outputs per block, input span per block) for ``k`` dilated taps.
+
+    Kernels of 2-16 taps take 16 outputs per block and longer ones 32, so a
+    short kernel's band is not mostly zeros.  A one-tap kernel takes one
+    output per block, so its band is the tap.
+    """
+    block = 1 if k == 1 else 16 if k <= 16 else 32
     return block, dilation * (k - 1) + block
 
 
@@ -366,14 +369,14 @@ def _channel_sum(a, b=None):
 
 
 def batch_norm(x, gamma, beta, eps=BN_EPS, mode="train", running=None, momentum=0.99,
-               bias=None):
+               bias=None, through=None):
     """Normalize per channel (axis 1) over all other axes.
 
     ``bias``, when given, is a per-channel tensor added to ``x`` before the
     norm (the bias of the convolution in front of it).  It never touches the
-    full-size array: train mode subtracts the batch mean, which cancels it,
-    and infer mode shifts the running mean by it.  Its gradient is the
-    channel sum of the norm's input gradient.
+    full-size array: train mode subtracts the batch mean, which cancels it
+    (its gradient is then exactly zero), and infer mode shifts the running
+    mean by it, with the channel sum of the input gradient as its gradient.
 
     Train mode uses biased batch moments and, when ``running`` is given,
     folds them into the running buffers (the mean of ``x`` plus ``bias``).
@@ -383,9 +386,21 @@ def batch_norm(x, gamma, beta, eps=BN_EPS, mode="train", running=None, momentum=
     inverse standard deviation and the scale) beside ``x``, which the tape
     holds anyway: the backward centres ``x`` again into a new buffer and
     turns that buffer into the input gradient in place.
+
+    ``through=(z, s)`` (train mode only) normalises ``x`` through the
+    depthwise electrode sum after it: ``z`` is the (N, C, 1, T) spatial
+    convolution of ``x`` with the (C, 1, H, 1) weights ``s``, and the op
+    returns the sum of the normalised ``x``, not ``x`` normalised.  See
+    :func:`_batch_norm_through`.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
+    if mode == "train" and x.shape[0] == 1:
+        raise ValueError("batch of size 1 in train mode: batch variance is undefined up to eps")
+    if through is not None:
+        if mode != "train":
+            raise ValueError("through= is train mode only; inference folds every norm")
+        return _batch_norm_through(x, gamma, beta, eps, running, momentum, bias, *through)
     parents = (x, gamma, beta) if bias is None else (x, gamma, beta, bias)
     m = x.size // x.shape[1]
     if mode == "infer":
@@ -395,8 +410,6 @@ def batch_norm(x, gamma, beta, eps=BN_EPS, mode="train", running=None, momentum=
         if bias is not None:
             mean = mean - bias.data
     else:
-        if x.shape[0] == 1:
-            raise ValueError("batch of size 1 in train mode: batch variance is undefined up to eps")
         mean = _channel_sum(x.data) / m
     out = x.data - _per_channel(mean, x.ndim)   # centred; becomes the output in place
     if mode == "infer":
@@ -433,6 +446,68 @@ def batch_norm(x, gamma, beta, eps=BN_EPS, mode="train", running=None, momentum=
         if bias is not None:
             accumulate(bias, _channel_sum(gx))
         accumulate(x, gx, fresh=True)
+
+    return from_op(out, parents, backward)
+
+
+def _batch_norm_through(x, gamma, beta, eps, running, momentum, bias, z, s):
+    """Train-mode norm of (N, C, H, T) ``x``, applied after the electrode
+    sum ``z = Σ_h s[c, h] x[:, c, h]``.
+
+    Per channel the norm is the affine map ``a (x - μ) + β`` with
+    ``a = γ / sqrt(var + eps)``, so it commutes with the sum: the output is
+    ``a (z - μ S) + β S``, where ``S = Σ_h s[c, h]``.  Only the batch
+    moments read ``x``, the variance one chunk of trials at a time, so no
+    full-size array is written.
+
+    Backward, with ``G = Σ g`` and ``K = Σ g (z - μ S)`` per channel:
+    ``z`` takes ``a g`` (its own backward routes that to ``x`` and ``s``),
+    ``γ`` takes ``K / sqrt(var + eps)``, ``β`` takes ``S G``, ``s`` takes
+    ``(β - a μ) G`` on every electrode, and ``x`` takes the moments' part
+    ``q x + p`` of the usual input gradient.
+    """
+    n, c = x.shape[:2]
+    if z.shape != (n, c, 1, x.shape[3]) or s.shape != (c, 1, x.shape[2], 1):
+        raise ValueError(f"through=(z, s) must be the electrode sum of a {tuple(x.shape)} "
+                         f"input: got z {tuple(z.shape)}, s {tuple(s.shape)}")
+    m = x.size // c
+    mean = _channel_sum(x.data) / m
+    step = max(1, _CHUNK_BYTES // x.data[0].nbytes)
+    sq = 0
+    for lo in range(0, n, step):
+        centred = x.data[lo:lo + step] - _per_channel(mean, 4)
+        sq = sq + _channel_sum(centred, centred)
+    var = sq / m
+    inv = 1.0 / np.sqrt(var + eps)
+    if running is not None:
+        running.update(mean if bias is None else mean + bias.data, var, momentum)
+    total = s.data.sum(axis=(1, 2, 3))          # S
+    scale = gamma.data * inv                    # a
+    shift = _per_channel(mean * total, 4)       # μ S
+    out = z.data - shift
+    out *= _per_channel(scale, 4)
+    out += _per_channel(beta.data * total, 4)
+    parents = (x, gamma, beta, z, s) if bias is None else (x, gamma, beta, bias, z, s)
+
+    def backward(g):
+        g_sum = _channel_sum(g)
+        g_c_sum = _channel_sum(g, z.data - shift)
+        if gamma.requires_grad:
+            accumulate(gamma, g_c_sum * inv)
+        if beta.requires_grad:
+            accumulate(beta, g_sum * total)
+        if bias is not None:
+            accumulate(bias, np.zeros_like(bias.data), fresh=True)
+        if s.requires_grad:
+            accumulate(s, np.broadcast_to(
+                ((beta.data - scale * mean) * g_sum).reshape(c, 1, 1, 1), s.shape))
+        if z.requires_grad:
+            accumulate(z, g * _per_channel(scale, 4), fresh=True)
+        if x.requires_grad:
+            q = -gamma.data * inv ** 3 * g_c_sum / m
+            gx = np.multiply(x.data, _per_channel(q, 4))
+            gx += _per_channel(-scale * total * g_sum / m - q * mean, 4)
+            accumulate(x, gx, fresh=True)
 
     return from_op(out, parents, backward)
 

@@ -10,7 +10,9 @@ with the implementation under test.
 forward and backward, kept as references for the kernels in ``ops``;
 ``window_conv2d``, ``mean_pool_time``, ``bias_add_batch_norm`` and
 ``float_mask_dropout`` wrap those references, and the previous pooling and
-dropout, as recorded ops, so a whole training step can run on them.
+dropout, as recorded ops, so a whole training step can run on them;
+``bias_add_batch_norm`` also runs the previous BN1 chain (norm, then the
+spatial convolution) in place of ``batch_norm(..., through=(z, s))``.
 ``graph_infer_logits`` and ``graph_infer_tc`` run the model in infer mode
 as a graph of ``ops`` layers, unfolded, as the reference for the model's
 own plain-numpy inference.
@@ -219,11 +221,16 @@ def batch_norm_train_reference(x, gamma, beta, g, eps=1e-3):
 
 
 def bias_add_batch_norm(x, gamma, beta, eps=1e-3, mode="train", running=None,
-                        momentum=0.99, bias=None):
-    """Train-mode ``ops.batch_norm`` as a chain of two recorded ops: the bias
-    added by its own op, then :func:`batch_norm_train_reference`."""
+                        momentum=0.99, bias=None, through=None):
+    """Train-mode ``ops.batch_norm`` as a chain of recorded ops: the bias
+    added by its own op, then :func:`batch_norm_train_reference`, then, with
+    ``through=(z, s)``, the depthwise electrode sum of the normalised input
+    with weights ``s`` by :func:`window_conv2d` (``z`` is left unused)."""
     if mode != "train":
         raise ValueError("the reference norm runs in train mode only")
+    if through is not None:
+        out = bias_add_batch_norm(x, gamma, beta, eps, mode, running, momentum, bias)
+        return window_conv2d(out, through[1], depthwise=True)
     if bias is not None:
         x = x + bias.reshape((1, -1) + (1,) * (x.ndim - 2))
     out, _, _, _, mu, var = batch_norm_train_reference(x.data, gamma.data, beta.data,

@@ -234,6 +234,15 @@ def test_gradient_checks(verdict, rng):
 
     worst["end-to-end"] = check_gradients(
         end_to_end, [x] + [model.params[n].data for n in names])
+    # BN1 applied through the spatial sum (drawn last, so the inputs of the
+    # checks above are unchanged)
+    spatial = ConvSpec(2, 1, "valid", True, 3)
+    worst["batch-norm-through-sum"] = check_gradients(
+        lambda t: to_scalar(batch_norm(t[0], t[1], t[2], mode="train", bias=t[3],
+                                       through=(conv_temporal(t[0], spatial, t[4]), t[4]))),
+        [rng.standard_normal((4, 3, 2, 5)) + 0.5, 1.0 + 0.1 * rng.standard_normal(3),
+         0.1 * rng.standard_normal(3), rng.standard_normal(3),
+         rng.standard_normal((3, 1, 2, 1)) * 0.5])
 
     elapsed = time.perf_counter() - start
     top = max(worst.values())

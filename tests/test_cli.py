@@ -277,6 +277,23 @@ def test_train_rejects_mismatched_trial_lengths_before_training(data_dir, tmp_pa
     assert not [n for n in os.listdir(out) if n.endswith(".itnetmdl")]
 
 
+@pytest.mark.parametrize("target", ["file", "under_a_file"])
+def test_train_reports_an_unwritable_out_before_training(data_dir, tmp_path, capsys,
+                                                         monkeypatch, target):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    out = blocker if target == "file" else blocker / "run"
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr("eegitnet.cli.run_scenario", no_training)
+    assert main(["train", "--scenario", "within", "--data", str(data_dir),
+                 "--out", str(out)]) == 3
+    assert f"error: cannot write {out}: " in capsys.readouterr().err
+    assert blocker.read_text() == "not a directory"
+
+
 def test_cross_needs_two_subjects(data_dir, tmp_path, capsys):
     solo = tmp_path / "solo"
     solo.mkdir()
@@ -312,6 +329,17 @@ def test_explain_flag_validation(within_run, tmp_path, capsys):
     assert main(["explain", "--model", model, "--out", str(tmp_path),
                  "--fs", "64", "--pad-to", "4"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("target", ["file", "under_a_file"])
+def test_explain_reports_an_unwritable_out(within_run, tmp_path, capsys, target):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    out = blocker if target == "file" else blocker / "atlas"
+    assert main(["explain", "--model", str(within_run / "model_s01.itnetmdl"),
+                 "--out", str(out), "--fs", "64"]) == 3
+    assert f"error: cannot write {out}: " in capsys.readouterr().err
+    assert blocker.read_text() == "not a directory"
 
 
 @pytest.mark.parametrize("fs", ["nan", "inf"])

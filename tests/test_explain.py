@@ -354,3 +354,51 @@ def test_export_marks_degenerate_patterns(tmp_path):
         atlas = build_atlas(model, fs=125.0)
     export_atlas(atlas, tmp_path)
     assert "degenerate" in (tmp_path / "atlas.svg").read_text()
+
+
+def scalar_topomap_rects(atlas):
+    """Every topomap ``<rect>`` line of the atlas SVG, written cell by cell
+    with the grey level of each value computed on its own, as the exporter
+    did before it computed a grid's levels at once."""
+    from eegitnet.explain import (_CELL_H, _CELL_W, _PAD, _SPEC_H, _SPEC_W, _TOPO_R,
+                                  _idw_topomap)
+    lines = []
+    for col, branch in enumerate(sorted({e.branch for e in atlas.entries})):
+        entries = [e for e in atlas.entries if e.branch == branch]
+        for rowi, entry in enumerate(entries):
+            if entry.degenerate:
+                continue
+            cx = _PAD + col * _CELL_W + _SPEC_W + _PAD + _TOPO_R
+            cy = 40 + rowi * _CELL_H + 24 + _SPEC_H // 2
+            grid, inside = _idw_topomap(atlas.channel_xy, entry.pattern)
+            cell = 2.0 * _TOPO_R / grid.shape[0]
+            for r in range(grid.shape[0]):
+                for c in range(grid.shape[1]):
+                    if inside[r, c]:
+                        g = int(round(255 * (np.clip(grid[r, c], -1.0, 1.0) + 1.0) / 2.0))
+                        lines.append(f'<rect x="{cx - _TOPO_R + c * cell:.1f}" '
+                                     f'y="{cy + _TOPO_R - (r + 1) * cell:.1f}" '
+                                     f'width="{cell:.2f}" height="{cell:.2f}" '
+                                     f'fill="rgb({g},{g},{g})"/>')
+    return lines
+
+
+@pytest.mark.parametrize("seed,channels", [(0, 8), (1, 22), (2, 10), (3, 22)])
+def test_svg_topomaps_match_the_cell_by_cell_levels(tmp_path, seed, channels):
+    # randomised spatial filters, one of them all-zero; the exported topomap
+    # cells are byte-identical to the cell-by-cell reference
+    model = small_model(seed=seed, channels=channels)
+    rng = np.random.default_rng(seed)
+    for i in range(3):
+        p = model.params[f"branch{i}.spatial.w"]
+        p.data = (p.data + rng.standard_normal(p.shape)).astype(p.data.dtype)
+    model.params["branch1.spatial.w"].data[seed % 4] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        atlas = build_atlas(model, fs=125.0)
+    export_atlas(atlas, tmp_path)
+    svg = (tmp_path / "atlas.svg").read_text().splitlines()
+    rects = [line for line in svg if line.startswith("<rect x=")]
+    assert rects == scalar_topomap_rects(atlas)
+    assert atlas.entries[2 + seed % 4].degenerate
+    assert len(rects) == 484 * (len(atlas.entries) - 1)   # cells inside the disc

@@ -225,12 +225,20 @@ def test_conv_biases_enter_the_graph_only_through_their_norms(rng):
                 seen.add(id(parent))
                 stack.append(parent)
     p = model.params
-    norms = {f"branch{i}.temporal.b": f"branch{i}.bn1" for i in range(3)}
-    norms["dr.b"] = "dr.bn"
-    for bias, norm in norms.items():
-        users = consumers[id(p[bias])]
-        assert len(users) == 1, bias
-        assert users[0]._parents[1:] == (p[norm + ".gamma"], p[norm + ".beta"], p[bias])
+    users = consumers[id(p["dr.b"])]
+    assert len(users) == 1
+    assert users[0]._parents[1:] == (p["dr.bn.gamma"], p["dr.bn.beta"], p["dr.b"])
+    # BN1 is applied through the spatial sum: its parents are the temporal
+    # conv's output u, its own parameters and the bias, then the spatial conv
+    # z of u and z's weights
+    for i in range(3):
+        users = consumers[id(p[f"branch{i}.temporal.b"])]
+        assert len(users) == 1, i
+        u, *params, z, s = users[0]._parents
+        assert params == [p[f"branch{i}.bn1.gamma"], p[f"branch{i}.bn1.beta"],
+                          p[f"branch{i}.temporal.b"]]
+        assert s is p[f"branch{i}.spatial.w"] and z._parents == (u, s)
+        assert u._parents[1:] == (p[f"branch{i}.temporal.w"],)
 
 
 def test_input_shape_validation(rng):

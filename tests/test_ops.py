@@ -229,6 +229,79 @@ def test_batch_norm_keeps_no_full_size_copy_for_its_backward(mode):
         f"{held} bytes held for a {out.data.nbytes}-byte output"
 
 
+SPATIAL = ConvSpec(22, 1, "valid", True, 8)   # BN1's electrode sum at the paper shape
+
+
+def _bn1_inputs(dtype):
+    """Paper-shape BN1 arrays: the temporal conv's (16, 8, 22, 1125) output,
+    gamma, beta, the conv bias, the spatial weights and an output gradient."""
+    rng = np.random.default_rng(12)
+    u = 0.5 + 3.0 * rng.standard_normal((16, 8, 22, 1125))
+    gamma, beta, bias = rng.uniform(0.5, 1.5, 8), rng.standard_normal(8), rng.standard_normal(8)
+    s = 0.3 * rng.standard_normal((8, 1, 22, 1))
+    g = rng.standard_normal((16, 8, 1, 1125))
+    return [a.astype(dtype) for a in (u, gamma, beta, bias, s, g)]
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-9), (np.float32, 1e-5)])
+def test_batch_norm_through_the_sum_matches_the_norm_then_the_sum(dtype, tol):
+    # BN1 applied through the spatial sum against the chain it replaces: the
+    # norm, then the spatial conv of its output.  Outputs and running
+    # statistics within tol of their largest value, gradients within tol of
+    # the largest gradient; the bias gradient is exactly zero
+    *arrays, g = _bn1_inputs(dtype)
+    results = []
+    for through in (True, False):
+        u, gamma, beta, bias, s = _tensors(*arrays)
+        running = RunningStats(8, dtype=dtype)
+        if through:
+            z = conv_temporal(u, SPATIAL, s)
+            out = ops.batch_norm(u, gamma, beta, running=running, bias=bias, through=(z, s))
+        else:
+            out = conv_temporal(ops.batch_norm(u, gamma, beta, running=running, bias=bias),
+                                SPATIAL, s)
+        _backward_with(out, g)
+        results.append((out.data, [t.grad for t in (u, gamma, beta, bias, s)],
+                        [running.mean, running.var]))
+    (out, grads, stats), (ref_out, ref_grads, ref_stats) = results
+    assert not grads[3].any()
+    largest = max(np.abs(a).max() for a in ref_grads)
+    for got, want in zip(grads, ref_grads):
+        assert got.dtype == dtype and got.shape == want.shape
+        assert np.abs(got - want).max() <= tol * largest
+    for got, want in zip([out] + stats, [ref_out] + ref_stats):
+        assert got.dtype == dtype and got.shape == want.shape
+        assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+
+def test_batch_norm_through_the_sum_writes_no_full_size_array():
+    # the forward reads the (16, 8, 22, 1125) input for its moments only:
+    # once it returns it holds its (16, 8, 1, 1125) output plus per-channel
+    # arrays, and on the way it never holds more than a chunk of trials
+    u, gamma, beta, bias, s, _ = _tensors(*_bn1_inputs(np.float32))
+    z = conv_temporal(u, SPATIAL, s)
+    tracemalloc.start()
+    try:
+        out = ops.batch_norm(u, gamma, beta, running=RunningStats(8), bias=bias,
+                             through=(z, s))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.data.nbytes <= held < out.data.nbytes + 64 * 1024, \
+        f"{held} bytes held for a {out.data.nbytes}-byte output"
+    assert peak < 2 * 1024 * 1024, f"peak {peak} bytes"
+
+
+def test_batch_norm_through_is_train_mode_only(rng):
+    u, gamma, beta, s = _tensors(rng.standard_normal((4, 2, 3, 5)), np.ones(2), np.zeros(2),
+                                 rng.standard_normal((2, 1, 3, 1)))
+    z = conv_temporal(u, ConvSpec(3, 1, "valid", True, 2), s)
+    with pytest.raises(ValueError, match="train mode only"):
+        ops.batch_norm(u, gamma, beta, mode="infer", running=RunningStats(2), through=(z, s))
+    with pytest.raises(ValueError, match="electrode sum"):
+        ops.batch_norm(u, gamma, beta, through=(u, s))
+
+
 def test_elu_is_bit_identical_to_reference_at_paper_shape():
     rng = np.random.default_rng(9)
     x = (rng.standard_normal((16, 14, 22, 1125)) * 4.0).astype(np.float32)

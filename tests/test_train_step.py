@@ -3,15 +3,17 @@
 The step runs twice on copies of one model: on the package's ops, and with
 the ops swapped for whole-batch references from ``oracles``: convolution
 (``window_conv2d``), pooling (``mean_pool_time``), batch norm with the conv
-bias as its own add op in front (``bias_add_batch_norm``) and dropout with
-a scaled float mask (``float_mask_dropout``).  Loss, every parameter
-gradient and every running statistic must agree, at the paper shape and at
-the desk shape.
+bias as its own add op in front (``bias_add_batch_norm``; for BN1 the norm
+then feeds the spatial convolution, the chain the package now applies
+through the electrode sum) and dropout with a scaled float mask
+(``float_mask_dropout``).  Loss, every parameter gradient and every running
+statistic must agree, at the paper shape and at the desk shape.
 
 BN1's batch statistics cancel the temporal biases, and BN2 renormalises each
 filter, so the gradients of those biases and of BN1's beta are rounding noise
-in both runs.  The gradient bound therefore scales with the step's largest
-gradient, not with each array's own magnitude.
+in the reference run (the package's bias gradients are exactly zero).  The
+gradient bound therefore scales with the step's largest gradient, not with
+each array's own magnitude.
 """
 import copy
 
