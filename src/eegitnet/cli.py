@@ -280,13 +280,21 @@ def cmd_plan(args):
 
 def _read_accuracy_table(path):
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            lines = [ln.strip() for ln in f if ln.strip()]
+        with open(path, "rb") as f:
+            raw = f.read().splitlines()
     except OSError as exc:
         raise CliError(EXIT_DATA, f"cannot read table {path}: {exc}") from None
+    lines = []   # (line number, text) of the non-blank lines
+    for ln, b in enumerate(raw, 1):
+        try:
+            line = b.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            raise CliError(EXIT_DATA, f"{path}:{ln}: not UTF-8 text") from None
+        if line:
+            lines.append((ln, line))
     if not lines:
         raise CliError(EXIT_DATA, f"{path}: empty table")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     try:
         subject_col = header.index("subject")
         acc_col = header.index("accuracy")
@@ -294,7 +302,7 @@ def _read_accuracy_table(path):
         raise CliError(EXIT_DATA,
                        f"{path}: header must contain subject and accuracy columns") from None
     rows = {}
-    for ln, line in enumerate(lines[1:], 2):
+    for ln, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != len(header):
             raise CliError(EXIT_DATA, f"{path}:{ln}: expected {len(header)} cells")

@@ -69,16 +69,16 @@ def receptive_field_blocks(layers_per_block, kernel_extent, dilation_base, n_blo
 
 def plan_kernel(target_r, layers_per_block, dilation_base, n_blocks):
     """Smallest kernel extent T > dilation_base whose residual stack reaches
-    a receptive field of at least ``target_r``."""
+    a receptive field of at least ``target_r``.  The field is
+    ``1 + reach (T - 1)``, so T = max(b + 1, 1 + ceil((target_r - 1) / reach))."""
     if target_r < 1:
         raise ValueError("target_r must be >= 1")
-    t = dilation_base + 1
-    if target_r > 1 and receptive_field_blocks(layers_per_block, 2, dilation_base,
-                                               n_blocks) == 1:
-        raise ValueError("receptive field cannot grow without layers (n_blocks=0)")
-    while receptive_field_blocks(layers_per_block, t, dilation_base, n_blocks) < target_r:
-        t += 1
-    return t
+    reach = receptive_field_blocks(layers_per_block, 2, dilation_base, n_blocks) - 1
+    if reach == 0:
+        if target_r > 1:
+            raise ValueError("receptive field cannot grow without layers (n_blocks=0)")
+        return dilation_base + 1
+    return max(dilation_base + 1, 1 - (1 - target_r) // reach)
 
 
 # ----------------------------------------------------------------------
@@ -314,6 +314,8 @@ class ITNetModel:
         :meth:`_infer_logits` and returns a tensor with no parents.
         """
         cfg = self.config
+        if mode not in ("train", "infer"):
+            raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
         x = self._as_input(x)
         if mode == "infer":
             return Tensor(self._infer_logits(x.data[:, 0]))
@@ -327,23 +329,23 @@ class ITNetModel:
             z = conv_temporal(u, ConvSpec(cfg.n_channels, 1, "valid", True, f), s)
             t = batch_norm(u, self.params[f"branch{i}.bn1.gamma"],
                            self.params[f"branch{i}.bn1.beta"],
-                           mode=mode, running=self.buffers[f"branch{i}.bn1"],
+                           running=self.buffers[f"branch{i}.bn1"],
                            bias=self.params[f"branch{i}.temporal.b"], through=(z, s))
             t = batch_norm(t, self.params[f"branch{i}.bn2.gamma"],
                            self.params[f"branch{i}.bn2.beta"],
-                           mode=mode, running=self.buffers[f"branch{i}.bn2"])
+                           running=self.buffers[f"branch{i}.bn2"])
             branch_outs.append(t)
         y = concat_channels(branch_outs)
         y = elu(y)
-        y = dropout(y, cfg.dropout_rate, mode, rng)
+        y = dropout(y, cfg.dropout_rate, rng)
         y = avg_pool_time(y, cfg.pool1)
         y = self.tc_features(y, mode=mode, rng=rng)
         y = conv_temporal(y, ConvSpec(1, 1, "same", False, cfg.dr_filters),
                           self.params["dr.w"])
         y = batch_norm(y, self.params["dr.bn.gamma"], self.params["dr.bn.beta"],
-                       mode=mode, running=self.buffers["dr.bn"], bias=self.params["dr.b"])
+                       running=self.buffers["dr.bn"], bias=self.params["dr.b"])
         y = elu(y)
-        y = dropout(y, cfg.dropout_rate, mode, rng)
+        y = dropout(y, cfg.dropout_rate, rng)
         y = avg_pool_time(y, cfg.pool2)
         y = flatten(y)
         return dense(y, self.params["head.w"], self.params["head.b"])
@@ -355,6 +357,8 @@ class ITNetModel:
         the identity skip joins before the block's final activation.
         """
         cfg = self.config
+        if mode not in ("train", "infer"):
+            raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
         if y.shape[1] != cfg.branch_filters:
             raise ValueError(
                 f"filter axis mismatch: causal stack expects {cfg.branch_filters}, got {y.shape[1]}")
@@ -371,16 +375,16 @@ class ITNetModel:
                     self.params[f"tc{j}.conv{l}.w"])
                 y = batch_norm(y, self.params[f"tc{j}.bn{l}.gamma"],
                                self.params[f"tc{j}.bn{l}.beta"],
-                               mode=mode, running=self.buffers[f"tc{j}.bn{l}"])
+                               running=self.buffers[f"tc{j}.bn{l}"])
                 y = elu(y)
-                y = dropout(y, cfg.dropout_rate, mode, rng)
+                y = dropout(y, cfg.dropout_rate, rng)
             y = y + skip
             y = elu(y)
         return y
 
     def forward(self, x, mode="infer", rng=None):
-        """Class probabilities; rows sum to 1."""
-        return softmax_rows(self.forward_logits(x, mode=mode, rng=rng))
+        """Class probabilities, rows summing to 1, as a tensor with no parents."""
+        return Tensor(softmax_rows(self.forward_logits(x, mode=mode, rng=rng).data))
 
     def predict(self, x):
         """Hard labels for an array of trials."""

@@ -1,11 +1,12 @@
 """Layer primitives: convolutions, batch norm, activations, pooling, losses.
 
-All operate on :class:`~eegitnet.tensor.Tensor` and record gradients through
-:func:`~eegitnet.tensor.from_op`.  Inputs to the convolution ops are 4-D
-``(batch, filters, electrodes, time)``; time is always the last axis.
+The ops are train-mode only, one code path per layer the model records.
+They operate on :class:`~eegitnet.tensor.Tensor` and record gradients
+through :func:`~eegitnet.tensor.from_op`.  Inputs to the convolution ops are
+4-D ``(batch, filters, electrodes, time)``; time is always the last axis.
 ``band_matrix``, ``band_conv``, ``elu_values`` and ``avg_pool_values`` are
 the array kernels beneath the ops, shared with the model's tape-free
-inference.
+inference, and ``softmax_rows`` is an array function for its output.
 """
 from __future__ import annotations
 
@@ -190,27 +191,19 @@ def _zero_padded(a, length):
     return out
 
 
-def _pad(a, pad_h, pad_t):
-    """``a`` zero-padded on its electrode and time axes; ``a`` itself when
-    no padding is asked for."""
-    if pad_h == (0, 0) and pad_t == (0, 0):
-        return a
-    return np.pad(a, ((0, 0), (0, 0), pad_h, pad_t))
-
-
-def conv2d(x, w, pad_h=(0, 0), pad_t=(0, 0), dilation=1, depthwise=False):
-    """Full or depthwise 2-D convolution over (electrode, time) axes with
-    dilation along time.
+def conv2d(x, w, pad_t=(0, 0), dilation=1, depthwise=False):
+    """Full or depthwise convolution of one of the model's two kernel shapes,
+    with dilation along time.
 
     ``x``: (N, C_in, H, W); ``w``: (C_out, C_in, KH, KW), or (C_in, 1, KH, KW)
-    in depthwise mode.
+    in depthwise mode.  The geometry is the one :func:`conv_temporal` checks.
 
-    A depthwise kernel that spans only electrodes (KW == 1) is one
-    contraction over each output row's electrodes, forward and backward.
-    Every other kernel runs :func:`band_conv` along time once per electrode
-    tap, with that tap's :func:`band_matrix`.  Its input gradient is the same
-    kernel with reversed taps (and, for a dense kernel, input and output
-    filters swapped).
+    A depthwise kernel that spans every electrode and no time (KH == H,
+    KW == 1) is one contraction over the electrodes, forward and backward.
+    A time kernel (KH == 1) runs :func:`band_conv` once, with its taps'
+    :func:`band_matrix`.  Its input gradient is the same kernel with
+    reversed taps (and, for a dense kernel, input and output filters
+    swapped).
     """
     c_in = x.shape[1]
     if depthwise:
@@ -223,67 +216,36 @@ def conv2d(x, w, pad_h=(0, 0), pad_t=(0, 0), dilation=1, depthwise=False):
 
     n, _, h, t = x.shape
     kh, kw = w.shape[2], w.shape[3]
-    hp, tp = h + pad_h[0] + pad_h[1], t + pad_t[0] + pad_t[1]
-    span_w = dilation * (kw - 1) + 1
-    if kh > hp:
-        raise ValueError(
-            f"electrode axis too short: kernel spans {kh}, padded input has {hp}")
-    if span_w > tp:
-        raise ValueError(
-            f"time axis too short: dilated kernel spans {span_w}, padded input has {tp}")
-    ho, wo = hp - kh + 1, tp - span_w + 1
     w_data = w.data
 
-    if depthwise and kw == 1:
-        xe = _pad(x.data, pad_h, pad_t)
-        s = xe.strides
-        # windows[n, c, i] is output row i's (kh, time) block of electrodes
-        windows = as_strided(xe, (n, c_in, ho, kh, tp), s[:3] + s[2:], writeable=False)
-        out = np.matmul(w_data.swapaxes(2, 3), windows).reshape(n, c_in, ho, tp)
+    if depthwise and kw == 1 and kh == h:
+        s = x.data.strides
+        # windows[n, c, 0] is the (kh, time) block of every electrode
+        windows = as_strided(x.data, (n, c_in, 1, kh, t), s[:3] + s[2:], writeable=False)
+        out = np.matmul(w_data.swapaxes(2, 3), windows).reshape(n, c_in, 1, t)
 
         def backward(g):
             if w.requires_grad:
                 gw = np.matmul(windows, g[..., None]).sum(axis=(0, 2))
                 accumulate(w, gw[:, None])
             if x.requires_grad:
-                if ho == 1:
-                    # (1, C, kh, 1) taps times (N, C, 1, T): the padded input's shape
-                    gxe = w_data.reshape(1, c_in, kh, 1) * g
-                else:
-                    outer = w_data[None] * g[:, :, :, None, :]   # (N, C, Ho, kh, T)
-                    gxe = np.zeros_like(xe)
-                    for i in range(ho):
-                        gxe[:, :, i:i + kh] += outer[:, :, i]
-                if xe is x.data:
-                    accumulate(x, gxe, fresh=True)
-                else:
-                    accumulate(x, gxe[:, :, pad_h[0]:pad_h[0] + h, pad_t[0]:pad_t[0] + t])
+                # (1, C, kh, 1) taps times (N, C, 1, T): the input's shape
+                accumulate(x, w_data.reshape(1, c_in, kh, 1) * g, fresh=True)
 
         return from_op(out, (x, w), backward)
 
-    xe = _pad(x.data, pad_h, (0, 0))
-    taps = w_data[:, 0] if depthwise else w_data   # (..., kh, kw)
-    out = band_conv(xe[:, :, :ho], band_matrix(taps[..., 0, :], dilation), pad_t[0], wo)
-    for a in range(1, kh):
-        out += band_conv(xe[:, :, a:a + ho], band_matrix(taps[..., a, :], dilation),
-                         pad_t[0], wo)
+    taps = w_data[:, 0, 0] if depthwise else w_data[:, :, 0]   # (..., kw)
+    wo = t + pad_t[0] + pad_t[1] - dilation * (kw - 1)
+    out = band_conv(x.data, band_matrix(taps, dilation), pad_t[0], wo)
 
     def backward(g):
         if w.requires_grad:
-            gw = np.stack([band_conv_taps_grad(xe[:, :, a:a + ho], taps[..., a, :], g,
-                                               pad_t[0], dilation) for a in range(kh)], axis=-2)
-            accumulate(w, gw[:, None] if depthwise else gw)
+            gw = band_conv_taps_grad(x.data, taps, g, pad_t[0], dilation)
+            accumulate(w, gw.reshape(w.shape))
         if x.requires_grad:
-            back = taps[..., ::-1] if depthwise else taps[..., ::-1].transpose(1, 0, 2, 3)
+            back = taps[..., ::-1] if depthwise else taps[..., ::-1].transpose(1, 0, 2)
             left = dilation * (kw - 1) - pad_t[0]
-            if kh == 1 and pad_h == (0, 0):
-                accumulate(x, band_conv(g, band_matrix(back[..., 0, :], dilation), left, t))
-                return
-            gxe = np.zeros(xe.shape, dtype=g.dtype)
-            for a in range(kh):
-                gxe[:, :, a:a + ho] += band_conv(g, band_matrix(back[..., a, :], dilation),
-                                                 left, t)
-            accumulate(x, gxe[:, :, pad_h[0]:pad_h[0] + h])
+            accumulate(x, band_conv(g, band_matrix(back, dilation), left, t))
 
     return from_op(out, (x, w), backward)
 
@@ -292,11 +254,13 @@ def conv_temporal(x, spec: ConvSpec, weights):
     """Convolution per a :class:`ConvSpec`.
 
     Weight layout is ``(filters_out, filters_in_per_group, k_elec, k_time)``.
-    For ``same``/``valid`` padding the kernel is applied in correlation
-    orientation; for ``causal`` padding the kernel is lag-ordered
-    (``weights[..., j]`` multiplies the input ``j * dilation`` steps in the
-    past) and only leading zeros are inserted, so output[t] never sees
-    input[t' > t].
+    A kernel spans time (``k_elec == 1``) or, depthwise and unpadded, every
+    electrode (``k_elec`` equal to the input's electrode count); any other
+    electrode kernel is refused.  For ``same``/``valid`` padding the kernel
+    is applied in correlation orientation; for ``causal`` padding the kernel
+    is lag-ordered (``weights[..., j]`` multiplies the input
+    ``j * dilation`` steps in the past) and only leading zeros are inserted,
+    so output[t] never sees input[t' > t].
     """
     if x.ndim != 4:
         raise ValueError(f"input must be 4-D (batch, filters, electrodes, time), got {x.ndim}-D")
@@ -308,6 +272,10 @@ def conv_temporal(x, spec: ConvSpec, weights):
     if spec.kernel_extent != max(kh, kw):
         raise ValueError(
             f"kernel axis mismatch: spec.kernel_extent={spec.kernel_extent} but weights span {max(kh, kw)}")
+    if kh > 1 and not (spec.depthwise and spec.padding == "valid" and kh == x.shape[2]):
+        raise ValueError(
+            f"electrode kernels are depthwise, 'valid' and span all {x.shape[2]} electrodes; "
+            f"got extent {kh}, padding {spec.padding!r}, depthwise={spec.depthwise}")
     if spec.depthwise:
         if spec.filter_count != x.shape[1]:
             raise ValueError(
@@ -319,23 +287,18 @@ def conv_temporal(x, spec: ConvSpec, weights):
             f"spec declares {spec.filter_count}")
 
     if spec.padding == "same":
-        need_h, need_w = kh - 1, spec.dilation * (kw - 1)
-        pad_h = (need_h // 2, need_h - need_h // 2)
-        pad_t = (need_w // 2, need_w - need_w // 2)
+        need = spec.dilation * (kw - 1)
+        pad_t = (need // 2, need - need // 2)
     elif spec.padding == "causal":
-        if kh != 1:
-            raise ValueError("causal padding applies to time kernels only (electrode extent must be 1)")
-        pad_h = (0, 0)
         pad_t = (spec.dilation * (kw - 1), 0)
         weights = flip_time(weights)  # lag order -> correlation order
     else:  # valid
-        pad_h = pad_t = (0, 0)
+        pad_t = (0, 0)
         if kw > 1 and spec.dilation * (kw - 1) >= x.shape[3]:
             raise ValueError(
                 f"time axis too short for valid padding: dilation*(T-1)="
                 f"{spec.dilation * (kw - 1)} >= {x.shape[3]} samples")
-    return conv2d(x, weights, pad_h=pad_h, pad_t=pad_t, dilation=spec.dilation,
-                  depthwise=spec.depthwise)
+    return conv2d(x, weights, pad_t=pad_t, dilation=spec.dilation, depthwise=spec.depthwise)
 
 
 # ----------------------------------------------------------------------
@@ -368,57 +331,41 @@ def _channel_sum(a, b=None):
     return np.einsum(f"{axes},{axes}->c", a, b)
 
 
-def batch_norm(x, gamma, beta, eps=BN_EPS, mode="train", running=None, momentum=0.99,
-               bias=None, through=None):
-    """Normalize per channel (axis 1) over all other axes.
+def batch_norm(x, gamma, beta, eps=BN_EPS, running=None, momentum=0.99, bias=None,
+               through=None):
+    """Train-mode norm per channel (axis 1) over all other axes, with biased
+    batch moments; when ``running`` is given, the moments are folded into
+    the running buffers (the mean of ``x`` plus ``bias``).  Inference never
+    comes here: it folds every norm into the layer before it.
 
     ``bias``, when given, is a per-channel tensor added to ``x`` before the
     norm (the bias of the convolution in front of it).  It never touches the
-    full-size array: train mode subtracts the batch mean, which cancels it
-    (its gradient is then exactly zero), and infer mode shifts the running
-    mean by it, with the channel sum of the input gradient as its gradient.
-
-    Train mode uses biased batch moments and, when ``running`` is given,
-    folds them into the running buffers (the mean of ``x`` plus ``bias``).
-    Infer mode is a per-channel affine map using the running statistics.
+    full-size array: the batch mean cancels it, so its true gradient is
+    zero.  This path returns the channel sum of the input gradient for it,
+    which is zero only up to rounding; ``through=`` returns exact zeros.
 
     For its backward the op keeps only per-channel arrays (the mean, the
     inverse standard deviation and the scale) beside ``x``, which the tape
     holds anyway: the backward centres ``x`` again into a new buffer and
     turns that buffer into the input gradient in place.
 
-    ``through=(z, s)`` (train mode only) normalises ``x`` through the
-    depthwise electrode sum after it: ``z`` is the (N, C, 1, T) spatial
-    convolution of ``x`` with the (C, 1, H, 1) weights ``s``, and the op
-    returns the sum of the normalised ``x``, not ``x`` normalised.  See
-    :func:`_batch_norm_through`.
+    ``through=(z, s)`` normalises ``x`` through the depthwise electrode sum
+    after it: ``z`` is the (N, C, 1, T) spatial convolution of ``x`` with
+    the (C, 1, H, 1) weights ``s``, and the op returns the sum of the
+    normalised ``x``, not ``x`` normalised.  See :func:`_batch_norm_through`.
     """
-    if mode not in ("train", "infer"):
-        raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
-    if mode == "train" and x.shape[0] == 1:
+    if x.shape[0] == 1:
         raise ValueError("batch of size 1 in train mode: batch variance is undefined up to eps")
     if through is not None:
-        if mode != "train":
-            raise ValueError("through= is train mode only; inference folds every norm")
         return _batch_norm_through(x, gamma, beta, eps, running, momentum, bias, *through)
     parents = (x, gamma, beta) if bias is None else (x, gamma, beta, bias)
     m = x.size // x.shape[1]
-    if mode == "infer":
-        if running is None:
-            raise ValueError("running statistics are required in infer mode")
-        mean = running.mean.astype(x.dtype)
-        if bias is not None:
-            mean = mean - bias.data
-    else:
-        mean = _channel_sum(x.data) / m
+    mean = _channel_sum(x.data) / m
     out = x.data - _per_channel(mean, x.ndim)   # centred; becomes the output in place
-    if mode == "infer":
-        inv = 1.0 / np.sqrt(running.var.astype(x.dtype) + eps)
-    else:
-        var = _channel_sum(out, out) / m
-        inv = 1.0 / np.sqrt(var + eps)
-        if running is not None:
-            running.update(mean if bias is None else mean + bias.data, var, momentum)
+    var = _channel_sum(out, out) / m
+    inv = 1.0 / np.sqrt(var + eps)
+    if running is not None:
+        running.update(mean if bias is None else mean + bias.data, var, momentum)
     scale = gamma.data * inv
     out *= _per_channel(scale, x.ndim)
     out += _per_channel(beta.data, x.ndim)
@@ -433,16 +380,13 @@ def batch_norm(x, gamma, beta, eps=BN_EPS, mode="train", running=None, momentum=
             accumulate(beta, g_sum)
         if not (x.requires_grad or bias is not None and bias.requires_grad):
             return
-        if mode == "infer":
-            gx = g * _per_channel(scale, x.ndim)
-        else:
-            # gx = scale * (g - mean(g) - xhat * mean(g * xhat)), with
-            # xhat = centered * inv
-            gx = centered
-            gx *= _per_channel(g_c_sum * (inv * inv / m), x.ndim)
-            gx += _per_channel(g_sum / m, x.ndim)
-            np.subtract(g, gx, out=gx)
-            gx *= _per_channel(scale, x.ndim)
+        # gx = scale * (g - mean(g) - xhat * mean(g * xhat)), with
+        # xhat = centered * inv
+        gx = centered
+        gx *= _per_channel(g_c_sum * (inv * inv / m), x.ndim)
+        gx += _per_channel(g_sum / m, x.ndim)
+        np.subtract(g, gx, out=gx)
+        gx *= _per_channel(scale, x.ndim)
         if bias is not None:
             accumulate(bias, _channel_sum(gx))
         accumulate(x, gx, fresh=True)
@@ -568,17 +512,15 @@ def avg_pool_time(x, pool):
     return from_op(out, (x,), backward)
 
 
-def dropout(x, rate, mode, rng=None):
-    """Inverted dropout: train mode zeroes elements w.p. ``rate`` and scales
-    survivors by 1/(1-rate); infer mode is the identity."""
+def dropout(x, rate, rng):
+    """Inverted dropout: zeroes elements w.p. ``rate`` and scales survivors
+    by 1/(1-rate); a rate of 0 is the identity."""
     if not (0.0 <= rate < 1.0):
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if mode not in ("train", "infer"):
-        raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
-    if mode == "infer" or rate == 0.0:
+    if rate == 0.0:
         return x
     if rng is None:
-        raise ValueError("train-mode dropout needs an rng")
+        raise ValueError("dropout needs an rng")
     scale = np.asarray(1.0 / (1.0 - rate), dtype=x.dtype)
     keep = rng.random(x.shape) >= rate
     # a cast from bool and two passes in place: faster than a product with
@@ -621,17 +563,11 @@ def flatten(x):
     return from_op(out, (x,), backward)
 
 
-def softmax_rows(x):
-    """Row-wise softmax along the last axis."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+def softmax_rows(a):
+    """Row-wise softmax of an array along its last axis, as a new array."""
+    shifted = a - a.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
-
-    def backward(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        accumulate(x, out * (g - dot))
-
-    return from_op(out, (x,), backward)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax_cross_entropy(logits, labels):

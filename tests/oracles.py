@@ -14,15 +14,15 @@ dropout, as recorded ops, so a whole training step can run on them;
 ``bias_add_batch_norm`` also runs the previous BN1 chain (norm, then the
 spatial convolution) in place of ``batch_norm(..., through=(z, s))``.
 ``graph_infer_logits`` and ``graph_infer_tc`` run the model in infer mode
-as a graph of ``ops`` layers, unfolded, as the reference for the model's
-own plain-numpy inference.
+as a graph of ``ops`` layers, unfolded, each batch norm applied on its own
+by ``infer_norm``, as the reference for the model's own plain-numpy
+inference.
 """
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from eegitnet.ops import (ConvSpec, avg_pool_time, batch_norm, conv_temporal, dense,
-                          elu, flatten)
+from eegitnet.ops import ConvSpec, avg_pool_time, conv_temporal, dense, elu, flatten
 from eegitnet.tensor import Tensor, accumulate, concat_channels, from_op, no_grad
 
 FD_STEP = 1e-5
@@ -132,9 +132,9 @@ def _windows(xp, kh, kw, dilation):
     return win  # (N, C, Ho, Wo, kh, kw)
 
 
-def _window_conv(x, w, pad_h, pad_t, dilation, depthwise):
+def _window_conv(x, w, pad_t, dilation, depthwise):
     """Padded input, its sliding windows and the convolution output."""
-    xp = np.pad(x, ((0, 0), (0, 0), pad_h, pad_t))
+    xp = np.pad(x, ((0, 0), (0, 0), (0, 0), pad_t))
     kh, kw = w.shape[2], w.shape[3]
     win = _windows(xp, kh, kw, dilation)
     if depthwise:
@@ -145,10 +145,10 @@ def _window_conv(x, w, pad_h, pad_t, dilation, depthwise):
     return xp, win, out
 
 
-def window_conv_reference(x, w, g, pad_h=(0, 0), pad_t=(0, 0), dilation=1, depthwise=False):
+def window_conv_reference(x, w, g, pad_t=(0, 0), dilation=1, depthwise=False):
     """Whole-batch sliding-window convolution: ``(out, grad_x, grad_w)`` for
     output gradient ``g``, with the same arguments as ``ops.conv2d``."""
-    xp, win, out = _window_conv(x, w, pad_h, pad_t, dilation, depthwise)
+    xp, win, out = _window_conv(x, w, pad_t, dilation, depthwise)
     kh, kw = w.shape[2], w.shape[3]
     if depthwise:
         gw = np.einsum("ncij,ncijab->cab", g, win, optimize=True)[:, None]
@@ -168,17 +168,17 @@ def window_conv_reference(x, w, g, pad_h=(0, 0), pad_t=(0, 0), dilation=1, depth
                     contrib = np.einsum("noij,oc->ncij", g, w[:, :, a, b], optimize=True)
                 off = b * dilation
                 gxp[:, :, a:a + ho, off:off + wo] += contrib
-    gx = gxp[:, :, pad_h[0]:pad_h[0] + x.shape[2], pad_t[0]:pad_t[0] + x.shape[3]]
+    gx = gxp[..., pad_t[0]:pad_t[0] + x.shape[3]]
     return out, np.ascontiguousarray(gx), gw
 
 
-def window_conv2d(x, w, pad_h=(0, 0), pad_t=(0, 0), dilation=1, depthwise=False):
+def window_conv2d(x, w, pad_t=(0, 0), dilation=1, depthwise=False):
     """``ops.conv2d`` computed by :func:`window_conv_reference` and recorded
     through ``from_op``: a drop-in reference for the convolution op."""
-    out = _window_conv(x.data, w.data, pad_h, pad_t, dilation, depthwise)[2]
+    out = _window_conv(x.data, w.data, pad_t, dilation, depthwise)[2]
 
     def backward(g):
-        _, gx, gw = window_conv_reference(x.data, w.data, g, pad_h, pad_t, dilation, depthwise)
+        _, gx, gw = window_conv_reference(x.data, w.data, g, pad_t, dilation, depthwise)
         accumulate(x, gx)
         accumulate(w, gw)
 
@@ -220,16 +220,14 @@ def batch_norm_train_reference(x, gamma, beta, g, eps=1e-3):
     return out, gx.astype(x.dtype, copy=False), ggamma, gbeta, mu, var
 
 
-def bias_add_batch_norm(x, gamma, beta, eps=1e-3, mode="train", running=None,
-                        momentum=0.99, bias=None, through=None):
+def bias_add_batch_norm(x, gamma, beta, eps=1e-3, running=None, momentum=0.99, bias=None,
+                        through=None):
     """Train-mode ``ops.batch_norm`` as a chain of recorded ops: the bias
     added by its own op, then :func:`batch_norm_train_reference`, then, with
     ``through=(z, s)``, the depthwise electrode sum of the normalised input
     with weights ``s`` by :func:`window_conv2d` (``z`` is left unused)."""
-    if mode != "train":
-        raise ValueError("the reference norm runs in train mode only")
     if through is not None:
-        out = bias_add_batch_norm(x, gamma, beta, eps, mode, running, momentum, bias)
+        out = bias_add_batch_norm(x, gamma, beta, eps, running, momentum, bias)
         return window_conv2d(out, through[1], depthwise=True)
     if bias is not None:
         x = x + bias.reshape((1, -1) + (1,) * (x.ndim - 2))
@@ -248,10 +246,10 @@ def bias_add_batch_norm(x, gamma, beta, eps=1e-3, mode="train", running=None,
     return from_op(out, (x, gamma, beta), backward)
 
 
-def float_mask_dropout(x, rate, mode, rng=None):
+def float_mask_dropout(x, rate, rng):
     """``ops.dropout`` with the mask cast to floats and scaled before the
     product, from the same uniform draw."""
-    if mode == "infer" or rate == 0.0:
+    if rate == 0.0:
         return x
     scale = np.asarray(1.0 / (1.0 - rate), dtype=x.dtype)
     mask = (rng.random(x.shape) >= rate).astype(x.dtype) * scale
@@ -273,6 +271,17 @@ def elu_reference(x, g):
     return out, gx
 
 
+def infer_norm(x, gamma, beta, running, eps=1e-3):
+    """Infer-mode batch norm of a tensor by its running statistics, in the
+    input's dtype: ``(x - running_mean) * gamma / sqrt(running_var + eps)
+    + beta``, as a tensor with no parents."""
+    shape = (1, -1) + (1,) * (x.ndim - 2)
+    out = x.data - running.mean.astype(x.dtype).reshape(shape)
+    out *= (gamma.data * (1.0 / np.sqrt(running.var.astype(x.dtype) + eps))).reshape(shape)
+    out += beta.data.reshape(shape)
+    return Tensor(out)
+
+
 def graph_infer_logits(model, x):
     """Infer-mode logits of (N, 1, electrodes, time) trials through the
     ``ops`` layers, every batch norm applied on its own, as a tensor."""
@@ -282,19 +291,18 @@ def graph_infer_logits(model, x):
     for i, (f, k) in enumerate(cfg.inception_branches):
         t = conv_temporal(x, ConvSpec(k, 1, "same", False, f), p[f"branch{i}.temporal.w"])
         t = t + p[f"branch{i}.temporal.b"].reshape((1, f, 1, 1))
-        t = batch_norm(t, p[f"branch{i}.bn1.gamma"], p[f"branch{i}.bn1.beta"],
-                       mode="infer", running=model.buffers[f"branch{i}.bn1"])
+        t = infer_norm(t, p[f"branch{i}.bn1.gamma"], p[f"branch{i}.bn1.beta"],
+                       model.buffers[f"branch{i}.bn1"])
         t = conv_temporal(t, ConvSpec(cfg.n_channels, 1, "valid", True, f),
                           p[f"branch{i}.spatial.w"])
-        t = batch_norm(t, p[f"branch{i}.bn2.gamma"], p[f"branch{i}.bn2.beta"],
-                       mode="infer", running=model.buffers[f"branch{i}.bn2"])
+        t = infer_norm(t, p[f"branch{i}.bn2.gamma"], p[f"branch{i}.bn2.beta"],
+                       model.buffers[f"branch{i}.bn2"])
         branch_outs.append(t)
     y = avg_pool_time(elu(concat_channels(branch_outs)), cfg.pool1)
     y = graph_infer_tc(model, y)
     y = conv_temporal(y, ConvSpec(1, 1, "same", False, cfg.dr_filters), p["dr.w"])
     y = y + p["dr.b"].reshape((1, cfg.dr_filters, 1, 1))
-    y = batch_norm(y, p["dr.bn.gamma"], p["dr.bn.beta"], mode="infer",
-                   running=model.buffers["dr.bn"])
+    y = infer_norm(y, p["dr.bn.gamma"], p["dr.bn.beta"], model.buffers["dr.bn"])
     y = flatten(avg_pool_time(elu(y), cfg.pool2))
     return dense(y, p["head.w"], p["head.b"])
 
@@ -309,8 +317,8 @@ def graph_infer_tc(model, y):
                         cfg.branch_filters)
         for l in range(cfg.tc_layers_per_block):
             y = conv_temporal(y, spec, p[f"tc{j}.conv{l}.w"])
-            y = elu(batch_norm(y, p[f"tc{j}.bn{l}.gamma"], p[f"tc{j}.bn{l}.beta"],
-                               mode="infer", running=model.buffers[f"tc{j}.bn{l}"]))
+            y = elu(infer_norm(y, p[f"tc{j}.bn{l}.gamma"], p[f"tc{j}.bn{l}.beta"],
+                               model.buffers[f"tc{j}.bn{l}"]))
         y = elu(y + skip)
     return y
 

@@ -393,6 +393,12 @@ def test_plan_prints_kernel_and_reach(capsys):
     assert main(["plan", "--target-r", "121"]) == 0
     assert "kernel_extent=5" in capsys.readouterr().out
 
+    # a closed form, not a search: a 10^12-sample target answers at once
+    assert main(["plan", "--target-r", "1000000000000"]) == 0
+    out = capsys.readouterr().out
+    assert "kernel_extent=33333333335" in out
+    assert "receptive_field=1000000000021" in out
+
 
 def test_plan_rejects_impossible_targets(capsys):
     assert main(["plan", "--target-r", "5", "--blocks", "0"]) == 2
@@ -453,6 +459,11 @@ def test_stats_table_errors(tmp_path, capsys):
     dup = write(tmp_path / "e.csv", "subject,accuracy\ns01,50\ns01,60\n")
     assert main(["stats", "--table", dup, "--vs", a, "--test", "ttest"]) == 3
     assert "duplicate subject" in capsys.readouterr().err
+
+    latin = tmp_path / "f.csv"
+    latin.write_bytes(b"subject,accuracy\ns01,50\ns\xff02,60\n")
+    assert main(["stats", "--table", str(latin), "--vs", a, "--test", "ttest"]) == 3
+    assert f"{latin}:3: not UTF-8 text" in capsys.readouterr().err
 
 
 def test_module_entry_point():

@@ -1,5 +1,6 @@
 """Architecture, receptive-field arithmetic, causality, serialization."""
 import dataclasses
+import itertools
 import struct
 
 import numpy as np
@@ -102,6 +103,26 @@ def test_plan_kernel_known_answers():
 def test_plan_kernel_rejects_unreachable_target():
     with pytest.raises(ValueError):
         plan_kernel(50, 2, 2, 0)
+
+
+def plan_kernel_oracle(target, m, b, n):
+    """The search the closed form replaced: grow T from b + 1 until the
+    stack reaches ``target`` (which it never does at n = 0 and target > 1)."""
+    t = b + 1
+    while rf_blocks_oracle(m, t, b, n) < target:
+        t += 1
+    return t
+
+
+def test_plan_kernel_closed_form_matches_the_search():
+    for target in (1, 2, 3, 7, 10, 64, 91, 92, 121, 400, 1023, 1024, 1025, 5000):
+        for m, b, n in itertools.product((1, 2, 3), (1, 2, 3, 5), (0, 1, 2, 4, 6)):
+            if target > 1 and n == 0:
+                with pytest.raises(ValueError):
+                    plan_kernel(target, m, b, n)
+                continue
+            assert plan_kernel(target, m, b, n) == plan_kernel_oracle(target, m, b, n), \
+                (target, m, b, n)
 
 
 # ----------------------------------------------------------------------

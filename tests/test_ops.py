@@ -117,20 +117,34 @@ def test_causal_dilated_conv_gradients(rng):
 
 
 def test_dense_conv_gradients_across_filters_electrodes_and_dilation(rng):
-    # C_in > 1, kh > 1 and dilation > 1 together pin the dense banded
-    # kernel's input-filter order, its loop over electrode taps and its
-    # dilated band; conv_temporal forbids 2-D kernels, so this goes through
-    # conv2d directly
+    # C_in > 1, several electrode rows and dilation > 1 together pin the
+    # dense banded kernel's input-filter order, its rows and its dilated band
     x = rng.standard_normal((2, 3, 4, 9))
-    w = rng.standard_normal((2, 3, 2, 3))
+    w = rng.standard_normal((2, 3, 1, 3))
+    spec = ConvSpec(3, dilation=2, padding="same", filter_count=2)
 
-    def conv(ts):
-        return ops.conv2d(ts[0], ts[1], pad_h=(0, 1), pad_t=(2, 2), dilation=2)
-
-    out = conv([Tensor(x, dtype=np.float64), Tensor(w, dtype=np.float64)])
-    ref = conv_oracle(x, w, pad_elec=(0, 1), pad_time=(2, 2), dilation=2)
+    out = conv_temporal(Tensor(x, dtype=np.float64), spec, Tensor(w, dtype=np.float64))
+    ref = conv_oracle(x, w, pad_time=(2, 2), dilation=2)
     np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12)
-    check_gradients(lambda ts: to_scalar(conv(ts)), [x, w])
+    check_gradients(lambda ts: to_scalar(conv_temporal(ts[0], spec, ts[1])), [x, w])
+
+
+@pytest.mark.parametrize("spec,w_shape", [
+    (ConvSpec(4, padding="valid", filter_count=2), (2, 2, 4, 1)),
+    (ConvSpec(4, padding="same", depthwise=True, filter_count=2), (2, 1, 4, 1)),
+    (ConvSpec(3, padding="valid", depthwise=True, filter_count=2), (2, 1, 3, 1)),
+], ids=["dense", "padded", "shorter-than-the-electrode-axis"])
+def test_electrode_kernels_other_than_the_spatial_filter_are_refused(rng, monkeypatch, spec,
+                                                                      w_shape):
+    # an electrode kernel is depthwise, "valid" and spans every electrode;
+    # any other is refused before the convolution runs
+    def convolve(*args, **kwargs):
+        raise AssertionError("conv2d reached")
+
+    monkeypatch.setattr(ops, "conv2d", convolve)
+    x = Tensor(rng.standard_normal((2, 2, 4, 9)))
+    with pytest.raises(ValueError, match="electrode kernels are depthwise"):
+        conv_temporal(x, spec, Tensor(rng.standard_normal(w_shape)))
 
 
 # ----------------------------------------------------------------------
@@ -196,7 +210,7 @@ def test_batch_norm_train_matches_reference_at_paper_shape():
     beta = rng.standard_normal(8).astype(np.float32)
     xt, gt, bt = _tensors(x, gamma, beta)
     running = RunningStats(8)
-    out = ops.batch_norm(xt, gt, bt, mode="train", running=running)
+    out = ops.batch_norm(xt, gt, bt, running=running)
     g = rng.standard_normal(out.shape).astype(np.float32)
     _backward_with(out, g)
     ref, gx, ggamma, gbeta, mu, var = batch_norm_train_reference(x, gamma, beta, g)
@@ -210,7 +224,7 @@ def test_batch_norm_train_matches_reference_at_paper_shape():
     assert_close_to_reference(running.var, ref_running.var)
 
 
-@pytest.mark.parametrize("mode", ["train", "infer"])
+@pytest.mark.parametrize("mode", ["train"])   # the one mode the op has
 def test_batch_norm_keeps_no_full_size_copy_for_its_backward(mode):
     # once the forward returns, the memory it still holds is its output plus
     # per-channel arrays; the input it centres again in the backward is
@@ -221,7 +235,7 @@ def test_batch_norm_keeps_no_full_size_copy_for_its_backward(mode):
     running = RunningStats(8)
     tracemalloc.start()
     try:
-        out = ops.batch_norm(xt, gt, bt, mode=mode, running=running, bias=bias)
+        out = ops.batch_norm(xt, gt, bt, running=running, bias=bias)
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -292,12 +306,9 @@ def test_batch_norm_through_the_sum_writes_no_full_size_array():
     assert peak < 2 * 1024 * 1024, f"peak {peak} bytes"
 
 
-def test_batch_norm_through_is_train_mode_only(rng):
+def test_batch_norm_through_rejects_a_z_that_is_not_the_electrode_sum(rng):
     u, gamma, beta, s = _tensors(rng.standard_normal((4, 2, 3, 5)), np.ones(2), np.zeros(2),
                                  rng.standard_normal((2, 1, 3, 1)))
-    z = conv_temporal(u, ConvSpec(3, 1, "valid", True, 2), s)
-    with pytest.raises(ValueError, match="train mode only"):
-        ops.batch_norm(u, gamma, beta, mode="infer", running=RunningStats(2), through=(z, s))
     with pytest.raises(ValueError, match="electrode sum"):
         ops.batch_norm(u, gamma, beta, through=(u, s))
 
@@ -357,7 +368,7 @@ def test_batch_norm_train_normalizes_per_channel(rng):
     x = rng.standard_normal((8, 3, 2, 5)) * 4.0 + 1.5
     out = ops.batch_norm(Tensor(x, dtype=np.float64),
                          Tensor(np.ones(3), dtype=np.float64),
-                         Tensor(np.zeros(3), dtype=np.float64), mode="train")
+                         Tensor(np.zeros(3), dtype=np.float64))
     got_mean = out.data.mean(axis=(0, 2, 3))
     got_var = out.data.var(axis=(0, 2, 3))
     np.testing.assert_allclose(got_mean, 0.0, atol=1e-12)
@@ -370,7 +381,7 @@ def test_batch_norm_affine_params_apply(rng):
     x = rng.standard_normal((6, 2, 1, 4))
     gamma, beta = np.array([2.0, 0.5]), np.array([1.0, -1.0])
     out = ops.batch_norm(Tensor(x, dtype=np.float64), Tensor(gamma, dtype=np.float64),
-                         Tensor(beta, dtype=np.float64), mode="train")
+                         Tensor(beta, dtype=np.float64))
     np.testing.assert_allclose(out.data.mean(axis=(0, 2, 3)), beta, atol=1e-12)
 
 
@@ -378,30 +389,17 @@ def test_batch_norm_updates_running_stats(rng):
     x = rng.standard_normal((16, 3, 1, 4)).astype(np.float64) + 2.0
     running = RunningStats(3, dtype=np.float64)
     ops.batch_norm(Tensor(x, dtype=np.float64), Tensor(np.ones(3), dtype=np.float64),
-                   Tensor(np.zeros(3), dtype=np.float64), mode="train", running=running)
+                   Tensor(np.zeros(3), dtype=np.float64), running=running)
     expected_mean = 0.99 * 0.0 + 0.01 * x.mean(axis=(0, 2, 3))
     np.testing.assert_allclose(running.mean, expected_mean, rtol=1e-10)
     expected_var = 0.99 * 1.0 + 0.01 * x.var(axis=(0, 2, 3))
     np.testing.assert_allclose(running.var, expected_var, rtol=1e-10)
 
 
-def test_batch_norm_infer_uses_running_stats(rng):
-    x = rng.standard_normal((4, 2, 1, 3))
-    running = RunningStats(2, dtype=np.float64)
-    running.mean[:] = [1.0, -1.0]
-    running.var[:] = [4.0, 0.25]
-    out = ops.batch_norm(Tensor(x, dtype=np.float64), Tensor(np.ones(2), dtype=np.float64),
-                         Tensor(np.zeros(2), dtype=np.float64), mode="infer",
-                         running=running)
-    ref = (x - running.mean.reshape(1, 2, 1, 1)) / np.sqrt(
-        running.var.reshape(1, 2, 1, 1) + 1e-3)
-    np.testing.assert_allclose(out.data, ref, rtol=1e-12)
-
-
 def test_batch_norm_rejects_singleton_batch(rng):
     x = Tensor(rng.standard_normal((1, 2, 1, 3)))
     with pytest.raises(ValueError):
-        ops.batch_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), mode="train")
+        ops.batch_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)))
 
 
 def test_batch_norm_train_gradients(rng):
@@ -409,24 +407,11 @@ def test_batch_norm_train_gradients(rng):
     gamma = rng.uniform(0.5, 1.5, 3)
     beta = rng.standard_normal(3)
     check_gradients(
-        lambda ts: to_scalar(ops.batch_norm(ts[0], ts[1], ts[2], mode="train")),
+        lambda ts: to_scalar(ops.batch_norm(ts[0], ts[1], ts[2])),
         [x, gamma, beta])
 
 
-def test_batch_norm_infer_gradients(rng):
-    running = RunningStats(3, dtype=np.float64)
-    running.mean[:] = rng.standard_normal(3)
-    running.var[:] = rng.uniform(0.5, 2.0, 3)
-    x = rng.standard_normal((4, 3, 1, 4))
-    gamma = rng.uniform(0.5, 1.5, 3)
-    beta = rng.standard_normal(3)
-    check_gradients(
-        lambda ts: to_scalar(ops.batch_norm(ts[0], ts[1], ts[2], mode="infer",
-                                            running=running)),
-        [x, gamma, beta])
-
-
-@pytest.mark.parametrize("mode", ["train", "infer"])
+@pytest.mark.parametrize("mode", ["train"])   # the one mode the op has
 def test_batch_norm_bias_matches_an_explicit_add(rng, mode):
     # the absorbed bias against the chain it replaces: a bias-add op, then the
     # norm; outputs, every gradient and the running statistics agree
@@ -440,10 +425,9 @@ def test_batch_norm_bias_matches_an_explicit_add(rng, mode):
         xt, gt, bt, ct = (Tensor(a, requires_grad=True, dtype=np.float64)
                           for a in (x, gamma, beta, bias))
         if absorbed:
-            out = ops.batch_norm(xt, gt, bt, mode=mode, running=running, bias=ct)
+            out = ops.batch_norm(xt, gt, bt, running=running, bias=ct)
         else:
-            out = ops.batch_norm(xt + ct.reshape((1, 3, 1, 1)), gt, bt, mode=mode,
-                                 running=running)
+            out = ops.batch_norm(xt + ct.reshape((1, 3, 1, 1)), gt, bt, running=running)
         _backward_with(out, g)
         results.append([out.data, xt.grad, gt.grad, bt.grad, ct.grad, running.mean,
                         running.var])
@@ -451,14 +435,14 @@ def test_batch_norm_bias_matches_an_explicit_add(rng, mode):
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
 
-@pytest.mark.parametrize("mode", ["train", "infer"])
+@pytest.mark.parametrize("mode", ["train"])   # the one mode the op has
 def test_batch_norm_bias_gradients(rng, mode):
     running = RunningStats(3, dtype=np.float64)
     running.mean[:] = rng.standard_normal(3)
     running.var[:] = rng.uniform(0.5, 2.0, 3)
     check_gradients(
-        lambda ts: to_scalar(ops.batch_norm(ts[0], ts[1], ts[2], mode=mode,
-                                            running=running, bias=ts[3]),
+        lambda ts: to_scalar(ops.batch_norm(ts[0], ts[1], ts[2], running=running,
+                                            bias=ts[3]),
                              np.arange(60.0).reshape(5, 3, 1, 4)),
         [rng.standard_normal((5, 3, 1, 4)), rng.uniform(0.5, 1.5, 3),
          rng.standard_normal(3), rng.standard_normal(3)])
@@ -486,7 +470,7 @@ def test_batch_norm_float32_accuracy_on_offset_inputs(mean):
 
     def run(dtype):
         xt, gt, bt = (Tensor(a, requires_grad=True, dtype=dtype) for a in (x, gamma, beta))
-        out = ops.batch_norm(xt, gt, bt, mode="train")
+        out = ops.batch_norm(xt, gt, bt)
         _backward_with(out, g.astype(dtype))
         return out.data, xt.grad, gt.grad
 
@@ -535,16 +519,9 @@ def test_avg_pool_gradients(rng):
     check_gradients(lambda ts: to_scalar(ops.avg_pool_time(ts[0], 3)), [x])
 
 
-def test_dropout_infer_is_identity(rng):
-    x = rng.standard_normal((3, 4))
-    out = ops.dropout(Tensor(x, dtype=np.float64), 0.5, "infer")
-    np.testing.assert_array_equal(out.data, x)
-
-
 def test_dropout_zero_rate_is_identity_in_train(rng):
     x = rng.standard_normal((3, 4))
-    out = ops.dropout(Tensor(x, dtype=np.float64), 0.0, "train",
-                      rng=np.random.default_rng(0))
+    out = ops.dropout(Tensor(x, dtype=np.float64), 0.0, np.random.default_rng(0))
     np.testing.assert_array_equal(out.data, x)
 
 
@@ -552,8 +529,7 @@ def test_dropout_preserves_expectation(rng):
     # inverted scaling: E[dropout(x)] == x; 10^4 draws pin the mean within 5 sigma
     x = np.ones((100, 100))
     rate = 0.4
-    out = ops.dropout(Tensor(x, dtype=np.float64), rate, "train",
-                      rng=np.random.default_rng(99))
+    out = ops.dropout(Tensor(x, dtype=np.float64), rate, np.random.default_rng(99))
     kept = out.data[out.data != 0]
     np.testing.assert_allclose(kept, 1.0 / (1.0 - rate), rtol=1e-12)
     p_hat = kept.size / x.size
@@ -564,19 +540,18 @@ def test_dropout_preserves_expectation(rng):
 
 def test_dropout_train_requires_rng():
     with pytest.raises(ValueError):
-        ops.dropout(Tensor(np.ones(3)), 0.4, "train")
+        ops.dropout(Tensor(np.ones(3)), 0.4, None)
 
 
 def test_dropout_rejects_bad_rate():
     with pytest.raises(ValueError):
-        ops.dropout(Tensor(np.ones(3)), 1.0, "infer")
+        ops.dropout(Tensor(np.ones(3)), 1.0, np.random.default_rng(0))
 
 
 def test_dropout_gradient_routes_through_mask(rng):
     x = rng.standard_normal((4, 5))
     check_gradients(
-        lambda ts: to_scalar(ops.dropout(ts[0], 0.4, "train",
-                                         rng=np.random.default_rng(7))), [x])
+        lambda ts: to_scalar(ops.dropout(ts[0], 0.4, np.random.default_rng(7))), [x])
 
 
 def test_dense_and_flatten(rng):
@@ -593,21 +568,16 @@ def test_dense_and_flatten(rng):
 
 def test_softmax_rows_is_a_distribution(rng):
     x = rng.standard_normal((5, 7)) * 3
-    out = ops.softmax_rows(Tensor(x, dtype=np.float64))
-    np.testing.assert_allclose(out.data.sum(axis=1), 1.0, rtol=1e-12)
-    assert (out.data > 0).all()
+    out = ops.softmax_rows(x)
+    np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=1e-12)
+    assert (out > 0).all()
 
 
 def test_softmax_is_shift_invariant(rng):
     x = rng.standard_normal((2, 4))
-    a = ops.softmax_rows(Tensor(x, dtype=np.float64)).data
-    b = ops.softmax_rows(Tensor(x + 1000.0, dtype=np.float64)).data
+    a = ops.softmax_rows(x)
+    b = ops.softmax_rows(x + 1000.0)
     np.testing.assert_allclose(a, b, rtol=1e-9)
-
-
-def test_softmax_gradients(rng):
-    x = rng.standard_normal((3, 4))
-    check_gradients(lambda ts: to_scalar(ops.softmax_rows(ts[0])), [x])
 
 
 def test_cross_entropy_matches_log_softmax(rng):
