@@ -46,9 +46,17 @@ def pack_string(s):
     return struct.pack("<H", len(b)) + b
 
 
+def decode_utf8(raw, what):
+    """``raw`` as UTF-8 text; ``FormatError("bad_value")`` when it is not."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise FormatError("bad_value", f"{what} is not UTF-8") from None
+
+
 def read_string(f, what):
     n, = struct.unpack("<H", read_exact(f, 2, f"{what} length"))
-    return read_exact(f, n, what).decode("utf-8")
+    return decode_utf8(read_exact(f, n, what), what)
 
 
 def read_key_values(path):

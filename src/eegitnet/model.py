@@ -19,12 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError
-from .fileio import (atomic_write, config_items, key_value_text, pack_string,
+from .fileio import (atomic_write, config_items, decode_utf8, key_value_text, pack_string,
                      parse_config_items, read_exact, read_key_values)
 from .ops import (BN_EPS, ConvSpec, RunningStats, avg_pool_time, avg_pool_values,
                   band_conv, band_matrix, batch_norm, conv_temporal, dense, dropout, elu,
                   elu_values, flatten, softmax_rows)
-from .tensor import Tensor, concat_channels
+from .tensor import Tensor, add, concat_channels
 
 MODEL_MAGIC = b"ITNETMDL"
 MODEL_VERSION = 1
@@ -289,9 +289,10 @@ class ITNetModel:
     # ------------------------------------------------------------------
     def _as_input(self, x):
         if not isinstance(x, Tensor):
-            x = Tensor(np.asarray(x))
-        if x.ndim == 3:
-            x = x.reshape((x.shape[0], 1, x.shape[1], x.shape[2]))
+            x = np.asarray(x)
+            if x.ndim == 3:
+                x = x.reshape((x.shape[0], 1, x.shape[1], x.shape[2]))
+            x = Tensor(x)
         if x.ndim != 4 or x.shape[1] != 1:
             raise ValueError(
                 f"input must be (batch, 1, electrodes, time), got {tuple(x.shape)}")
@@ -378,7 +379,7 @@ class ITNetModel:
                                running=self.buffers[f"tc{j}.bn{l}"])
                 y = elu(y)
                 y = dropout(y, cfg.dropout_rate, rng)
-            y = y + skip
+            y = add(y, skip)
             y = elu(y)
         return y
 
@@ -584,7 +585,7 @@ def load_model(path) -> ITNetModel:
             if len(head) != 2:
                 raise FormatError("truncated", "file ends inside a name length")
             name_len, = struct.unpack("<H", head)
-            name = read_exact(f, name_len, "a parameter name").decode("utf-8")
+            name = decode_utf8(read_exact(f, name_len, "a parameter name"), "a parameter name")
             if name in state:
                 raise FormatError("bad_value", f"parameter {name} appears twice")
             tag, rank = struct.unpack("<BB", read_exact(f, 2, f"{name} header"))
@@ -600,6 +601,8 @@ def load_model(path) -> ITNetModel:
             dt = _TAG_DTYPES[tag]
             raw = read_exact(f, count * dt.itemsize, f"{name} values")
             state[name] = np.frombuffer(raw, dtype=dt).reshape(extents).copy()
+            if not np.isfinite(state[name]).all():
+                raise FormatError("bad_value", f"parameter {name}: non-finite value")
     try:
         _check_state(config, state)
     except ValueError as exc:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .tensor import Tensor, accumulate, flip_time, from_op
+from .tensor import accumulate, from_op
 
 PAD_MODES = ("same", "valid", "causal")
 BN_EPS = 1e-3
@@ -191,69 +191,11 @@ def _zero_padded(a, length):
     return out
 
 
-def conv2d(x, w, pad_t=(0, 0), dilation=1, depthwise=False):
-    """Full or depthwise convolution of one of the model's two kernel shapes,
-    with dilation along time.
-
-    ``x``: (N, C_in, H, W); ``w``: (C_out, C_in, KH, KW), or (C_in, 1, KH, KW)
-    in depthwise mode.  The geometry is the one :func:`conv_temporal` checks.
-
-    A depthwise kernel that spans every electrode and no time (KH == H,
-    KW == 1) is one contraction over the electrodes, forward and backward.
-    A time kernel (KH == 1) runs :func:`band_conv` once, with its taps'
-    :func:`band_matrix`.  Its input gradient is the same kernel with
-    reversed taps (and, for a dense kernel, input and output filters
-    swapped).
-    """
-    c_in = x.shape[1]
-    if depthwise:
-        if w.shape[0] != c_in or w.shape[1] != 1:
-            raise ValueError(
-                f"depthwise weights must be ({c_in}, 1, kh, kw), got {tuple(w.shape)}")
-    elif w.shape[1] != c_in:
-        raise ValueError(
-            f"filter axis mismatch: weights expect {w.shape[1]} input filters, input has {c_in}")
-
-    n, _, h, t = x.shape
-    kh, kw = w.shape[2], w.shape[3]
-    w_data = w.data
-
-    if depthwise and kw == 1 and kh == h:
-        s = x.data.strides
-        # windows[n, c, 0] is the (kh, time) block of every electrode
-        windows = as_strided(x.data, (n, c_in, 1, kh, t), s[:3] + s[2:], writeable=False)
-        out = np.matmul(w_data.swapaxes(2, 3), windows).reshape(n, c_in, 1, t)
-
-        def backward(g):
-            if w.requires_grad:
-                gw = np.matmul(windows, g[..., None]).sum(axis=(0, 2))
-                accumulate(w, gw[:, None])
-            if x.requires_grad:
-                # (1, C, kh, 1) taps times (N, C, 1, T): the input's shape
-                accumulate(x, w_data.reshape(1, c_in, kh, 1) * g, fresh=True)
-
-        return from_op(out, (x, w), backward)
-
-    taps = w_data[:, 0, 0] if depthwise else w_data[:, :, 0]   # (..., kw)
-    wo = t + pad_t[0] + pad_t[1] - dilation * (kw - 1)
-    out = band_conv(x.data, band_matrix(taps, dilation), pad_t[0], wo)
-
-    def backward(g):
-        if w.requires_grad:
-            gw = band_conv_taps_grad(x.data, taps, g, pad_t[0], dilation)
-            accumulate(w, gw.reshape(w.shape))
-        if x.requires_grad:
-            back = taps[..., ::-1] if depthwise else taps[..., ::-1].transpose(1, 0, 2)
-            left = dilation * (kw - 1) - pad_t[0]
-            accumulate(x, band_conv(g, band_matrix(back, dilation), left, t))
-
-    return from_op(out, (x, w), backward)
-
-
 def conv_temporal(x, spec: ConvSpec, weights):
-    """Convolution per a :class:`ConvSpec`.
+    """Convolution per a :class:`ConvSpec`, with dilation along time.
 
-    Weight layout is ``(filters_out, filters_in_per_group, k_elec, k_time)``.
+    Weight layout is ``(filters_out, filters_in_per_group, k_elec, k_time)``:
+    ``(C_out, C_in, KH, KW)``, or ``(C_in, 1, KH, KW)`` in depthwise mode.
     A kernel spans time (``k_elec == 1``) or, depthwise and unpadded, every
     electrode (``k_elec`` equal to the input's electrode count); any other
     electrode kernel is refused.  For ``same``/``valid`` padding the kernel
@@ -261,44 +203,86 @@ def conv_temporal(x, spec: ConvSpec, weights):
     is lag-ordered (``weights[..., j]`` multiplies the input
     ``j * dilation`` steps in the past) and only leading zeros are inserted,
     so output[t] never sees input[t' > t].
+
+    A depthwise kernel that spans every electrode and no time is one
+    contraction over the electrodes, forward and backward.  A time kernel
+    runs :func:`band_conv` once, with its taps' :func:`band_matrix`; a
+    lag-ordered kernel's taps are reversed into correlation order there, and
+    its tap gradient is reversed back.  The input gradient is the same
+    kernel with reversed taps (and, for a dense kernel, input and output
+    filters swapped).
     """
     if x.ndim != 4:
         raise ValueError(f"input must be 4-D (batch, filters, electrodes, time), got {x.ndim}-D")
     if weights.ndim != 4:
         raise ValueError(f"weights must be 4-D, got {weights.ndim}-D")
+    n, c_in, h, t = x.shape
     kh, kw = weights.shape[2], weights.shape[3]
     if kh > 1 and kw > 1:
         raise ValueError("kernels span either the electrode axis or the time axis, not both")
     if spec.kernel_extent != max(kh, kw):
         raise ValueError(
             f"kernel axis mismatch: spec.kernel_extent={spec.kernel_extent} but weights span {max(kh, kw)}")
-    if kh > 1 and not (spec.depthwise and spec.padding == "valid" and kh == x.shape[2]):
+    if kh > 1 and not (spec.depthwise and spec.padding == "valid" and kh == h):
         raise ValueError(
-            f"electrode kernels are depthwise, 'valid' and span all {x.shape[2]} electrodes; "
+            f"electrode kernels are depthwise, 'valid' and span all {h} electrodes; "
             f"got extent {kh}, padding {spec.padding!r}, depthwise={spec.depthwise}")
     if spec.depthwise:
-        if spec.filter_count != x.shape[1]:
+        if spec.filter_count != c_in:
             raise ValueError(
-                f"filter axis mismatch: depthwise over {x.shape[1]} filters, "
+                f"filter axis mismatch: depthwise over {c_in} filters, "
                 f"spec declares {spec.filter_count}")
+        if weights.shape[0] != c_in or weights.shape[1] != 1:
+            raise ValueError(
+                f"depthwise weights must be ({c_in}, 1, kh, kw), got {tuple(weights.shape)}")
     elif weights.shape[0] != spec.filter_count:
         raise ValueError(
             f"filter axis mismatch: weights produce {weights.shape[0]} filters, "
             f"spec declares {spec.filter_count}")
+    elif weights.shape[1] != c_in:
+        raise ValueError(
+            f"filter axis mismatch: weights expect {weights.shape[1]} input filters, "
+            f"input has {c_in}")
+    dilation = spec.dilation
+    reach = dilation * (kw - 1)
+    if spec.padding == "valid" and kw > 1 and reach >= t:
+        raise ValueError(
+            f"time axis too short for valid padding: dilation*(T-1)={reach} >= {t} samples")
+    w_data = weights.data
 
-    if spec.padding == "same":
-        need = spec.dilation * (kw - 1)
-        pad_t = (need // 2, need - need // 2)
-    elif spec.padding == "causal":
-        pad_t = (spec.dilation * (kw - 1), 0)
-        weights = flip_time(weights)  # lag order -> correlation order
-    else:  # valid
-        pad_t = (0, 0)
-        if kw > 1 and spec.dilation * (kw - 1) >= x.shape[3]:
-            raise ValueError(
-                f"time axis too short for valid padding: dilation*(T-1)="
-                f"{spec.dilation * (kw - 1)} >= {x.shape[3]} samples")
-    return conv2d(x, weights, pad_t=pad_t, dilation=spec.dilation, depthwise=spec.depthwise)
+    if spec.depthwise and kw == 1 and kh == h:
+        s = x.data.strides
+        # windows[n, c, 0] is the (kh, time) block of every electrode
+        windows = as_strided(x.data, (n, c_in, 1, kh, t), s[:3] + s[2:], writeable=False)
+        out = np.matmul(w_data.swapaxes(2, 3), windows).reshape(n, c_in, 1, t)
+
+        def backward(g):
+            if weights.requires_grad:
+                gw = np.matmul(windows, g[..., None]).sum(axis=(0, 2))
+                accumulate(weights, gw[:, None])
+            if x.requires_grad:
+                # (1, C, kh, 1) taps times (N, C, 1, T): the input's shape
+                accumulate(x, w_data.reshape(1, c_in, kh, 1) * g, fresh=True)
+
+        return from_op(out, (x, weights), backward)
+
+    causal = spec.padding == "causal"
+    left = {"same": reach // 2, "causal": reach, "valid": 0}[spec.padding]
+    taps = w_data[:, 0, 0] if spec.depthwise else w_data[:, :, 0]   # (..., kw)
+    if causal:
+        taps = taps[..., ::-1]   # lag order -> correlation order
+    out = band_conv(x.data, band_matrix(taps, dilation), left,
+                    t - reach if spec.padding == "valid" else t)
+
+    def backward(g):
+        if weights.requires_grad:
+            gw = band_conv_taps_grad(x.data, taps, g, left, dilation)
+            accumulate(weights, (gw[..., ::-1] if causal else gw).reshape(weights.shape))
+        if x.requires_grad:
+            back = taps[..., ::-1] if spec.depthwise else taps[..., ::-1].transpose(1, 0, 2)
+            accumulate(x, band_conv(g, band_matrix(back, dilation), reach - left, t))
+
+    return from_op(out, (x, weights), backward)
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,9 @@ for a single reverse pass: the tensors it was computed from and a closure
 that routes the output gradient to them.  Recording happens implicitly
 whenever an operation touches a tensor with ``requires_grad`` set, so the
 forward pass *is* the tape.  Training code runs in float32; the gradient
-check tests build float64 graphs.
+check tests build float64 graphs.  Besides the plumbing the engine holds
+only the two ops the model records outside ``ops``: the same-shape
+:func:`add` of the residual join and :func:`concat_channels`.
 
 The engine is single-threaded by design: one graph is walked at a time and
 tensor data is never mutated once recorded (optimizers write only into leaf
@@ -137,29 +139,6 @@ class Tensor:
                 node._backward_fn = None
         self._backward_done = True
 
-    # ------------------------------------------------------------------
-    # operators
-    def __add__(self, other):
-        return add(self, _lift(other, self.dtype))
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, _lift(other, self.dtype))
-
-    __rmul__ = __mul__
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-
-def _lift(value, dtype):
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=dtype))
-
 
 def from_op(data, parents, backward_fn):
     """Wrap an op result, recording the graph edge when grads are live."""
@@ -194,57 +173,20 @@ def accumulate(tensor, grad, fresh=False):
         np.add(tensor.grad, grad, out=tensor.grad, casting="same_kind")
 
 
-def _unbroadcast(grad, shape):
-    """Reduce ``grad`` back to ``shape`` after a broadcast forward op."""
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, (g, s) in enumerate(zip(grad.shape, shape)) if s == 1 and g != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
 # ----------------------------------------------------------------------
-# elementwise and shape primitives
+# the two ops the model records outside ``ops``
 
 def add(a, b):
+    """Elementwise sum of two tensors of one shape (the residual join)."""
+    if a.shape != b.shape:
+        raise ValueError(f"add needs equal shapes, got {tuple(a.shape)} and {tuple(b.shape)}")
     out = a.data + b.data
 
     def backward(g):
-        accumulate(a, _unbroadcast(g, a.shape))
-        accumulate(b, _unbroadcast(g, b.shape))
+        accumulate(a, g)
+        accumulate(b, g)
 
     return from_op(out, (a, b), backward)
-
-
-def mul(a, b):
-    out = a.data * b.data
-
-    def backward(g):
-        accumulate(a, _unbroadcast(g * b.data, a.shape))
-        accumulate(b, _unbroadcast(g * a.data, b.shape))
-
-    return from_op(out, (a, b), backward)
-
-
-def reshape(a, shape):
-    out = a.data.reshape(shape)
-
-    def backward(g):
-        accumulate(a, g.reshape(a.shape))
-
-    return from_op(out, (a,), backward)
-
-
-def flip_time(a):
-    """Reverse the trailing (time) axis; used to express lag-ordered kernels."""
-    out = np.ascontiguousarray(a.data[..., ::-1])
-
-    def backward(g):
-        accumulate(a, g[..., ::-1])
-
-    return from_op(out, (a,), backward)
 
 
 def concat_channels(tensors):

@@ -8,11 +8,13 @@ with the implementation under test.
 ``window_conv_reference``, ``batch_norm_train_reference`` and
 ``elu_reference`` are straightforward whole-batch versions of those layers,
 forward and backward, kept as references for the kernels in ``ops``;
-``window_conv2d``, ``mean_pool_time``, ``bias_add_batch_norm`` and
-``float_mask_dropout`` wrap those references, and the previous pooling and
-dropout, as recorded ops, so a whole training step can run on them;
-``bias_add_batch_norm`` also runs the previous BN1 chain (norm, then the
-spatial convolution) in place of ``batch_norm(..., through=(z, s))``.
+``window_conv2d``, ``window_conv_temporal``, ``mean_pool_time``,
+``bias_add_batch_norm`` and ``float_mask_dropout`` wrap those references,
+and the previous pooling and dropout, as recorded ops, so a whole training
+step can run on them; ``bias_add_batch_norm`` also runs the previous BN1
+chain (norm, then the spatial convolution) in place of
+``batch_norm(..., through=(z, s))``.  ``bias_add`` is the broadcast
+per-channel add that the engine does not have.
 ``graph_infer_logits`` and ``graph_infer_tc`` run the model in infer mode
 as a graph of ``ops`` layers, unfolded, each batch norm applied on its own
 by ``infer_norm``, as the reference for the model's own plain-numpy
@@ -23,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from eegitnet.ops import ConvSpec, avg_pool_time, conv_temporal, dense, elu, flatten
-from eegitnet.tensor import Tensor, accumulate, concat_channels, from_op, no_grad
+from eegitnet.tensor import Tensor, accumulate, add, concat_channels, from_op, no_grad
 
 FD_STEP = 1e-5
 FD_TOL = 1e-3
@@ -147,7 +149,8 @@ def _window_conv(x, w, pad_t, dilation, depthwise):
 
 def window_conv_reference(x, w, g, pad_t=(0, 0), dilation=1, depthwise=False):
     """Whole-batch sliding-window convolution: ``(out, grad_x, grad_w)`` for
-    output gradient ``g``, with the same arguments as ``ops.conv2d``."""
+    output gradient ``g``: the kernel ``w`` in correlation order, applied
+    after ``pad_t`` zeros on either side of time."""
     xp, win, out = _window_conv(x, w, pad_t, dilation, depthwise)
     kh, kw = w.shape[2], w.shape[3]
     if depthwise:
@@ -173,8 +176,8 @@ def window_conv_reference(x, w, g, pad_t=(0, 0), dilation=1, depthwise=False):
 
 
 def window_conv2d(x, w, pad_t=(0, 0), dilation=1, depthwise=False):
-    """``ops.conv2d`` computed by :func:`window_conv_reference` and recorded
-    through ``from_op``: a drop-in reference for the convolution op."""
+    """:func:`window_conv_reference` recorded through ``from_op``: the
+    convolution of tensors ``x`` and ``w`` as one op."""
     out = _window_conv(x.data, w.data, pad_t, dilation, depthwise)[2]
 
     def backward(g):
@@ -183,6 +186,39 @@ def window_conv2d(x, w, pad_t=(0, 0), dilation=1, depthwise=False):
         accumulate(w, gw)
 
     return from_op(out, (x, w), backward)
+
+
+def window_conv_temporal(x, spec, w):
+    """``ops.conv_temporal`` computed by :func:`window_conv_reference` and
+    recorded through ``from_op``: a drop-in reference for the convolution
+    op.  The padding comes from ``spec``; a causal kernel is lag-ordered, so
+    it runs reversed, and its gradient is reversed back."""
+    reach = spec.dilation * (w.shape[3] - 1)
+    pad_t = {"same": (reach // 2, reach - reach // 2), "valid": (0, 0),
+             "causal": (reach, 0)}[spec.padding]
+    causal = spec.padding == "causal"
+    taps = w.data[..., ::-1] if causal else w.data
+    out = _window_conv(x.data, taps, pad_t, spec.dilation, spec.depthwise)[2]
+
+    def backward(g):
+        _, gx, gw = window_conv_reference(x.data, taps, g, pad_t, spec.dilation,
+                                          spec.depthwise)
+        accumulate(x, gx)
+        accumulate(w, gw[..., ::-1] if causal else gw)
+
+    return from_op(out, (x, w), backward)
+
+
+def bias_add(x, b):
+    """``x`` plus the per-channel (axis 1) vector ``b``, broadcast over every
+    other axis, as a recorded op."""
+    out = x.data + b.data.reshape((1, -1) + (1,) * (x.ndim - 2))
+
+    def backward(g):
+        accumulate(x, g)
+        accumulate(b, g.sum(axis=tuple(i for i in range(g.ndim) if i != 1)))
+
+    return from_op(out, (x, b), backward)
 
 
 def mean_pool_time(x, pool):
@@ -230,7 +266,7 @@ def bias_add_batch_norm(x, gamma, beta, eps=1e-3, running=None, momentum=0.99, b
         out = bias_add_batch_norm(x, gamma, beta, eps, running, momentum, bias)
         return window_conv2d(out, through[1], depthwise=True)
     if bias is not None:
-        x = x + bias.reshape((1, -1) + (1,) * (x.ndim - 2))
+        x = bias_add(x, bias)
     out, _, _, _, mu, var = batch_norm_train_reference(x.data, gamma.data, beta.data,
                                                        np.zeros_like(x.data), eps)
     if running is not None:
@@ -290,7 +326,7 @@ def graph_infer_logits(model, x):
     branch_outs = []
     for i, (f, k) in enumerate(cfg.inception_branches):
         t = conv_temporal(x, ConvSpec(k, 1, "same", False, f), p[f"branch{i}.temporal.w"])
-        t = t + p[f"branch{i}.temporal.b"].reshape((1, f, 1, 1))
+        t = bias_add(t, p[f"branch{i}.temporal.b"])
         t = infer_norm(t, p[f"branch{i}.bn1.gamma"], p[f"branch{i}.bn1.beta"],
                        model.buffers[f"branch{i}.bn1"])
         t = conv_temporal(t, ConvSpec(cfg.n_channels, 1, "valid", True, f),
@@ -301,7 +337,7 @@ def graph_infer_logits(model, x):
     y = avg_pool_time(elu(concat_channels(branch_outs)), cfg.pool1)
     y = graph_infer_tc(model, y)
     y = conv_temporal(y, ConvSpec(1, 1, "same", False, cfg.dr_filters), p["dr.w"])
-    y = y + p["dr.b"].reshape((1, cfg.dr_filters, 1, 1))
+    y = bias_add(y, p["dr.b"])
     y = infer_norm(y, p["dr.bn.gamma"], p["dr.bn.beta"], model.buffers["dr.bn"])
     y = flatten(avg_pool_time(elu(y), cfg.pool2))
     return dense(y, p["head.w"], p["head.b"])
@@ -319,6 +355,6 @@ def graph_infer_tc(model, y):
             y = conv_temporal(y, spec, p[f"tc{j}.conv{l}.w"])
             y = elu(infer_norm(y, p[f"tc{j}.bn{l}.gamma"], p[f"tc{j}.bn{l}.beta"],
                                model.buffers[f"tc{j}.bn{l}"]))
-        y = elu(y + skip)
+        y = elu(add(y, skip))
     return y
 

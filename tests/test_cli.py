@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from eegitnet.cli import main
-from eegitnet.data import load_epochs
+from eegitnet.data import EPOCH_MAGIC, load_epochs
 from eegitnet.model import ArchConfig, load_model
 from eegitnet.training import TrainConfig
 
@@ -260,6 +260,20 @@ def test_train_rejects_non_finite_samples(data_dir, tmp_path, capsys):
     assert "non-finite sample at trial 23, channel 3, sample 63" in err
 
 
+def test_train_rejects_a_channel_name_that_is_not_utf8(data_dir, tmp_path, capsys):
+    bad_dir = tmp_path / "latin"
+    bad_dir.mkdir()
+    blob = bytearray((data_dir / "s01.train.eegepoch").read_bytes())
+    blob[len(EPOCH_MAGIC) + 26] = 0xFF  # the first byte of channel 0's name
+    (bad_dir / "s01.train.eegepoch").write_bytes(blob)
+    (bad_dir / "s01.test.eegepoch").write_bytes(
+        (data_dir / "s01.test.eegepoch").read_bytes())
+    assert main(["train", "--scenario", "within", "--data", str(bad_dir),
+                 "--out", str(tmp_path / "run")]) == 3
+    assert "bad epoch file for subject s01: channel 0 name is not UTF-8" in \
+        capsys.readouterr().err
+
+
 def test_train_rejects_mismatched_trial_lengths_before_training(data_dir, tmp_path, capsys):
     mixed = tmp_path / "mixed"
     mixed.mkdir()
@@ -369,6 +383,28 @@ def test_explain_rejects_a_sidecar_that_is_not_utf8(within_run, tmp_path, capsys
     assert main(["explain", "--model", str(model), "--out", str(tmp_path / "atlas"),
                  "--fs", "64"]) == 3
     assert "m.itnetmdl.cfg:5: not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("offset, payload, fragment", [
+    (0, b"\xff", "a parameter name is not UTF-8"),
+    (len(b"branch0.spatial.w") + 18, np.float32(np.nan).tobytes(),
+     "parameter branch0.spatial.w: non-finite value"),
+], ids=["name-not-utf8", "non-finite-weight"])
+def test_explain_rejects_bad_values_in_the_model_file(within_run, tmp_path, capsys, offset,
+                                                      payload, fragment):
+    # the offsets count from branch0.spatial.w's name: its first byte, or its
+    # first value after the dtype tag, the rank and four extents
+    blob = bytearray((within_run / "model_s01.itnetmdl").read_bytes())
+    at = blob.index(b"branch0.spatial.w") + offset
+    blob[at:at + len(payload)] = payload
+    model = tmp_path / "m.itnetmdl"
+    model.write_bytes(blob)
+    (tmp_path / "m.itnetmdl.cfg").write_bytes(
+        (within_run / "model_s01.itnetmdl.cfg").read_bytes())
+    out = tmp_path / "atlas"
+    assert main(["explain", "--model", str(model), "--out", str(out), "--fs", "64"]) == 3
+    assert f"bad model file: {fragment}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_explain_missing_or_corrupt_model(tmp_path, capsys):

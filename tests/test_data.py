@@ -163,6 +163,17 @@ def test_epoch_file_non_finite_sample(tmp_path, rng):
     assert err.value.code == "bad_value"
 
 
+def test_epoch_file_channel_name_that_is_not_utf8(tmp_path, rng):
+    path = tmp_path / "s.eegepoch"
+    save_epochs(small_set(rng), path)
+    blob = bytearray(path.read_bytes())
+    blob[len(EPOCH_MAGIC) + 26] = 0xFF  # the first byte of channel 0's name
+    path.write_bytes(blob)
+    with pytest.raises(FormatError, match="channel 0 name is not UTF-8") as err:
+        load_epochs(path)
+    assert err.value.code == "bad_value"
+
+
 @pytest.mark.parametrize("fs", [0.0, -125.0, np.nan])
 def test_epoch_file_bad_sampling_rate(tmp_path, rng, fs):
     path = tmp_path / "s.eegepoch"

@@ -450,3 +450,29 @@ def test_malformed_sidecar_is_reported(tmp_path, extra, fragment):
     with pytest.raises(FormatError, match=fragment) as err:
         load_model(path)
     assert err.value.code == "bad_value"
+
+
+def _corrupt_spatial_weight_name(blob, at):
+    blob[at] = 0xFF
+
+
+def _corrupt_spatial_weight_value(blob, at):
+    # the name, dtype tag, rank and four extents come before the first value
+    first = at + len(b"branch0.spatial.w") + 2 + 16
+    blob[first:first + 4] = np.float32(np.nan).tobytes()
+
+
+@pytest.mark.parametrize("corrupt, fragment", [
+    (_corrupt_spatial_weight_name, "a parameter name is not UTF-8"),
+    (_corrupt_spatial_weight_value, "parameter branch0.spatial.w: non-finite value"),
+], ids=["name-not-utf8", "non-finite-value"])
+def test_bad_values_in_the_parameter_file_are_reported(tmp_path, corrupt, fragment):
+    model = build(default_config(n_channels=4, n_samples=60))
+    path = tmp_path / "m.itnetmdl"
+    save_model(model, path)
+    blob = bytearray(path.read_bytes())
+    corrupt(blob, blob.index(b"branch0.spatial.w"))
+    path.write_bytes(blob)
+    with pytest.raises(FormatError, match=fragment) as err:
+        load_model(path)
+    assert err.value.code == "bad_value"

@@ -13,7 +13,7 @@ from eegitnet import ops
 from eegitnet.ops import ConvSpec, RunningStats, conv_temporal
 from eegitnet.tensor import Tensor
 
-from oracles import (batch_norm_train_reference, check_gradients, conv_oracle,
+from oracles import (batch_norm_train_reference, bias_add, check_gradients, conv_oracle,
                      elu_reference, to_scalar, window_conv_reference)
 
 
@@ -83,6 +83,16 @@ def test_causal_conv_matches_flipped_oracle(rng):
     np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12)
 
 
+def test_a_causal_conv_records_one_node_on_its_input_and_weights(rng):
+    # the lag-ordered taps are reversed inside the op, not by a node of their own
+    x = Tensor(rng.standard_normal((2, 3, 1, 10)), requires_grad=True)
+    w = Tensor(rng.standard_normal((3, 1, 1, 4)), requires_grad=True)
+    out = conv_temporal(x, ConvSpec(4, dilation=2, padding="causal", depthwise=True,
+                                    filter_count=3), w)
+    assert len(out._parents) == 2
+    assert out._parents[0] is x and out._parents[1] is w
+
+
 def test_pointwise_mixing_conv(rng):
     x = rng.standard_normal((3, 6, 1, 7))
     w = rng.standard_normal((2, 6, 1, 1))
@@ -138,10 +148,10 @@ def test_electrode_kernels_other_than_the_spatial_filter_are_refused(rng, monkey
                                                                       w_shape):
     # an electrode kernel is depthwise, "valid" and spans every electrode;
     # any other is refused before the convolution runs
-    def convolve(*args, **kwargs):
-        raise AssertionError("conv2d reached")
+    def record(*args, **kwargs):
+        raise AssertionError("the convolution ran")
 
-    monkeypatch.setattr(ops, "conv2d", convolve)
+    monkeypatch.setattr(ops, "from_op", record)
     x = Tensor(rng.standard_normal((2, 2, 4, 9)))
     with pytest.raises(ValueError, match="electrode kernels are depthwise"):
         conv_temporal(x, spec, Tensor(rng.standard_normal(w_shape)))
@@ -427,7 +437,7 @@ def test_batch_norm_bias_matches_an_explicit_add(rng, mode):
         if absorbed:
             out = ops.batch_norm(xt, gt, bt, running=running, bias=ct)
         else:
-            out = ops.batch_norm(xt + ct.reshape((1, 3, 1, 1)), gt, bt, running=running)
+            out = ops.batch_norm(bias_add(xt, ct), gt, bt, running=running)
         _backward_with(out, g)
         results.append([out.data, xt.grad, gt.grad, bt.grad, ct.grad, running.mean,
                         running.var])
@@ -507,11 +517,10 @@ def test_avg_pool_floor_semantics(rng):
 
 
 def test_avg_pool_gradient_ignores_truncated_tail(rng):
-    x = Tensor(np.arange(10.0), requires_grad=True, dtype=np.float64)
-    xr = x.reshape(1, 1, 1, 10)
-    to_scalar(ops.avg_pool_time(xr, 4), 1.0).backward()
-    np.testing.assert_allclose(x.grad[:8], 0.25)
-    np.testing.assert_allclose(x.grad[8:], 0.0)
+    x = Tensor(np.arange(10.0).reshape(1, 1, 1, 10), requires_grad=True, dtype=np.float64)
+    to_scalar(ops.avg_pool_time(x, 4), 1.0).backward()
+    np.testing.assert_allclose(x.grad[..., :8], 0.25)
+    np.testing.assert_allclose(x.grad[..., 8:], 0.0)
 
 
 def test_avg_pool_gradients(rng):

@@ -2,12 +2,13 @@
 
 The step runs twice on copies of one model: on the package's ops, and with
 the ops swapped for whole-batch references from ``oracles``: convolution
-(``window_conv2d``), pooling (``mean_pool_time``), batch norm with the conv
-bias as its own add op in front (``bias_add_batch_norm``; for BN1 the norm
-then feeds the spatial convolution, the chain the package now applies
-through the electrode sum) and dropout with a scaled float mask
-(``float_mask_dropout``).  Loss, every parameter gradient and every running
-statistic must agree, at the paper shape and at the desk shape.
+(``window_conv_temporal``), pooling (``mean_pool_time``), batch norm with
+the conv bias as its own add op in front (``bias_add_batch_norm``; for BN1
+the norm then feeds the spatial convolution, ``window_conv2d``, the chain
+the package now applies through the electrode sum) and dropout with a
+scaled float mask (``float_mask_dropout``).  Loss, every parameter gradient
+and every running statistic must agree, at the paper shape and at the desk
+shape.
 
 BN1's batch statistics cancel the temporal biases, and BN2 renormalises each
 filter, so the gradients of those biases and of BN1's beta are rounding noise
@@ -21,11 +22,11 @@ import numpy as np
 import pytest
 
 import eegitnet.model as model_module
-import eegitnet.ops as ops_module
 from eegitnet.model import ArchConfig, build
 from eegitnet.ops import softmax_cross_entropy
 
-from oracles import bias_add_batch_norm, float_mask_dropout, mean_pool_time, window_conv2d
+from oracles import (bias_add_batch_norm, float_mask_dropout, mean_pool_time,
+                     window_conv_temporal)
 
 PAPER = ArchConfig(n_channels=22, n_samples=1125, n_classes=4)
 DESK = ArchConfig(n_channels=8, n_samples=375, n_classes=2)
@@ -61,7 +62,7 @@ def _assert_step_matches_the_references(monkeypatch, config, dtype, tol):
     reference = copy.deepcopy(model)
     loss, grads, stats = _step(model)
     with monkeypatch.context() as patch:
-        patch.setattr(ops_module, "conv2d", window_conv2d)
+        patch.setattr(model_module, "conv_temporal", window_conv_temporal)
         patch.setattr(model_module, "avg_pool_time", mean_pool_time)
         patch.setattr(model_module, "batch_norm", bias_add_batch_norm)
         patch.setattr(model_module, "dropout", float_mask_dropout)
