@@ -213,17 +213,21 @@ def cmd_train(args):
     except ValueError as exc:
         raise CliError(EXIT_DATA, f"scenario failed: {exc}") from None
 
-    atomic_write(os.path.join(args.out, "table.csv"),
-                 report_csv_text(report).encode("utf-8"))
-    atomic_write(os.path.join(args.out, "summary.txt"),
-                 summary_text(report).encode("utf-8"))
+    try:
+        atomic_write(os.path.join(args.out, "table.csv"),
+                     report_csv_text(report).encode("utf-8"))
+        atomic_write(os.path.join(args.out, "summary.txt"),
+                     summary_text(report).encode("utf-8"))
+        for r in report.subjects:
+            atomic_write(os.path.join(args.out, f"history_{r.subject}.csv"),
+                         history_csv_text(r.history).encode("utf-8"))
+            if r.pretrain_history:
+                atomic_write(os.path.join(args.out, f"history_{r.subject}_pretrain.csv"),
+                             history_csv_text(r.pretrain_history).encode("utf-8"))
+            save_model(r.model, os.path.join(args.out, f"model_{r.subject}.itnetmdl"))
+    except OSError as exc:
+        raise CliError(EXIT_DATA, f"cannot write {args.out}: {exc}") from None
     for r in report.subjects:
-        atomic_write(os.path.join(args.out, f"history_{r.subject}.csv"),
-                     history_csv_text(r.history).encode("utf-8"))
-        if r.pretrain_history:
-            atomic_write(os.path.join(args.out, f"history_{r.subject}_pretrain.csv"),
-                         history_csv_text(r.pretrain_history).encode("utf-8"))
-        save_model(r.model, os.path.join(args.out, f"model_{r.subject}.itnetmdl"))
         print(json.dumps({"subject": r.subject, "scenario": r.scenario,
                           "accuracy": r.accuracy}))
     print(json.dumps({"scenario": report.scenario, "mean_accuracy": report.mean,

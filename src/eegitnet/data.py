@@ -187,26 +187,14 @@ def load_epochs(path) -> EpochSet:
 # ----------------------------------------------------------------------
 # preprocessing
 
-def _lowpass_fir(cutoff_norm, taps=63):
-    """Hamming-windowed sinc low-pass with unit DC gain.
-
-    ``cutoff_norm`` is in cycles per sample (Nyquist = 0.5).
-    """
-    mid = (taps - 1) / 2.0
-    n = np.arange(taps) - mid
-    h = 2.0 * cutoff_norm * np.sinc(2.0 * cutoff_norm * n)
-    h *= np.hamming(taps)
-    return h / h.sum()
-
-
 def decimate(signal, factor):
     """Anti-aliased downsampling along the last axis.
 
     A 63-tap windowed-sinc low-pass at 0.45 of the new sampling rate is
     applied forward and backward (zero phase), then every ``factor``-th
     sample is kept; output length is floor(n / factor).  ``factor=1``
-    returns the signal unchanged.  This is the package's only use of scipy,
-    and scipy.signal is loaded on the first call, not at import.
+    returns the signal unchanged.  scipy.signal designs and applies the
+    filter, and it is loaded on the first call, not at import.
     """
     signal = np.asarray(signal)
     n = signal.shape[-1]
@@ -220,8 +208,8 @@ def decimate(signal, factor):
         raise ValueError(f"factor {factor} exceeds signal length {n}")
     if factor == 1:
         return signal.copy()
-    from scipy.signal import filtfilt
-    h = _lowpass_fir(0.45 / factor)
+    from scipy.signal import filtfilt, firwin
+    h = firwin(63, 0.9 / factor, window="hamming")
     smoothed = filtfilt(h, [1.0], signal, axis=-1, padlen=min(3 * len(h), n - 1))
     out = smoothed[..., : (n // factor) * factor : factor]
     if np.issubdtype(signal.dtype, np.floating):

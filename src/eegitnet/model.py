@@ -250,7 +250,8 @@ def _norm_layout(name, width):
 
 def _check_state(config: ArchConfig, state):
     """Raise ``ValueError`` unless ``state`` holds exactly the arrays of
-    :meth:`ITNetModel.state_arrays` for ``config``, each of its shape."""
+    :meth:`ITNetModel.state_arrays` for ``config``, each of its shape, with
+    no negative running variance."""
     shapes = {}
     for name, shape, init in _layout(config):
         if init is None:
@@ -264,6 +265,8 @@ def _check_state(config: ArchConfig, state):
     for name, shape in shapes.items():
         if np.shape(state[name]) != shape:
             raise ValueError(f"parameter {name}: shape {np.shape(state[name])} != {shape}")
+        if name.endswith(".running_var") and (np.asarray(state[name]) < 0).any():
+            raise ValueError(f"parameter {name}: negative variance")
 
 
 class ITNetModel:

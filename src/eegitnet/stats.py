@@ -6,9 +6,9 @@ over the realized rank multiset (doubled to keep midranks integral), so
 the p-value is a ratio of integers.  Larger samples fall back to the
 normal approximation with continuity and tie corrections.
 
-``paired_t_right`` evaluates the Student-t upper tail through the
-regularized incomplete beta function (continued fraction), keeping the
-module dependency-free beyond numpy.
+``paired_t_right`` takes the Student-t upper tail from
+``scipy.special.stdtr``; scipy.special is loaded on the first t-test, not
+at import.
 """
 from __future__ import annotations
 
@@ -37,18 +37,8 @@ def _validate_pair(a, b):
 
 def _midranks(values):
     """1-based ranks with ties sharing their average rank."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    n = len(values)
-    while i < n:
-        j = i
-        while j < n and sorted_vals[j] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j]] = (i + 1 + j) / 2.0
-        i = j
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
 def rank_sum_counts(ranks):
@@ -102,67 +92,14 @@ def wilcoxon_one_sided(a, b):
 
 
 # ----------------------------------------------------------------------
-# Student-t upper tail via the regularized incomplete beta function
-
-def _betacf(a, b, x):
-    """Continued fraction for the incomplete beta (modified Lentz)."""
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 300):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 3e-16:
-            return h
-    raise RuntimeError(f"incomplete beta failed to converge for a={a}, b={b}, x={x}")
-
-
-def betainc_reg(a, b, x):
-    """Regularized incomplete beta I_x(a, b), absolute error well under 1e-10."""
-    if a <= 0 or b <= 0:
-        raise ValueError("a and b must be positive")
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                + a * math.log(x) + b * math.log1p(-x))
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
+# Student-t upper tail
 
 def t_sf(t, df):
     """P(T > t) for Student's t with ``df`` degrees of freedom."""
     if df < 1:
         raise ValueError("df must be >= 1")
-    x = df / (df + t * t)
-    tail = 0.5 * betainc_reg(df / 2.0, 0.5, x)
-    return tail if t >= 0 else 1.0 - tail
+    import scipy.special
+    return float(scipy.special.stdtr(df, -t))
 
 
 def paired_t_right(a, b):

@@ -308,6 +308,16 @@ def test_train_reports_an_unwritable_out_before_training(data_dir, tmp_path, cap
     assert blocker.read_text() == "not a directory"
 
 
+def test_train_reports_results_it_cannot_write(data_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    (out / "table.csv").mkdir(parents=True)
+    assert main(["train", "--scenario", "within", "--data", str(data_dir),
+                 "--out", str(out), "--config", write(tmp_path / "cfg", TRAIN_CFG)]) == 3
+    captured = capsys.readouterr()
+    assert f"error: cannot write {out}: " in captured.err
+    assert captured.out == ""
+
+
 def test_cross_needs_two_subjects(data_dir, tmp_path, capsys):
     solo = tmp_path / "solo"
     solo.mkdir()
@@ -385,17 +395,20 @@ def test_explain_rejects_a_sidecar_that_is_not_utf8(within_run, tmp_path, capsys
     assert "m.itnetmdl.cfg:5: not UTF-8 text" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("offset, payload, fragment", [
-    (0, b"\xff", "a parameter name is not UTF-8"),
-    (len(b"branch0.spatial.w") + 18, np.float32(np.nan).tobytes(),
+@pytest.mark.parametrize("name, offset, payload, fragment", [
+    (b"branch0.spatial.w", 0, b"\xff", "a parameter name is not UTF-8"),
+    (b"branch0.spatial.w", len(b"branch0.spatial.w") + 18, np.float32(np.nan).tobytes(),
      "parameter branch0.spatial.w: non-finite value"),
-], ids=["name-not-utf8", "non-finite-weight"])
-def test_explain_rejects_bad_values_in_the_model_file(within_run, tmp_path, capsys, offset,
-                                                      payload, fragment):
-    # the offsets count from branch0.spatial.w's name: its first byte, or its
-    # first value after the dtype tag, the rank and four extents
+    (b"tc0.bn0.running_var", len(b"tc0.bn0.running_var") + 6, np.float32(-1.0).tobytes(),
+     "parameter tc0.bn0.running_var: negative variance"),
+], ids=["name-not-utf8", "non-finite-weight", "negative-variance"])
+def test_explain_rejects_bad_values_in_the_model_file(within_run, tmp_path, capsys, name,
+                                                      offset, payload, fragment):
+    # the offsets count from the array's name: its first byte, or its first
+    # value after the dtype tag, the rank and the extents (four for a
+    # weight, one for a running variance)
     blob = bytearray((within_run / "model_s01.itnetmdl").read_bytes())
-    at = blob.index(b"branch0.spatial.w") + offset
+    at = blob.index(name) + offset
     blob[at:at + len(payload)] = payload
     model = tmp_path / "m.itnetmdl"
     model.write_bytes(blob)

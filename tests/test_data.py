@@ -240,6 +240,62 @@ print(json.dumps(seen))
     assert after_decimate
 
 
+def test_scipy_special_is_loaded_only_by_the_t_test(tmp_path):
+    # decimate's scipy.signal pulls in scipy.special, so this probe runs in a
+    # process of its own; only the t-test may load scipy.special
+    probe = """
+import json, sys
+import eegitnet, eegitnet.cli
+a, b = sys.argv[1:]
+seen = []
+def look():
+    seen.append([name in sys.modules for name in ("scipy.signal", "scipy.special")])
+look()
+eegitnet.cli.main(["plan", "--target-r", "91"])
+look()
+eegitnet.cli.main(["stats", "--table", a, "--vs", b, "--test", "wilcoxon"])
+look()
+eegitnet.cli.main(["stats", "--table", a, "--vs", b, "--test", "ttest"])
+look()
+print(json.dumps(seen))
+"""
+    tables = []
+    for name, accuracies in (("a", [84.38, 62.85, 89.93, 69.10]),
+                             ("b", [81.94, 56.94, 90.62, 67.01])):
+        path = tmp_path / f"{name}.csv"
+        path.write_text("subject,accuracy\n" + "".join(
+            f"s{i:02d},{acc}\n" for i, acc in enumerate(accuracies, 1)))
+        tables.append(str(path))
+    src = os.path.dirname(os.path.dirname(eegitnet.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", probe, *tables], capture_output=True,
+                          text=True, env=env, check=True)
+    after_import, after_plan, after_wilcoxon, after_ttest = json.loads(
+        proc.stdout.splitlines()[-1])
+    assert after_import == [False, False]
+    assert after_plan == [False, False]
+    assert after_wilcoxon == [False, False]
+    assert after_ttest[1]
+
+
+def windowed_sinc(cutoff_norm, taps=63):
+    """Hamming-windowed sinc low-pass with unit DC gain, cutoff in cycles
+    per sample; the reference for decimate's taps."""
+    n = np.arange(taps) - (taps - 1) / 2.0
+    h = 2.0 * cutoff_norm * np.sinc(2.0 * cutoff_norm * n)
+    h *= np.hamming(taps)
+    return h / h.sum()
+
+
+@pytest.mark.parametrize("factor", [2, 3, 4, 5, 8])
+def test_decimate_matches_the_windowed_sinc_design(rng, factor):
+    from scipy.signal import filtfilt
+    x = rng.standard_normal((3, 480))  # a multiple of every factor
+    h = windowed_sinc(0.45 / factor)
+    ref = filtfilt(h, [1.0], x, axis=-1, padlen=3 * len(h))[..., ::factor]
+    np.testing.assert_allclose(decimate(x, factor), ref, rtol=0, atol=1e-12)
+
+
 def test_decimate_passband_sine_survives_with_zero_phase():
     fs, factor = 1000.0, 4
     t = np.arange(4000) / fs

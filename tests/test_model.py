@@ -452,27 +452,45 @@ def test_malformed_sidecar_is_reported(tmp_path, extra, fragment):
     assert err.value.code == "bad_value"
 
 
-def _corrupt_spatial_weight_name(blob, at):
-    blob[at] = 0xFF
+def _corrupt_spatial_weight_name(blob):
+    blob[blob.index(b"branch0.spatial.w")] = 0xFF
 
 
-def _corrupt_spatial_weight_value(blob, at):
-    # the name, dtype tag, rank and four extents come before the first value
-    first = at + len(b"branch0.spatial.w") + 2 + 16
+def _first_value(blob, name, rank):
+    # the name, dtype tag, rank and extents come before the first value
+    return blob.index(name) + len(name) + 2 + 4 * rank
+
+
+def _corrupt_spatial_weight_value(blob):
+    first = _first_value(blob, b"branch0.spatial.w", 4)
     blob[first:first + 4] = np.float32(np.nan).tobytes()
+
+
+def _negative_running_variance(blob):
+    first = _first_value(blob, b"tc0.bn0.running_var", 1)
+    blob[first:first + 4] = np.float32(-1.0).tobytes()
 
 
 @pytest.mark.parametrize("corrupt, fragment", [
     (_corrupt_spatial_weight_name, "a parameter name is not UTF-8"),
     (_corrupt_spatial_weight_value, "parameter branch0.spatial.w: non-finite value"),
-], ids=["name-not-utf8", "non-finite-value"])
+    (_negative_running_variance, "parameter tc0.bn0.running_var: negative variance"),
+], ids=["name-not-utf8", "non-finite-value", "negative-variance"])
 def test_bad_values_in_the_parameter_file_are_reported(tmp_path, corrupt, fragment):
     model = build(default_config(n_channels=4, n_samples=60))
     path = tmp_path / "m.itnetmdl"
     save_model(model, path)
     blob = bytearray(path.read_bytes())
-    corrupt(blob, blob.index(b"branch0.spatial.w"))
+    corrupt(blob)
     path.write_bytes(blob)
     with pytest.raises(FormatError, match=fragment) as err:
         load_model(path)
     assert err.value.code == "bad_value"
+
+
+def test_load_state_arrays_refuses_a_negative_running_variance():
+    model = build(default_config(n_channels=4, n_samples=60))
+    state = model.state_arrays()
+    state["tc0.bn0.running_var"][0] = -1.0
+    with pytest.raises(ValueError, match="tc0.bn0.running_var: negative variance"):
+        model.load_state_arrays(state)
