@@ -30,7 +30,7 @@ from .data import SourceSpec, SynthSpec, load_epochs, save_epochs, synth_generat
 from .errors import FormatError
 from .explain import build_atlas, export_atlas
 from .fileio import (atomic_write, config_items, key_value_text, parse_config_items,
-                     read_key_values)
+                     read_key_values, read_text_lines)
 from .model import (arch_config_from_items, load_model, plan_kernel,
                     receptive_field_blocks, save_model)
 from .stats import paired_t_right, wilcoxon_one_sided
@@ -115,7 +115,10 @@ def _parse_synth_spec(items):
 
 def cmd_synth(args):
     spec = _parse_synth_spec(_read_kv(args.spec))
-    epochs = synth_generate(spec)
+    try:
+        epochs = synth_generate(spec)
+    except ValueError as exc:
+        raise CliError(EXIT_USAGE, f"invalid synth spec: {exc}") from None
     try:
         save_epochs(epochs, args.out)
     except OSError as exc:
@@ -147,6 +150,8 @@ def _scan_subjects(data_dir):
             pairs.append((stem, load_epochs(train_path), load_epochs(test_path)))
         except FormatError as exc:
             raise CliError(EXIT_DATA, f"bad epoch file for subject {stem}: {exc}") from None
+        except OSError as exc:
+            raise CliError(EXIT_DATA, f"cannot read {exc.filename}: {exc}") from None
     return pairs
 
 
@@ -243,8 +248,8 @@ def cmd_explain(args):
         raise CliError(EXIT_USAGE, f"--fs must be a finite positive number, got {args.fs:g}")
     try:
         model = load_model(args.model)
-    except FileNotFoundError as exc:
-        raise CliError(EXIT_DATA, str(exc)) from None
+    except OSError as exc:
+        raise CliError(EXIT_DATA, f"cannot read {args.model}: {exc}") from None
     except FormatError as exc:
         raise CliError(EXIT_DATA, f"bad model file: {exc}") from None
     try:
@@ -284,18 +289,11 @@ def cmd_plan(args):
 
 def _read_accuracy_table(path):
     try:
-        with open(path, "rb") as f:
-            raw = f.read().splitlines()
+        lines = list(read_text_lines(path))   # (line number, text) of the non-blank lines
     except OSError as exc:
         raise CliError(EXIT_DATA, f"cannot read table {path}: {exc}") from None
-    lines = []   # (line number, text) of the non-blank lines
-    for ln, b in enumerate(raw, 1):
-        try:
-            line = b.decode("utf-8").strip()
-        except UnicodeDecodeError:
-            raise CliError(EXIT_DATA, f"{path}:{ln}: not UTF-8 text") from None
-        if line:
-            lines.append((ln, line))
+    except ValueError as exc:
+        raise CliError(EXIT_DATA, str(exc)) from None
     if not lines:
         raise CliError(EXIT_DATA, f"{path}: empty table")
     header = lines[0][1].split(",")

@@ -384,6 +384,11 @@ class SynthSpec:
             raise ValueError("noise_sigma must be non-negative")
         if self.duration_s <= 0:
             raise ValueError("duration_s must be positive")
+        if window_samples(self.fs, self.duration_s) < 1:
+            raise ValueError(f"duration_s={self.duration_s:g} at fs={self.fs:g} Hz is under "
+                             "one sample")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def _band_noise(rng, n_samples, freqs, lo, hi):

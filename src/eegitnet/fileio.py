@@ -59,20 +59,29 @@ def read_string(f, what):
     return decode_utf8(read_exact(f, n, what), what)
 
 
-def read_key_values(path):
-    """Flat ``key=value`` file -> dict in file order; blank lines and ``#``
-    comments are skipped.  Raises ``OSError`` when the file cannot be read
-    and ``ValueError`` naming ``path:line`` for a line that is not UTF-8,
-    has no ``=``, or repeats a key."""
+def read_text_lines(path):
+    """``(line number, stripped text)`` of each non-blank line of a text
+    file.  Raises ``OSError`` when the file cannot be read and
+    ``ValueError`` naming ``path:line`` for a line that is not UTF-8."""
     with open(path, "rb") as f:
         lines = f.read().splitlines()
-    items = {}
     for ln, raw in enumerate(lines, 1):
         try:
             line = raw.decode("utf-8").strip()
         except UnicodeDecodeError:
             raise ValueError(f"{path}:{ln}: not UTF-8 text") from None
-        if not line or line.startswith("#"):
+        if line:
+            yield ln, line
+
+
+def read_key_values(path):
+    """Flat ``key=value`` file -> dict in file order; blank lines and ``#``
+    comments are skipped.  Raises what :func:`read_text_lines` raises, and
+    ``ValueError`` naming ``path:line`` for a line that has no ``=`` or
+    repeats a key."""
+    items = {}
+    for ln, line in read_text_lines(path):
+        if line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
         if not sep:

@@ -21,15 +21,16 @@ import numpy as np
 from .errors import FormatError
 from .fileio import (atomic_write, config_items, decode_utf8, key_value_text, pack_string,
                      parse_config_items, read_exact, read_key_values)
-from .ops import (BN_EPS, ConvSpec, RunningStats, avg_pool_time, avg_pool_values,
-                  band_conv, band_matrix, batch_norm, conv_temporal, dense, dropout, elu,
-                  elu_values, flatten, softmax_rows)
+from .ops import (BN_EPS, ConvSpec, avg_pool_time, avg_pool_values, band_conv,
+                  band_matrix, batch_norm, conv_temporal, dense, dropout, elu, elu_values,
+                  flatten, softmax_rows)
 from .tensor import Tensor, add, concat_channels
 
 MODEL_MAGIC = b"ITNETMDL"
 MODEL_VERSION = 1
 _DTYPE_TAGS = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _TAG_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+_RUNNING = (".running_mean", ".running_var")
 
 
 # ----------------------------------------------------------------------
@@ -210,16 +211,17 @@ _last_plan = None
 
 def _glorot(rng, shape, fan_in, fan_out, dtype):
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return Tensor(rng.uniform(-limit, limit, size=shape).astype(dtype), requires_grad=True)
+    return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
 def _layout(config: ArchConfig):
-    """Every array of a model of ``config``, in build and file order.
+    """Every array of a model of ``config``, in build order; a model file
+    holds the parameters in this order, then the running statistics.
 
     Yields ``(name, shape, init)``.  ``init`` is ``(fan_in, fan_out)`` for a
-    Glorot-drawn weight, ``0`` or ``1`` for a constant parameter, and
-    ``None`` for a batch-norm layer's running statistics: then ``name`` is
-    the layer's and ``shape`` that of its mean and of its variance.
+    Glorot-drawn weight and ``0`` or ``1`` for a constant array: a bias, a
+    batch-norm scale or shift, or a norm's running mean (0) or variance (1).
+    ``name`` is the array's name in the model file.
     """
     c = config.n_channels
     width = config.branch_filters
@@ -245,19 +247,15 @@ def _layout(config: ArchConfig):
 def _norm_layout(name, width):
     yield name + ".gamma", (width,), 1
     yield name + ".beta", (width,), 0
-    yield name, (width,), None
+    yield name + ".running_mean", (width,), 0
+    yield name + ".running_var", (width,), 1
 
 
 def _check_state(config: ArchConfig, state):
     """Raise ``ValueError`` unless ``state`` holds exactly the arrays of
     :meth:`ITNetModel.state_arrays` for ``config``, each of its shape, with
     no negative running variance."""
-    shapes = {}
-    for name, shape, init in _layout(config):
-        if init is None:
-            shapes[name + ".running_mean"] = shapes[name + ".running_var"] = shape
-        else:
-            shapes[name] = shape
+    shapes = {name: shape for name, shape, _ in _layout(config)}
     if set(state) != set(shapes):
         missing = sorted(set(shapes) - set(state))
         extra = sorted(set(state) - set(shapes))
@@ -272,15 +270,21 @@ def _check_state(config: ArchConfig, state):
 class ITNetModel:
     """The assembled network: named parameter tensors plus forward passes.
 
-    ``params`` maps stable dotted names to trainable tensors; ``buffers``
-    holds the running batch-norm statistics keyed by norm-layer name.  Both
-    are serialized by :func:`save_model`.
+    Built from ``state``, one array per :func:`_layout` name.  ``params``
+    maps the trainable arrays' names to tensors that wrap them; ``buffers``
+    maps each norm's ``<norm>.running_mean`` and ``<norm>.running_var`` to
+    its array.  The keys are the names :func:`save_model` writes.
     """
 
-    def __init__(self, config: ArchConfig, params, buffers):
+    def __init__(self, config: ArchConfig, state):
         self.config = config
-        self.params = params
-        self.buffers = buffers
+        self.params = {}
+        self.buffers = {}
+        for name, _, _ in _layout(config):
+            if name.endswith(_RUNNING):
+                self.buffers[name] = state[name]
+            else:
+                self.params[name] = Tensor(state[name], requires_grad=True)
 
     @property
     def param_count(self):
@@ -333,11 +337,11 @@ class ITNetModel:
             z = conv_temporal(u, ConvSpec(cfg.n_channels, 1, "valid", True, f), s)
             t = batch_norm(u, self.params[f"branch{i}.bn1.gamma"],
                            self.params[f"branch{i}.bn1.beta"],
-                           running=self.buffers[f"branch{i}.bn1"],
+                           running=self._running(f"branch{i}.bn1"),
                            bias=self.params[f"branch{i}.temporal.b"], through=(z, s))
             t = batch_norm(t, self.params[f"branch{i}.bn2.gamma"],
                            self.params[f"branch{i}.bn2.beta"],
-                           running=self.buffers[f"branch{i}.bn2"])
+                           running=self._running(f"branch{i}.bn2"))
             branch_outs.append(t)
         y = concat_channels(branch_outs)
         y = elu(y)
@@ -347,7 +351,7 @@ class ITNetModel:
         y = conv_temporal(y, ConvSpec(1, 1, "same", False, cfg.dr_filters),
                           self.params["dr.w"])
         y = batch_norm(y, self.params["dr.bn.gamma"], self.params["dr.bn.beta"],
-                       running=self.buffers["dr.bn"], bias=self.params["dr.b"])
+                       running=self._running("dr.bn"), bias=self.params["dr.b"])
         y = elu(y)
         y = dropout(y, cfg.dropout_rate, rng)
         y = avg_pool_time(y, cfg.pool2)
@@ -379,7 +383,7 @@ class ITNetModel:
                     self.params[f"tc{j}.conv{l}.w"])
                 y = batch_norm(y, self.params[f"tc{j}.bn{l}.gamma"],
                                self.params[f"tc{j}.bn{l}.beta"],
-                               running=self.buffers[f"tc{j}.bn{l}"])
+                               running=self._running(f"tc{j}.bn{l}"))
                 y = elu(y)
                 y = dropout(y, cfg.dropout_rate, rng)
             y = add(y, skip)
@@ -396,13 +400,16 @@ class ITNetModel:
 
     # ------------------------------------------------------------------
     # inference: plain numpy, every batch norm folded into the layer before it
+    def _running(self, name):
+        """Norm ``name``'s running ``(mean, variance)`` arrays."""
+        return self.buffers[name + ".running_mean"], self.buffers[name + ".running_var"]
+
     def _folded_norm(self, name):
         """Infer-mode batch norm ``name`` as float64 per-filter ``(scale,
         shift)``, so that it maps u to ``scale * u + shift``."""
-        running = self.buffers[name]
-        scale = self.params[name + ".gamma"].data / np.sqrt(
-            running.var.astype(np.float64) + BN_EPS)
-        return scale, self.params[name + ".beta"].data - scale * running.mean
+        mean, var = self._running(name)
+        scale = self.params[name + ".gamma"].data / np.sqrt(var.astype(np.float64) + BN_EPS)
+        return scale, self.params[name + ".beta"].data - scale * mean
 
     def _infer_dtype(self, a):
         """The float type the graph would compute in: the wider of the
@@ -455,9 +462,7 @@ class ITNetModel:
         ``dtype`` and the bytes of every parameter and running statistic
         match those it was folded from, else a new one that replaces it."""
         global _last_plan
-        arrays = [p.data for p in self.params.values()]
-        for running in self.buffers.values():
-            arrays += (running.mean, running.var)
+        arrays = [p.data for p in self.params.values()] + list(self.buffers.values())
         key = (self.config, dtype, tuple(a.dtype for a in arrays),
                b"".join(a.tobytes() for a in arrays))
         cached = _last_plan
@@ -502,37 +507,34 @@ class ITNetModel:
 
     # ------------------------------------------------------------------
     # checkpointing
+    def _named_arrays(self):
+        """``(name, array)`` for every array, in file order: the parameters,
+        then the running statistics."""
+        return [(name, p.data) for name, p in self.params.items()] + list(self.buffers.items())
+
     def state_arrays(self):
         """Copies of every parameter and running-stat array, by name."""
-        state = {name: p.data.copy() for name, p in self.params.items()}
-        for name, rs in self.buffers.items():
-            state[name + ".running_mean"] = rs.mean.copy()
-            state[name + ".running_var"] = rs.var.copy()
-        return state
+        return {name: a.copy() for name, a in self._named_arrays()}
 
     def load_state_arrays(self, state):
         _check_state(self.config, state)
         for name, p in self.params.items():
             p.data = np.asarray(state[name]).copy()
-        for name, rs in self.buffers.items():
-            rs.mean = np.asarray(state[name + ".running_mean"]).copy()
-            rs.var = np.asarray(state[name + ".running_var"]).copy()
+        for name in self.buffers:
+            self.buffers[name] = np.asarray(state[name]).copy()
 
 
 def build(config: ArchConfig, seed=0, dtype=np.float32) -> ITNetModel:
     """Initialize all parameters for ``config``: uniform Glorot weights,
     zero biases, unit batch-norm scales."""
     rng = np.random.default_rng(seed)
-    params = {}
-    buffers = {}
+    state = {}
     for name, shape, init in _layout(config):
-        if init is None:
-            buffers[name] = RunningStats(shape[0], dtype)
-        elif isinstance(init, tuple):
-            params[name] = _glorot(rng, shape, *init, dtype=dtype)
+        if isinstance(init, tuple):
+            state[name] = _glorot(rng, shape, *init, dtype=dtype)
         else:
-            params[name] = Tensor(np.full(shape, init, dtype=dtype), requires_grad=True)
-    return ITNetModel(config, params, buffers)
+            state[name] = np.full(shape, init, dtype=dtype)
+    return ITNetModel(config, state)
 
 
 # ----------------------------------------------------------------------
@@ -553,11 +555,8 @@ def save_model(model: ITNetModel, path):
     """Write the binary parameter file plus a ``<path>.cfg`` text sidecar."""
     path = os.fspath(path)
     parts = [MODEL_MAGIC, struct.pack("<I", MODEL_VERSION)]
-    for name, p in model.params.items():
-        parts.append(_pack_entry(name, p.data))
-    for name, rs in model.buffers.items():
-        parts.append(_pack_entry(name + ".running_mean", rs.mean))
-        parts.append(_pack_entry(name + ".running_var", rs.var))
+    for name, a in model._named_arrays():
+        parts.append(_pack_entry(name, a))
     atomic_write(path, b"".join(parts))
     atomic_write(path + ".cfg", key_value_text(config_items(model.config)).encode("utf-8"))
 
@@ -610,13 +609,4 @@ def load_model(path) -> ITNetModel:
         _check_state(config, state)
     except ValueError as exc:
         raise FormatError("bad_value", str(exc)) from None
-    params = {}
-    buffers = {}
-    for name, shape, init in _layout(config):
-        if init is None:
-            running = buffers[name] = RunningStats(shape[0])
-            running.mean = state[name + ".running_mean"]
-            running.var = state[name + ".running_var"]
-        else:
-            params[name] = Tensor(state[name], requires_grad=True)
-    return ITNetModel(config, params, buffers)
+    return ITNetModel(config, state)

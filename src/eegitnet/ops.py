@@ -288,16 +288,10 @@ def conv_temporal(x, spec: ConvSpec, weights):
 # ----------------------------------------------------------------------
 # batch normalization
 
-class RunningStats:
-    """Exponential-moving-average mean/variance buffers for one norm layer."""
-
-    def __init__(self, channels, dtype=np.float32):
-        self.mean = np.zeros(channels, dtype=dtype)
-        self.var = np.ones(channels, dtype=dtype)
-
-    def update(self, mean, var, momentum):
-        self.mean[...] = momentum * self.mean + (1.0 - momentum) * mean
-        self.var[...] = momentum * self.var + (1.0 - momentum) * var
+def _update_running(running, mean, var, momentum):
+    """Fold batch moments into the running ``(mean, var)`` arrays in place."""
+    for buf, value in zip(running, (mean, var)):
+        buf[...] = momentum * buf + (1.0 - momentum) * value
 
 
 def _per_channel(v, ndim):
@@ -318,8 +312,8 @@ def _channel_sum(a, b=None):
 def batch_norm(x, gamma, beta, eps=BN_EPS, running=None, momentum=0.99, bias=None,
                through=None):
     """Train-mode norm per channel (axis 1) over all other axes, with biased
-    batch moments; when ``running`` is given, the moments are folded into
-    the running buffers (the mean of ``x`` plus ``bias``).  Inference never
+    batch moments; when given, the two arrays ``running=(mean, var)`` take
+    the moments in place (the mean of ``x`` plus ``bias``).  Inference never
     comes here: it folds every norm into the layer before it.
 
     ``bias``, when given, is a per-channel tensor added to ``x`` before the
@@ -349,7 +343,7 @@ def batch_norm(x, gamma, beta, eps=BN_EPS, running=None, momentum=0.99, bias=Non
     var = _channel_sum(out, out) / m
     inv = 1.0 / np.sqrt(var + eps)
     if running is not None:
-        running.update(mean if bias is None else mean + bias.data, var, momentum)
+        _update_running(running, mean if bias is None else mean + bias.data, var, momentum)
     scale = gamma.data * inv
     out *= _per_channel(scale, x.ndim)
     out += _per_channel(beta.data, x.ndim)
@@ -408,7 +402,7 @@ def _batch_norm_through(x, gamma, beta, eps, running, momentum, bias, z, s):
     var = sq / m
     inv = 1.0 / np.sqrt(var + eps)
     if running is not None:
-        running.update(mean if bias is None else mean + bias.data, var, momentum)
+        _update_running(running, mean if bias is None else mean + bias.data, var, momentum)
     total = s.data.sum(axis=(1, 2, 3))          # S
     scale = gamma.data * inv                    # a
     shift = _per_channel(mean * total, 4)       # μ S

@@ -54,6 +54,8 @@ class TrainConfig:
             raise ValueError("extra_epochs_max must be >= 0")
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 (batch statistics need 2+ trials)")
         if not (math.isfinite(self.base_lr) and math.isfinite(self.extra_lr)):

@@ -270,7 +270,8 @@ def bias_add_batch_norm(x, gamma, beta, eps=1e-3, running=None, momentum=0.99, b
     out, _, _, _, mu, var = batch_norm_train_reference(x.data, gamma.data, beta.data,
                                                        np.zeros_like(x.data), eps)
     if running is not None:
-        running.update(mu, var, momentum)
+        for buf, value in zip(running, (mu, var)):   # exponential moving averages
+            buf[...] = momentum * buf + (1.0 - momentum) * value
 
     def backward(g):
         _, gx, ggamma, gbeta, _, _ = batch_norm_train_reference(x.data, gamma.data,
@@ -307,13 +308,15 @@ def elu_reference(x, g):
     return out, gx
 
 
-def infer_norm(x, gamma, beta, running, eps=1e-3):
-    """Infer-mode batch norm of a tensor by its running statistics, in the
-    input's dtype: ``(x - running_mean) * gamma / sqrt(running_var + eps)
-    + beta``, as a tensor with no parents."""
+def infer_norm(x, model, name, eps=1e-3):
+    """Infer-mode batch norm ``name`` of ``model`` applied to a tensor by its
+    running statistics, in the input's dtype: ``(x - running_mean) * gamma /
+    sqrt(running_var + eps) + beta``, as a tensor with no parents."""
     shape = (1, -1) + (1,) * (x.ndim - 2)
-    out = x.data - running.mean.astype(x.dtype).reshape(shape)
-    out *= (gamma.data * (1.0 / np.sqrt(running.var.astype(x.dtype) + eps))).reshape(shape)
+    mean, var = model.buffers[name + ".running_mean"], model.buffers[name + ".running_var"]
+    gamma, beta = model.params[name + ".gamma"], model.params[name + ".beta"]
+    out = x.data - mean.astype(x.dtype).reshape(shape)
+    out *= (gamma.data * (1.0 / np.sqrt(var.astype(x.dtype) + eps))).reshape(shape)
     out += beta.data.reshape(shape)
     return Tensor(out)
 
@@ -327,18 +330,16 @@ def graph_infer_logits(model, x):
     for i, (f, k) in enumerate(cfg.inception_branches):
         t = conv_temporal(x, ConvSpec(k, 1, "same", False, f), p[f"branch{i}.temporal.w"])
         t = bias_add(t, p[f"branch{i}.temporal.b"])
-        t = infer_norm(t, p[f"branch{i}.bn1.gamma"], p[f"branch{i}.bn1.beta"],
-                       model.buffers[f"branch{i}.bn1"])
+        t = infer_norm(t, model, f"branch{i}.bn1")
         t = conv_temporal(t, ConvSpec(cfg.n_channels, 1, "valid", True, f),
                           p[f"branch{i}.spatial.w"])
-        t = infer_norm(t, p[f"branch{i}.bn2.gamma"], p[f"branch{i}.bn2.beta"],
-                       model.buffers[f"branch{i}.bn2"])
+        t = infer_norm(t, model, f"branch{i}.bn2")
         branch_outs.append(t)
     y = avg_pool_time(elu(concat_channels(branch_outs)), cfg.pool1)
     y = graph_infer_tc(model, y)
     y = conv_temporal(y, ConvSpec(1, 1, "same", False, cfg.dr_filters), p["dr.w"])
     y = bias_add(y, p["dr.b"])
-    y = infer_norm(y, p["dr.bn.gamma"], p["dr.bn.beta"], model.buffers["dr.bn"])
+    y = infer_norm(y, model, "dr.bn")
     y = flatten(avg_pool_time(elu(y), cfg.pool2))
     return dense(y, p["head.w"], p["head.b"])
 
@@ -353,8 +354,7 @@ def graph_infer_tc(model, y):
                         cfg.branch_filters)
         for l in range(cfg.tc_layers_per_block):
             y = conv_temporal(y, spec, p[f"tc{j}.conv{l}.w"])
-            y = elu(infer_norm(y, p[f"tc{j}.bn{l}.gamma"], p[f"tc{j}.bn{l}.beta"],
-                               model.buffers[f"tc{j}.bn{l}"]))
+            y = elu(infer_norm(y, model, f"tc{j}.bn{l}"))
         y = elu(add(y, skip))
     return y
 

@@ -101,6 +101,11 @@ def test_synth_writes_a_loadable_cohort(tmp_path, capsys):
     (lambda t: t.replace("amplitude=1\nclass0", "amplitude=inf\nclass0"),
      "amplitude must be finite"),
     (lambda t: t.replace("mixing=1,0.5,0,0", "mixing=1,nan,0,0"), "mixing weights must be finite"),
+    (lambda t: t.replace("seed=0\n", "seed=-1\n"), "invalid synth spec: seed must be >= 0"),
+    (lambda t: t.replace("fs=64", "fs=100").replace("duration_s=1", "duration_s=0.001"),
+     "under one sample"),
+    (lambda t: t.replace("fs=64", "fs=100").replace("duration_s=1", "duration_s=0.03"),
+     "Hz misses every frequency-grid point"),
 ])
 def test_synth_rejects_bad_specs(tmp_path, capsys, mutate, fragment):
     spec = write(tmp_path / "spec", mutate(SPEC.format(seed=0)))
@@ -194,12 +199,14 @@ def test_train_cross_finetuned_artifacts(data_dir, tmp_path, capsys):
     ("arch.n_channels=8\n", "derived from the data"),
     ("train.base_lr=0\n", "bad training config"),
     ("epochs=3\n", "train. or arch."),
+    ("train.seed=-3\n", "bad training config: seed must be >= 0"),
 ])
 def test_train_config_errors(data_dir, tmp_path, capsys, extra, fragment):
     cfg = write(tmp_path / "cfg", TRAIN_CFG + extra)
     assert main(["train", "--scenario", "within", "--data", str(data_dir),
                  "--out", str(tmp_path / "run"), "--config", cfg]) == 2
     assert fragment in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_rejects_a_non_finite_learning_rate(data_dir, tmp_path, capsys):
@@ -232,6 +239,14 @@ def test_train_data_errors(tmp_path, capsys):
     assert main(["train", "--scenario", "within", "--data", str(orphan),
                  "--out", str(tmp_path / "run")]) == 3
     assert "no matching" in capsys.readouterr().err
+
+    unreadable = tmp_path / "unreadable"
+    (unreadable / "s01.train.eegepoch").mkdir(parents=True)
+    (unreadable / "s01.test.eegepoch").write_bytes(b"")
+    assert main(["train", "--scenario", "within", "--data", str(unreadable),
+                 "--out", str(tmp_path / "run")]) == 3
+    assert f"cannot read {unreadable / 's01.train.eegepoch'}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_rejects_corrupt_epoch_files(data_dir, tmp_path, capsys):
@@ -428,6 +443,13 @@ def test_explain_missing_or_corrupt_model(tmp_path, capsys):
     assert main(["explain", "--model", str(bad),
                  "--out", str(tmp_path), "--fs", "64"]) == 3
     assert "bad model file" in capsys.readouterr().err
+
+    folder = tmp_path / "folder.itnetmdl"
+    folder.mkdir()
+    write(tmp_path / "folder.itnetmdl.cfg", "n_channels=4\nn_samples=64\nn_classes=2\n")
+    assert main(["explain", "--model", str(folder),
+                 "--out", str(tmp_path), "--fs", "64"]) == 3
+    assert f"cannot read {folder}" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------

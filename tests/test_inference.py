@@ -39,9 +39,11 @@ def randomised_model(config, seed=0):
             p.data = rng.uniform(0.5, 1.5, p.shape).astype(p.dtype)
         elif not name.endswith(".w"):
             p.data = rng.normal(0.0, 0.3, p.shape).astype(p.dtype)
-    for running in model.buffers.values():
-        running.mean = rng.normal(0.0, 0.3, running.mean.shape).astype(running.mean.dtype)
-        running.var = rng.uniform(0.3, 2.0, running.var.shape).astype(running.var.dtype)
+    for name, a in model.buffers.items():
+        if name.endswith(".running_mean"):
+            model.buffers[name] = rng.normal(0.0, 0.3, a.shape).astype(a.dtype)
+        else:
+            model.buffers[name] = rng.uniform(0.3, 2.0, a.shape).astype(a.dtype)
     return model
 
 
@@ -140,7 +142,7 @@ def nudge_one_spatial_weight(model, x):
 
 
 def double_one_causal_variance(model, x):
-    model.buffers["tc1.bn0"].var *= 2
+    model.buffers["tc1.bn0.running_var"] *= 2
 
 
 def load_another_models_state(model, x):

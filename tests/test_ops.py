@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from eegitnet import ops
-from eegitnet.ops import ConvSpec, RunningStats, conv_temporal
+from eegitnet.ops import ConvSpec, conv_temporal
 from eegitnet.tensor import Tensor
 
 from oracles import (batch_norm_train_reference, bias_add, check_gradients, conv_oracle,
@@ -180,6 +180,11 @@ def _backward_with(out, g):
     to_scalar(out, g).backward()
 
 
+def _running(channels, dtype=np.float32):
+    """Fresh running statistics for ``batch_norm``: a zero mean, a unit variance."""
+    return np.zeros(channels, dtype=dtype), np.ones(channels, dtype=dtype)
+
+
 PAPER_INPUT = (16, 1, 22, 1125)   # a batch entering the inception branches
 PAPER_STACK = (16, 14, 1, 281)    # the same batch in the causal stack
 
@@ -219,19 +224,20 @@ def test_batch_norm_train_matches_reference_at_paper_shape():
     gamma = rng.uniform(0.5, 1.5, 8).astype(np.float32)
     beta = rng.standard_normal(8).astype(np.float32)
     xt, gt, bt = _tensors(x, gamma, beta)
-    running = RunningStats(8)
+    running = _running(8)
     out = ops.batch_norm(xt, gt, bt, running=running)
     g = rng.standard_normal(out.shape).astype(np.float32)
     _backward_with(out, g)
     ref, gx, ggamma, gbeta, mu, var = batch_norm_train_reference(x, gamma, beta, g)
-    ref_running = RunningStats(8)
-    ref_running.update(mu, var, 0.99)
+    ref_mean, ref_var = _running(8)
+    ref_mean[...] = 0.99 * ref_mean + 0.01 * mu   # exponential moving averages
+    ref_var[...] = 0.99 * ref_var + 0.01 * var
     assert_close_to_reference(out.data, ref)
     assert_close_to_reference(xt.grad, gx)
     assert_close_to_reference(gt.grad, ggamma)
     assert_close_to_reference(bt.grad, gbeta)
-    assert_close_to_reference(running.mean, ref_running.mean)
-    assert_close_to_reference(running.var, ref_running.var)
+    assert_close_to_reference(running[0], ref_mean)
+    assert_close_to_reference(running[1], ref_var)
 
 
 @pytest.mark.parametrize("mode", ["train"])   # the one mode the op has
@@ -242,7 +248,7 @@ def test_batch_norm_keeps_no_full_size_copy_for_its_backward(mode):
     rng = np.random.default_rng(11)
     xt, gt, bt, bias = _tensors(rng.standard_normal((16, 8, 22, 1125)).astype(np.float32),
                                 *rng.standard_normal((3, 8)).astype(np.float32))
-    running = RunningStats(8)
+    running = _running(8)
     tracemalloc.start()
     try:
         out = ops.batch_norm(xt, gt, bt, running=running, bias=bias)
@@ -277,7 +283,7 @@ def test_batch_norm_through_the_sum_matches_the_norm_then_the_sum(dtype, tol):
     results = []
     for through in (True, False):
         u, gamma, beta, bias, s = _tensors(*arrays)
-        running = RunningStats(8, dtype=dtype)
+        running = _running(8, dtype)
         if through:
             z = conv_temporal(u, SPATIAL, s)
             out = ops.batch_norm(u, gamma, beta, running=running, bias=bias, through=(z, s))
@@ -286,7 +292,7 @@ def test_batch_norm_through_the_sum_matches_the_norm_then_the_sum(dtype, tol):
                                 SPATIAL, s)
         _backward_with(out, g)
         results.append((out.data, [t.grad for t in (u, gamma, beta, bias, s)],
-                        [running.mean, running.var]))
+                        list(running)))
     (out, grads, stats), (ref_out, ref_grads, ref_stats) = results
     assert not grads[3].any()
     largest = max(np.abs(a).max() for a in ref_grads)
@@ -306,7 +312,7 @@ def test_batch_norm_through_the_sum_writes_no_full_size_array():
     z = conv_temporal(u, SPATIAL, s)
     tracemalloc.start()
     try:
-        out = ops.batch_norm(u, gamma, beta, running=RunningStats(8), bias=bias,
+        out = ops.batch_norm(u, gamma, beta, running=_running(8), bias=bias,
                              through=(z, s))
         held, peak = tracemalloc.get_traced_memory()
     finally:
@@ -397,13 +403,13 @@ def test_batch_norm_affine_params_apply(rng):
 
 def test_batch_norm_updates_running_stats(rng):
     x = rng.standard_normal((16, 3, 1, 4)).astype(np.float64) + 2.0
-    running = RunningStats(3, dtype=np.float64)
+    mean, var = _running(3, np.float64)
     ops.batch_norm(Tensor(x, dtype=np.float64), Tensor(np.ones(3), dtype=np.float64),
-                   Tensor(np.zeros(3), dtype=np.float64), running=running)
+                   Tensor(np.zeros(3), dtype=np.float64), running=(mean, var))
     expected_mean = 0.99 * 0.0 + 0.01 * x.mean(axis=(0, 2, 3))
-    np.testing.assert_allclose(running.mean, expected_mean, rtol=1e-10)
+    np.testing.assert_allclose(mean, expected_mean, rtol=1e-10)
     expected_var = 0.99 * 1.0 + 0.01 * x.var(axis=(0, 2, 3))
-    np.testing.assert_allclose(running.var, expected_var, rtol=1e-10)
+    np.testing.assert_allclose(var, expected_var, rtol=1e-10)
 
 
 def test_batch_norm_rejects_singleton_batch(rng):
@@ -430,28 +436,27 @@ def test_batch_norm_bias_matches_an_explicit_add(rng, mode):
     g = rng.standard_normal(x.shape)
     results = []
     for absorbed in (True, False):
-        running = RunningStats(3, dtype=np.float64)
-        running.mean[:] = [0.5, -0.5, 1.0]
+        mean, var = _running(3, np.float64)
+        mean[:] = [0.5, -0.5, 1.0]
         xt, gt, bt, ct = (Tensor(a, requires_grad=True, dtype=np.float64)
                           for a in (x, gamma, beta, bias))
         if absorbed:
-            out = ops.batch_norm(xt, gt, bt, running=running, bias=ct)
+            out = ops.batch_norm(xt, gt, bt, running=(mean, var), bias=ct)
         else:
-            out = ops.batch_norm(bias_add(xt, ct), gt, bt, running=running)
+            out = ops.batch_norm(bias_add(xt, ct), gt, bt, running=(mean, var))
         _backward_with(out, g)
-        results.append([out.data, xt.grad, gt.grad, bt.grad, ct.grad, running.mean,
-                        running.var])
+        results.append([out.data, xt.grad, gt.grad, bt.grad, ct.grad, mean, var])
     for got, want in zip(*results):
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
 
 @pytest.mark.parametrize("mode", ["train"])   # the one mode the op has
 def test_batch_norm_bias_gradients(rng, mode):
-    running = RunningStats(3, dtype=np.float64)
-    running.mean[:] = rng.standard_normal(3)
-    running.var[:] = rng.uniform(0.5, 2.0, 3)
+    mean, var = _running(3, np.float64)
+    mean[:] = rng.standard_normal(3)
+    var[:] = rng.uniform(0.5, 2.0, 3)
     check_gradients(
-        lambda ts: to_scalar(ops.batch_norm(ts[0], ts[1], ts[2], running=running,
+        lambda ts: to_scalar(ops.batch_norm(ts[0], ts[1], ts[2], running=(mean, var),
                                             bias=ts[3]),
                              np.arange(60.0).reshape(5, 3, 1, 4)),
         [rng.standard_normal((5, 3, 1, 4)), rng.uniform(0.5, 1.5, 3),

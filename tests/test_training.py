@@ -64,6 +64,7 @@ def test_default_configs_per_scenario():
     (dict(extra_lr=float("inf")), "finite"),
     (dict(extra_lr=float("nan")), "finite"),
     (dict(extra_lr=float("-inf")), "finite"),
+    (dict(seed=-1), "seed must be >= 0"),
 ])
 def test_train_config_validation(kwargs, match):
     with pytest.raises(ValueError, match=match):
