@@ -379,7 +379,7 @@ def build_parser():
     p.add_argument("--model", required=True, help=".itnetmdl path")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--fs", type=float, required=True, help="sampling rate in Hz")
-    p.add_argument("--pad-to", type=int, default=512, help="DFT length (default 512)")
+    p.add_argument("--pad-to", type=int, default=512, help="DFT length (default 512, at most 65536)")
     p.add_argument("--savgol-l", type=int, default=5,
                    help="smoothing window half-width (default 5)")
     p.add_argument("--savgol-p", type=int, default=3,

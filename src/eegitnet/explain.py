@@ -24,6 +24,8 @@ from .data import default_channels
 from .fileio import atomic_write, csv_text
 from .model import ITNetModel
 
+MAX_PAD_TO = 1 << 16   # the longest kernel_spectrum DFT
+
 
 # ----------------------------------------------------------------------
 # Savitzky-Golay filtering
@@ -108,13 +110,17 @@ def kernel_spectrum(kernel, fs, pad_to=512):
     """One-sided magnitude spectrum of a zero-padded kernel.
 
     Frequencies are k * fs / pad_to for k = 0 .. pad_to // 2; nothing above
-    fs / 2 is ever produced.
+    fs / 2 is ever produced.  ``pad_to`` runs from the kernel's length to
+    ``MAX_PAD_TO``: a longer DFT only interpolates the spectrum of a kernel
+    of at most a few dozen taps, and a huge one would exhaust memory.
     """
     kernel = np.asarray(kernel, dtype=np.float64)
     if kernel.ndim != 1 or kernel.size < 2:
         raise ValueError("kernel must be a 1-D sequence of length >= 2")
     if pad_to < kernel.size:
         raise ValueError(f"pad_to ({pad_to}) must be >= kernel length ({kernel.size})")
+    if pad_to > MAX_PAD_TO:
+        raise ValueError(f"pad_to ({pad_to}) must be <= {MAX_PAD_TO}")
     freqs = np.fft.rfftfreq(pad_to, 1.0 / fs)
     magnitude = np.abs(np.fft.rfft(kernel, n=pad_to))
     return freqs, magnitude

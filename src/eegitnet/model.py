@@ -23,7 +23,7 @@ from .fileio import (atomic_write, config_items, decode_utf8, key_value_text, pa
                      parse_config_items, read_exact, read_key_values)
 from .ops import (BN_EPS, ConvSpec, avg_pool_time, avg_pool_values, band_conv,
                   band_matrix, batch_norm, conv_temporal, dense, dropout, elu, elu_values,
-                  flatten, softmax_rows)
+                  flatten, lag_statistics, softmax_rows)
 from .tensor import Tensor, add, concat_channels
 
 MODEL_MAGIC = b"ITNETMDL"
@@ -327,18 +327,21 @@ class ITNetModel:
         x = self._as_input(x)
         if mode == "infer":
             return Tensor(self._infer_logits(x.data[:, 0]))
+        # BN1 is applied through the spatial sum, with its batch moments
+        # taken from the input's lag statistics and the temporal taps: it
+        # never reads the temporal conv's output
+        lags = lag_statistics(x, [k for _, k in cfg.inception_branches])
         branch_outs = []
         for i, (f, k) in enumerate(cfg.inception_branches):
-            # BN1 is applied through the spatial sum: it reads the temporal
-            # conv's output only for its batch moments
-            u = conv_temporal(x, ConvSpec(k, 1, "same", False, f),
-                              self.params[f"branch{i}.temporal.w"])
+            w = self.params[f"branch{i}.temporal.w"]
+            u = conv_temporal(x, ConvSpec(k, 1, "same", False, f), w)
             s = self.params[f"branch{i}.spatial.w"]
             z = conv_temporal(u, ConvSpec(cfg.n_channels, 1, "valid", True, f), s)
             t = batch_norm(u, self.params[f"branch{i}.bn1.gamma"],
                            self.params[f"branch{i}.bn1.beta"],
                            running=self._running(f"branch{i}.bn1"),
-                           bias=self.params[f"branch{i}.temporal.b"], through=(z, s))
+                           bias=self.params[f"branch{i}.temporal.b"],
+                           through=(z, s, w, lags))
             t = batch_norm(t, self.params[f"branch{i}.bn2.gamma"],
                            self.params[f"branch{i}.bn2.beta"],
                            running=self._running(f"branch{i}.bn2"))

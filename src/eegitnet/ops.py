@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .tensor import accumulate, from_op
+from .tensor import Tensor, accumulate, from_op
 
 PAD_MODES = ("same", "valid", "causal")
 BN_EPS = 1e-3
@@ -286,6 +286,92 @@ def conv_temporal(x, spec: ConvSpec, weights):
 
 
 # ----------------------------------------------------------------------
+# lag statistics: the batch moments of every "same" temporal convolution of
+# one input, as quadratic forms of its taps
+
+def _fft_length(n):
+    """Smallest ``2**a * 3**b * 5**c`` of at least ``n``: a length numpy's
+    FFT runs fast."""
+    while True:
+        rest = n
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
+
+
+@dataclass(frozen=True)
+class LagStatistics:
+    """Float64 lag statistics of an (N, 1, H, T) input tensor ``x``, for
+    the "same" temporal kernels of the extents :func:`lag_statistics` was
+    given.
+
+    Offset ``i`` is the row window ``xp[i:i + T]`` of every (trial,
+    electrode) row of ``x`` read after ``left`` zeros (``xp``; zeros past
+    its end too).  ``gram[i, j]`` sums ``xp[t + i] xp[t + j]`` and
+    ``sums[i]`` sums ``xp[t + i]`` over t and over every row.  A kernel of
+    k taps reads the offsets from ``left - (k - 1) // 2`` on, so every
+    branch's statistics are one slice of these (:meth:`window`), and a
+    convolution with taps w has ``Σ u = w·sums`` and ``Σ u² = wᵀ gram w``.
+    """
+
+    x: Tensor
+    gram: np.ndarray
+    sums: np.ndarray
+    left: int
+
+    def window(self, k):
+        """``(gram, sums)`` of the k offsets a k-tap kernel reads."""
+        i = self.left - (k - 1) // 2
+        if i < 0 or i + k > len(self.sums):
+            raise ValueError(f"a {k}-tap kernel reads offsets outside the {len(self.sums)} "
+                             f"these statistics hold")
+        return self.gram[i:i + k, i:i + k], self.sums[i:i + k]
+
+
+def lag_statistics(x, extents):
+    """The :class:`LagStatistics` of the (N, 1, H, T) tensor ``x`` for
+    "same" kernels of the given extents.
+
+    The Toeplitz part comes from one power spectrum (Wiener-Khinchin): the
+    lag products ``ρ[l]`` of the whole rows.  Window i leaves out the
+    products of ``xp`` before its start and after its end, and these edge
+    terms are cumulative sums along the diagonals of the Gram matrices of
+    the first and last ``width`` samples of ``xp``.
+    """
+    n, g, h, t = x.shape
+    if g != 1:
+        raise ValueError(f"lag statistics need one input filter, got {g}")
+    left = max((k - 1) // 2 for k in extents)
+    width = left + max(k - 1 - (k - 1) // 2 for k in extents) + 1
+    xp = np.zeros((n * h, t + width))
+    xp[:, left:left + t] = x.data.reshape(n * h, t)
+    nfft = _fft_length(t + width - 1)   # no lag below width wraps around
+    spectrum = np.fft.rfft(xp[:, left:left + t], nfft)
+    power = np.einsum("rf,rf->f", spectrum.real, spectrum.real)
+    power += np.einsum("rf,rf->f", spectrum.imag, spectrum.imag)
+    lags = np.fft.irfft(power, nfft)[:width]
+    offsets = np.arange(width)
+    gram = lags[np.abs(offsets[:, None] - offsets)]
+    # products before window i: the head's diagonal sums that end at
+    # (i - 1, j - 1); after it: the tail's that start at (i, j)
+    head, tail = xp[:, :width], xp[:, t:]
+    head_gram, tail_gram = head.T @ head, tail.T @ tail
+    before, after = np.zeros((width, width)), np.zeros((width + 1, width + 1))
+    for i in range(width - 1):
+        before[i + 1, 1:] = before[i, :-1] + head_gram[i, :-1]
+    for i in range(width - 1, -1, -1):
+        after[i, :width] = tail_gram[i] + after[i + 1, 1:]
+    gram -= before
+    gram -= after[:width, :width]
+    prefix = np.concatenate(([0.0], np.cumsum(xp.sum(axis=0))))
+    sums = prefix[t:t + width] - prefix[:width]
+    return LagStatistics(x, gram, sums, left)
+
+
+# ----------------------------------------------------------------------
 # batch normalization
 
 def _update_running(running, mean, var, momentum):
@@ -327,10 +413,14 @@ def batch_norm(x, gamma, beta, eps=BN_EPS, running=None, momentum=0.99, bias=Non
     holds anyway: the backward centres ``x`` again into a new buffer and
     turns that buffer into the input gradient in place.
 
-    ``through=(z, s)`` normalises ``x`` through the depthwise electrode sum
-    after it: ``z`` is the (N, C, 1, T) spatial convolution of ``x`` with
-    the (C, 1, H, 1) weights ``s``, and the op returns the sum of the
-    normalised ``x``, not ``x`` normalised.  See :func:`_batch_norm_through`.
+    ``through=(z, s, w, lags)`` normalises ``x`` through the depthwise
+    electrode sum after it: ``z`` is the (N, C, 1, T) spatial convolution
+    of ``x`` with the (C, 1, H, 1) weights ``s``, ``x`` is the "same"
+    temporal convolution of ``lags.x`` with the taps ``w``, and ``lags`` is
+    the :func:`lag_statistics` of that input.  The op returns the sum of the
+    normalised ``x``, not ``x`` normalised, and takes its batch moments from
+    ``w`` and ``lags``; it never reads ``x``, and ``x`` is not one of its
+    parents.  See :func:`_batch_norm_through`.
     """
     if x.shape[0] == 1:
         raise ValueError("batch of size 1 in train mode: batch variance is undefined up to eps")
@@ -372,34 +462,44 @@ def batch_norm(x, gamma, beta, eps=BN_EPS, running=None, momentum=0.99, bias=Non
     return from_op(out, parents, backward)
 
 
-def _batch_norm_through(x, gamma, beta, eps, running, momentum, bias, z, s):
-    """Train-mode norm of (N, C, H, T) ``x``, applied after the electrode
-    sum ``z = Σ_h s[c, h] x[:, c, h]``.
+def _batch_norm_through(u, gamma, beta, eps, running, momentum, bias, z, s, w, lags):
+    """Train-mode norm of (N, C, H, T) ``u``, the "same" temporal
+    convolution of ``lags.x`` with the (C, 1, 1, K) taps ``w``, applied
+    after the electrode sum ``z = Σ_h s[c, h] u[:, c, h]``.
 
-    Per channel the norm is the affine map ``a (x - μ) + β`` with
+    Per channel the norm is the affine map ``a (u - μ) + β`` with
     ``a = γ / sqrt(var + eps)``, so it commutes with the sum: the output is
-    ``a (z - μ S) + β S``, where ``S = Σ_h s[c, h]``.  Only the batch
-    moments read ``x``, the variance one chunk of trials at a time, so no
-    full-size array is written.
+    ``a (z - μ S) + β S``, where ``S = Σ_h s[c, h]``.  The batch moments are
+    quadratic in the taps: with the window sums ``r`` and the lag Gram
+    matrix ``Q`` of :class:`LagStatistics`, ``μ = w·r / m`` and
+    ``var = wᵀQw / m - μ²`` over the ``m`` values of a channel.  So the op
+    never reads ``u``.
 
     Backward, with ``G = Σ g`` and ``K = Σ g (z - μ S)`` per channel:
-    ``z`` takes ``a g`` (its own backward routes that to ``x`` and ``s``),
+    ``z`` takes ``a g`` (its own backward routes that to ``u`` and ``s``),
     ``γ`` takes ``K / sqrt(var + eps)``, ``β`` takes ``S G``, ``s`` takes
-    ``(β - a μ) G`` on every electrode, and ``x`` takes the moments' part
-    ``q x + p`` of the usual input gradient.
+    ``(β - a μ) G`` on every electrode.  The moments' part of ``u``'s
+    gradient is ``q u + p``, with ``q = -γ K / (m (var + eps)^1.5)`` and
+    ``p = -a S G / m - q μ``; through the convolution it gives ``w`` the
+    k-vector ``q Qw + p r``, and, only when ``lags.x`` takes a gradient,
+    ``x`` the transposed convolution of ``q u + p``.
     """
-    n, c = x.shape[:2]
-    if z.shape != (n, c, 1, x.shape[3]) or s.shape != (c, 1, x.shape[2], 1):
-        raise ValueError(f"through=(z, s) must be the electrode sum of a {tuple(x.shape)} "
-                         f"input: got z {tuple(z.shape)}, s {tuple(s.shape)}")
-    m = x.size // c
-    mean = _channel_sum(x.data) / m
-    step = max(1, _CHUNK_BYTES // x.data[0].nbytes)
-    sq = 0
-    for lo in range(0, n, step):
-        centred = x.data[lo:lo + step] - _per_channel(mean, 4)
-        sq = sq + _channel_sum(centred, centred)
-    var = sq / m
+    n, c, h, t = u.shape
+    k = w.shape[-1]
+    if z.shape != (n, c, 1, t) or s.shape != (c, 1, h, 1):
+        raise ValueError(f"through=(z, s, w, lags) must hold the electrode sum of a "
+                         f"{tuple(u.shape)} input: got z {tuple(z.shape)}, s {tuple(s.shape)}")
+    if w.shape != (c, 1, 1, k) or lags.x.shape != (n, 1, h, t):
+        raise ValueError(f"through=(z, s, w, lags) must hold the temporal convolution behind "
+                         f"a {tuple(u.shape)} input: got w {tuple(w.shape)}, "
+                         f"x {tuple(lags.x.shape)}")
+    gram, sums = lags.window(k)
+    taps = w.data[:, 0, 0].astype(np.float64)
+    gram_taps = taps @ gram                     # row c is Q w_c
+    m = lags.x.size
+    mean = taps @ sums / m
+    var = np.einsum("ck,ck->c", gram_taps, taps) / m - mean * mean
+    mean, var = mean.astype(u.dtype), var.astype(u.dtype)
     inv = 1.0 / np.sqrt(var + eps)
     if running is not None:
         _update_running(running, mean if bias is None else mean + bias.data, var, momentum)
@@ -409,7 +509,8 @@ def _batch_norm_through(x, gamma, beta, eps, running, momentum, bias, z, s):
     out = z.data - shift
     out *= _per_channel(scale, 4)
     out += _per_channel(beta.data * total, 4)
-    parents = (x, gamma, beta, z, s) if bias is None else (x, gamma, beta, bias, z, s)
+    x = lags.x
+    parents = (gamma, beta) + (() if bias is None else (bias,)) + (z, s, w, x)
 
     def backward(g):
         g_sum = _channel_sum(g)
@@ -425,11 +526,15 @@ def _batch_norm_through(x, gamma, beta, eps, running, momentum, bias, z, s):
                 ((beta.data - scale * mean) * g_sum).reshape(c, 1, 1, 1), s.shape))
         if z.requires_grad:
             accumulate(z, g * _per_channel(scale, 4), fresh=True)
+        q = -gamma.data * inv ** 3 * g_c_sum / m
+        p = -scale * total * g_sum / m - q * mean
+        if w.requires_grad:
+            accumulate(w, (q[:, None] * gram_taps + p[:, None] * sums).reshape(w.shape))
         if x.requires_grad:
-            q = -gamma.data * inv ** 3 * g_c_sum / m
-            gx = np.multiply(x.data, _per_channel(q, 4))
-            gx += _per_channel(-scale * total * g_sum / m - q * mean, 4)
-            accumulate(x, gx, fresh=True)
+            gu = np.multiply(u.data, _per_channel(q, 4))
+            gu += _per_channel(p, 4)
+            back = w.data[:, :, 0, ::-1].transpose(1, 0, 2)
+            accumulate(x, band_conv(gu, band_matrix(back), k - 1 - (k - 1) // 2, t))
 
     return from_op(out, parents, backward)
 

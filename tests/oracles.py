@@ -13,8 +13,10 @@ forward and backward, kept as references for the kernels in ``ops``;
 and the previous pooling and dropout, as recorded ops, so a whole training
 step can run on them; ``bias_add_batch_norm`` also runs the previous BN1
 chain (norm, then the spatial convolution) in place of
-``batch_norm(..., through=(z, s))``.  ``bias_add`` is the broadcast
-per-channel add that the engine does not have.
+``batch_norm(..., through=(z, s, w, lags))``.  ``bias_add`` is the
+broadcast per-channel add that the engine does not have.
+``lag_statistics_reference`` sums the lag Gram matrix and window sums of
+``ops.lag_statistics`` directly over sliding windows.
 ``graph_infer_logits`` and ``graph_infer_tc`` run the model in infer mode
 as a graph of ``ops`` layers, unfolded, each batch norm applied on its own
 by ``infer_norm``, as the reference for the model's own plain-numpy
@@ -260,8 +262,9 @@ def bias_add_batch_norm(x, gamma, beta, eps=1e-3, running=None, momentum=0.99, b
                         through=None):
     """Train-mode ``ops.batch_norm`` as a chain of recorded ops: the bias
     added by its own op, then :func:`batch_norm_train_reference`, then, with
-    ``through=(z, s)``, the depthwise electrode sum of the normalised input
-    with weights ``s`` by :func:`window_conv2d` (``z`` is left unused)."""
+    ``through=(z, s, w, lags)``, the depthwise electrode sum of the
+    normalised input with weights ``s`` by :func:`window_conv2d` (``z``,
+    ``w`` and ``lags`` are left unused)."""
     if through is not None:
         out = bias_add_batch_norm(x, gamma, beta, eps, running, momentum, bias)
         return window_conv2d(out, through[1], depthwise=True)
@@ -281,6 +284,19 @@ def bias_add_batch_norm(x, gamma, beta, eps=1e-3, running=None, momentum=0.99, b
         accumulate(beta, gbeta)
 
     return from_op(out, (x, gamma, beta), backward)
+
+
+def lag_statistics_reference(x, k):
+    """``(gram, sums)`` of the k row windows that a "same" k-tap kernel
+    reads from the (N, 1, H, T) array ``x``, summed directly over sliding
+    windows in float64: window i is a row after ``(k - 1) // 2`` zeros,
+    from sample i on."""
+    n, _, h, t = x.shape
+    left = (k - 1) // 2
+    rows = np.pad(np.asarray(x, dtype=np.float64).reshape(n * h, t),
+                  ((0, 0), (left, k - 1 - left)))
+    win = sliding_window_view(rows, t, axis=1)   # (rows, k, T)
+    return np.einsum("rit,rjt->ij", win, win), win.sum(axis=(0, 2))
 
 
 def float_mask_dropout(x, rate, rng):

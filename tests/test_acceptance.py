@@ -20,7 +20,7 @@ from eegitnet.model import (ArchConfig, ITNetModel, build, load_model,
                             save_model)
 from eegitnet.ops import (ConvSpec, avg_pool_time, batch_norm,
                           conv_temporal, dense, dropout, elu, flatten,
-                          softmax_cross_entropy)
+                          lag_statistics, softmax_cross_entropy)
 from eegitnet.stats import rank_sum_counts, wilcoxon_one_sided
 from eegitnet.tensor import Tensor
 from eegitnet.training import TrainConfig, report_csv_text, run_scenario
@@ -228,15 +228,23 @@ def test_gradient_checks(verdict, rng):
 
     worst["end-to-end"] = check_gradients(
         end_to_end, [x] + [model.params[n].data for n in names])
-    # BN1 applied through the spatial sum (drawn last, so the inputs of the
-    # checks above are unchanged)
-    spatial = ConvSpec(2, 1, "valid", True, 3)
+    # BN1 applied through the spatial sum to a temporal conv's output, its
+    # moments from the input's lag statistics (drawn last, so the inputs of
+    # the checks above are unchanged)
+    temporal, spatial = ConvSpec(3, 1, "same", False, 3), ConvSpec(2, 1, "valid", True, 3)
+
+    def bn1_through_sum(t):
+        x, w, gamma, beta, bias, s = t
+        u = conv_temporal(x, temporal, w)
+        return to_scalar(batch_norm(u, gamma, beta, bias=bias,
+                                    through=(conv_temporal(u, spatial, s), s, w,
+                                             lag_statistics(x, [3]))))
+
     worst["batch-norm-through-sum"] = check_gradients(
-        lambda t: to_scalar(batch_norm(t[0], t[1], t[2], bias=t[3],
-                                       through=(conv_temporal(t[0], spatial, t[4]), t[4]))),
-        [rng.standard_normal((4, 3, 2, 5)) + 0.5, 1.0 + 0.1 * rng.standard_normal(3),
-         0.1 * rng.standard_normal(3), rng.standard_normal(3),
-         rng.standard_normal((3, 1, 2, 1)) * 0.5])
+        bn1_through_sum,
+        [rng.standard_normal((4, 1, 2, 5)) + 0.5, rng.standard_normal((3, 1, 1, 3)) * 0.5,
+         1.0 + 0.1 * rng.standard_normal(3), 0.1 * rng.standard_normal(3),
+         rng.standard_normal(3), rng.standard_normal((3, 1, 2, 1)) * 0.5])
 
     elapsed = time.perf_counter() - start
     top = max(worst.values())

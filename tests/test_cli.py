@@ -367,7 +367,10 @@ def test_explain_flag_validation(within_run, tmp_path, capsys):
                  "--fs", "64", "--savgol-p", "99"]) == 2
     assert main(["explain", "--model", model, "--out", str(tmp_path),
                  "--fs", "64", "--pad-to", "4"]) == 2
-    capsys.readouterr()
+    # refused before any DFT buffer is allocated
+    assert main(["explain", "--model", model, "--out", str(tmp_path),
+                 "--fs", "64", "--pad-to", "100000000"]) == 2
+    assert "pad_to (100000000) must be <= 65536" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("target", ["file", "under_a_file"])

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from eegitnet.explain import (FilterAtlas, build_atlas, export_atlas,
+from eegitnet.explain import (MAX_PAD_TO, FilterAtlas, build_atlas, export_atlas,
                               kernel_spectrum, pinv, savgol_coeffs,
                               savgol_smooth, spatial_patterns)
 from eegitnet.model import ArchConfig, build
@@ -186,6 +186,9 @@ def test_spectrum_input_validation():
         kernel_spectrum(np.ones(1), 125.0)
     with pytest.raises(ValueError, match="pad_to"):
         kernel_spectrum(np.ones(64), 125.0, pad_to=32)
+    assert len(kernel_spectrum(np.ones(64), 125.0, pad_to=MAX_PAD_TO)[0]) == MAX_PAD_TO // 2 + 1
+    with pytest.raises(ValueError, match="pad_to"):
+        kernel_spectrum(np.ones(64), 125.0, pad_to=MAX_PAD_TO + 1)
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Architecture, receptive-field arithmetic, causality, serialization."""
 import dataclasses
 import itertools
+import json
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -230,6 +234,30 @@ def test_all_parameters_receive_gradients(rng):
     assert not missing, f"no gradient reached: {missing}"
 
 
+def test_a_training_step_loads_no_scipy_module():
+    # scipy costs start-up time and resident memory; a train-mode step
+    # (forward, backward, Adam) is numpy only, so it runs in a process of its own
+    probe = """
+import json, sys
+import numpy as np
+import eegitnet
+from eegitnet.model import ArchConfig, build
+from eegitnet.ops import softmax_cross_entropy
+from eegitnet.optim import Adam
+model = build(ArchConfig(n_channels=8, n_samples=375, n_classes=2), seed=0)
+rng = np.random.default_rng(0)
+x = rng.standard_normal((4, 1, 8, 375)).astype(np.float32)
+opt = Adam(model.parameters())
+softmax_cross_entropy(model.forward_logits(x, mode="train", rng=rng), [0, 1, 0, 1]).backward()
+opt.step()
+print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "scipy")))
+"""
+    src = os.path.dirname(os.path.dirname(model_module.__file__))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
 def test_conv_biases_enter_the_graph_only_through_their_norms(rng):
     # no separate bias-add node: each conv bias is a direct parent of the
     # batch norm after its conv, and of nothing else
@@ -249,17 +277,20 @@ def test_conv_biases_enter_the_graph_only_through_their_norms(rng):
     users = consumers[id(p["dr.b"])]
     assert len(users) == 1
     assert users[0]._parents[1:] == (p["dr.bn.gamma"], p["dr.bn.beta"], p["dr.b"])
-    # BN1 is applied through the spatial sum: its parents are the temporal
-    # conv's output u, its own parameters and the bias, then the spatial conv
-    # z of u and z's weights
+    # BN1 is applied through the spatial sum, with its moments from the
+    # input's lag statistics: its parents are its own parameters and the
+    # bias, then the spatial conv z of the temporal conv's output u, z's
+    # weights, the temporal taps and the network input; u is not among them
     for i in range(3):
         users = consumers[id(p[f"branch{i}.temporal.b"])]
         assert len(users) == 1, i
-        u, *params, z, s = users[0]._parents
+        *params, z, s, w, x_in = users[0]._parents
         assert params == [p[f"branch{i}.bn1.gamma"], p[f"branch{i}.bn1.beta"],
                           p[f"branch{i}.temporal.b"]]
-        assert s is p[f"branch{i}.spatial.w"] and z._parents == (u, s)
-        assert u._parents[1:] == (p[f"branch{i}.temporal.w"],)
+        assert s is p[f"branch{i}.spatial.w"] and w is p[f"branch{i}.temporal.w"]
+        u = z._parents[0]
+        assert z._parents == (u, s) and u._parents == (x_in, w)
+        assert np.array_equal(x_in.data, x)
 
 
 def test_input_shape_validation(rng):

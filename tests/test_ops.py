@@ -14,7 +14,8 @@ from eegitnet.ops import ConvSpec, conv_temporal
 from eegitnet.tensor import Tensor
 
 from oracles import (batch_norm_train_reference, bias_add, check_gradients, conv_oracle,
-                     elu_reference, to_scalar, window_conv_reference)
+                     elu_reference, lag_statistics_reference, to_scalar,
+                     window_conv_reference)
 
 
 # ----------------------------------------------------------------------
@@ -260,41 +261,48 @@ def test_batch_norm_keeps_no_full_size_copy_for_its_backward(mode):
 
 
 SPATIAL = ConvSpec(22, 1, "valid", True, 8)   # BN1's electrode sum at the paper shape
+TEMPORAL = ConvSpec(64, 1, "same", False, 8)   # the paper's longest inception kernel
 
 
 def _bn1_inputs(dtype):
-    """Paper-shape BN1 arrays: the temporal conv's (16, 8, 22, 1125) output,
-    gamma, beta, the conv bias, the spatial weights and an output gradient."""
+    """Paper-shape BN1 arrays: a (16, 1, 22, 1125) input and the (8, 1, 1,
+    64) temporal taps whose convolution of it BN1 normalises, gamma, beta,
+    the conv bias, the spatial weights and an output gradient."""
     rng = np.random.default_rng(12)
-    u = 0.5 + 3.0 * rng.standard_normal((16, 8, 22, 1125))
+    x = 0.5 + 3.0 * rng.standard_normal((16, 1, 22, 1125))
+    w = 0.2 * rng.standard_normal((8, 1, 1, 64))
     gamma, beta, bias = rng.uniform(0.5, 1.5, 8), rng.standard_normal(8), rng.standard_normal(8)
     s = 0.3 * rng.standard_normal((8, 1, 22, 1))
     g = rng.standard_normal((16, 8, 1, 1125))
-    return [a.astype(dtype) for a in (u, gamma, beta, bias, s, g)]
+    return [a.astype(dtype) for a in (x, w, gamma, beta, bias, s, g)]
 
 
 @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-9), (np.float32, 1e-5)])
 def test_batch_norm_through_the_sum_matches_the_norm_then_the_sum(dtype, tol):
-    # BN1 applied through the spatial sum against the chain it replaces: the
-    # norm, then the spatial conv of its output.  Outputs and running
-    # statistics within tol of their largest value, gradients within tol of
-    # the largest gradient; the bias gradient is exactly zero
+    # BN1 applied through the spatial sum, with its moments from the input's
+    # lag statistics, against the chain it replaces: the norm of the
+    # temporal conv's output, then the spatial conv of that.  Outputs and
+    # running statistics within tol of their largest value, gradients (the
+    # input's too) within tol of the largest gradient; the bias gradient is
+    # exactly zero
     *arrays, g = _bn1_inputs(dtype)
     results = []
     for through in (True, False):
-        u, gamma, beta, bias, s = _tensors(*arrays)
+        x, w, gamma, beta, bias, s = _tensors(*arrays)
         running = _running(8, dtype)
+        u = conv_temporal(x, TEMPORAL, w)
         if through:
-            z = conv_temporal(u, SPATIAL, s)
-            out = ops.batch_norm(u, gamma, beta, running=running, bias=bias, through=(z, s))
+            out = ops.batch_norm(u, gamma, beta, running=running, bias=bias,
+                                 through=(conv_temporal(u, SPATIAL, s), s, w,
+                                          ops.lag_statistics(x, [64])))
         else:
             out = conv_temporal(ops.batch_norm(u, gamma, beta, running=running, bias=bias),
                                 SPATIAL, s)
         _backward_with(out, g)
-        results.append((out.data, [t.grad for t in (u, gamma, beta, bias, s)],
+        results.append((out.data, [t.grad for t in (x, w, gamma, beta, bias, s)],
                         list(running)))
     (out, grads, stats), (ref_out, ref_grads, ref_stats) = results
-    assert not grads[3].any()
+    assert not grads[4].any()
     largest = max(np.abs(a).max() for a in ref_grads)
     for got, want in zip(grads, ref_grads):
         assert got.dtype == dtype and got.shape == want.shape
@@ -305,28 +313,70 @@ def test_batch_norm_through_the_sum_matches_the_norm_then_the_sum(dtype, tol):
 
 
 def test_batch_norm_through_the_sum_writes_no_full_size_array():
-    # the forward reads the (16, 8, 22, 1125) input for its moments only:
-    # once it returns it holds its (16, 8, 1, 1125) output plus per-channel
-    # arrays, and on the way it never holds more than a chunk of trials
-    u, gamma, beta, bias, s, _ = _tensors(*_bn1_inputs(np.float32))
+    # the norm never reads the (16, 8, 22, 1125) temporal output u: once the
+    # forward returns it holds its (16, 8, 1, 1125) output plus per-channel
+    # and per-tap arrays, and on the way it never holds more; its backward
+    # puts nothing into u's gradient and allocates no array of u's size
+    x, *arrays, g = _bn1_inputs(np.float32)
+    w, gamma, beta, bias, s = _tensors(*arrays)
+    x = Tensor(x)
+    u = conv_temporal(x, TEMPORAL, w)
     z = conv_temporal(u, SPATIAL, s)
+    lags = ops.lag_statistics(x, [64])
     tracemalloc.start()
     try:
         out = ops.batch_norm(u, gamma, beta, running=_running(8), bias=bias,
-                             through=(z, s))
+                             through=(z, s, w, lags))
         held, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        out._backward_fn(g)
+        _, backward_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert out.data.nbytes <= held < out.data.nbytes + 64 * 1024, \
         f"{held} bytes held for a {out.data.nbytes}-byte output"
     assert peak < 2 * 1024 * 1024, f"peak {peak} bytes"
+    assert u.grad is None
+    assert z.grad is not None and w.grad is not None
+    assert backward_peak - held < 2 * 1024 * 1024 < u.data.nbytes, \
+        f"backward peak {backward_peak - held} bytes above the forward's"
 
 
 def test_batch_norm_through_rejects_a_z_that_is_not_the_electrode_sum(rng):
-    u, gamma, beta, s = _tensors(rng.standard_normal((4, 2, 3, 5)), np.ones(2), np.zeros(2),
-                                 rng.standard_normal((2, 1, 3, 1)))
+    x, w, gamma, beta, s = _tensors(rng.standard_normal((4, 1, 3, 5)),
+                                    rng.standard_normal((2, 1, 1, 3)), np.ones(2), np.zeros(2),
+                                    rng.standard_normal((2, 1, 3, 1)))
+    u = conv_temporal(x, ConvSpec(3, 1, "same", False, 2), w)
+    z = conv_temporal(u, ConvSpec(3, 1, "valid", True, 2), s)
+    lags = ops.lag_statistics(x, [3])
     with pytest.raises(ValueError, match="electrode sum"):
-        ops.batch_norm(u, gamma, beta, through=(u, s))
+        ops.batch_norm(u, gamma, beta, through=(u, s, w, lags))
+    with pytest.raises(ValueError, match="temporal convolution"):
+        ops.batch_norm(u, gamma, beta, through=(z, s, s, lags))
+    other = ops.lag_statistics(Tensor(rng.standard_normal((4, 1, 3, 6))), [3])
+    with pytest.raises(ValueError, match="temporal convolution"):
+        ops.batch_norm(u, gamma, beta, through=(z, s, w, other))
+    with pytest.raises(ValueError, match="offsets"):
+        ops.batch_norm(u, gamma, beta, through=(z, s, w, ops.lag_statistics(x, [1])))
+    with pytest.raises(ValueError, match="one input filter"):
+        ops.lag_statistics(u, [3])
+
+
+@pytest.mark.parametrize("shape,extents", [
+    ((3, 1, 4, 200), (16, 32, 64)),   # the paper's branches, sliced from one matrix
+    ((2, 1, 3, 40), (16, 32, 64)),    # T shorter than the longest kernel
+    ((4, 1, 2, 30), (5,)),            # odd extent
+    ((4, 1, 2, 30), (6,)),            # even extent: one more offset after than before
+    ((4, 1, 2, 30), (1, 4)),
+])
+def test_lag_statistics_match_the_sliding_windows(shape, extents):
+    x = 0.5 + 3.0 * np.random.default_rng(13).standard_normal(shape)
+    lags = ops.lag_statistics(Tensor(x), extents)
+    for k in extents:
+        gram, sums = lags.window(k)
+        ref_gram, ref_sums = lag_statistics_reference(x, k)
+        assert np.abs(gram - ref_gram).max() <= 1e-12 * np.abs(ref_gram).max(), k
+        assert np.abs(sums - ref_sums).max() <= 1e-12 * np.abs(ref_sums).max(), k
 
 
 def test_elu_is_bit_identical_to_reference_at_paper_shape():
