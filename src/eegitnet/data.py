@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 import struct
 from collections import namedtuple
 from dataclasses import dataclass, replace
@@ -62,9 +63,17 @@ class EpochSet:
         if xy.shape != (trials.shape[1], 2):
             raise ValueError(
                 f"channel_xy must be ({trials.shape[1]}, 2), got {tuple(xy.shape)}")
+        if not np.isfinite(xy).all():
+            raise ValueError(f"channel_xy of channel {np.argmin(np.isfinite(xy).all(axis=1))} "
+                             "is not finite")
         if len(self.channel_names) != trials.shape[1]:
             raise ValueError(
                 f"{len(self.channel_names)} channel names for {trials.shape[1]} channels")
+        seen = set()
+        for name in self.channel_names:
+            if name in seen:
+                raise ValueError(f"channel name {name!r} appears twice")
+            seen.add(name)
         if not self.fs > 0:
             raise ValueError("fs must be positive")
         object.__setattr__(self, "trials", trials)
@@ -169,6 +178,16 @@ def load_epochs(path) -> EpochSet:
             channel_names.append(read_string(f, f"channel {i} name"))
             xy.append(struct.unpack("<ff", read_exact(f, 8, f"channel {i} coordinates")))
         class_names = [read_string(f, f"class {i} name") for i in range(n_classes)]
+        # the labels and the samples fill the rest of the file exactly;
+        # checked before either is read
+        payload = 4 * n_trials * (1 + n_channels * n_samples)
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        if left < payload:
+            raise FormatError("truncated", f"file ends {payload - left} bytes short of "
+                                           f"the declared {payload}-byte payload")
+        if left > payload:
+            raise FormatError("bad_value", f"{left - payload} bytes after the declared "
+                                           f"{payload}-byte payload")
         labels = np.frombuffer(read_exact(f, 4 * n_trials, "the labels"), dtype="<u4")
         if labels.size and labels.max() >= n_classes:
             raise FormatError("bad_value",
@@ -180,7 +199,8 @@ def load_epochs(path) -> EpochSet:
                         np.asarray(xy, dtype=np.float32).reshape(n_channels, 2), fs)
     except ValueError as exc:
         # the shapes were checked above; what is left is a bad value in the
-        # file: a non-finite sample or a sampling rate that is not positive
+        # file: a non-finite sample or coordinate, a repeated channel name or
+        # a sampling rate that is not positive
         raise FormatError("bad_value", str(exc)) from None
 
 

@@ -575,6 +575,7 @@ def load_model(path) -> ITNetModel:
     except ValueError as exc:
         raise FormatError("bad_value", str(exc)) from None
 
+    shapes = {name: shape for name, shape, _ in _layout(config)}
     state = {}
     with open(path, "rb") as f:
         magic = f.read(len(MODEL_MAGIC))
@@ -603,6 +604,16 @@ def load_model(path) -> ITNetModel:
             if count > 2 ** 31:
                 raise FormatError("extent_overflow",
                                   f"parameter {name}: {count} elements exceeds the format limit")
+            # checked before the payload is read, so a file cannot make the
+            # reader allocate more than the config's arrays
+            if name not in shapes:
+                raise FormatError("bad_value", f"unknown parameter {name}")
+            if rank != len(shapes[name]):
+                raise FormatError("bad_value",
+                                  f"parameter {name}: rank {rank} != {len(shapes[name])}")
+            if extents != shapes[name]:
+                raise FormatError("bad_value",
+                                  f"parameter {name}: extents {extents} != {shapes[name]}")
             dt = _TAG_DTYPES[tag]
             raw = read_exact(f, count * dt.itemsize, f"{name} values")
             state[name] = np.frombuffer(raw, dtype=dt).reshape(extents).copy()

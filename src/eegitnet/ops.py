@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .tensor import Tensor, accumulate, from_op
+from .tensor import FactoredGrad, Tensor, accumulate, from_op
 
 PAD_MODES = ("same", "valid", "causal")
 BN_EPS = 1e-3
@@ -205,12 +205,18 @@ def conv_temporal(x, spec: ConvSpec, weights):
     so output[t] never sees input[t' > t].
 
     A depthwise kernel that spans every electrode and no time is one
-    contraction over the electrodes, forward and backward.  A time kernel
-    runs :func:`band_conv` once, with its taps' :func:`band_matrix`; a
-    lag-ordered kernel's taps are reversed into correlation order there, and
-    its tap gradient is reversed back.  The input gradient is the same
-    kernel with reversed taps (and, for a dense kernel, input and output
-    filters swapped).
+    contraction over the electrodes forward; backward, it sends its input
+    the gradient ``s[c, h] g[n, c, t]`` as a :class:`FactoredGrad` and
+    never builds it.  A time kernel runs :func:`band_conv` once, with its
+    taps' :func:`band_matrix`; a lag-ordered kernel's taps are reversed into
+    correlation order there, and its tap gradient is reversed back.  The
+    input gradient is the same kernel with reversed taps (and, for a dense
+    kernel, input and output filters swapped).  A dense time kernel on one
+    input filter marks its output ``keeps_factored``: given a factored
+    gradient, it sums the electrodes first, so its taps run depthwise on
+    the rows ``Σ_h s[f, h] x[:, 0, h]`` against ``g[:, f]``, and the input
+    gradient is ``Σ_f s[f, h]`` of the depthwise transposed convolution of
+    ``g``.
     """
     if x.ndim != 4:
         raise ValueError(f"input must be 4-D (batch, filters, electrodes, time), got {x.ndim}-D")
@@ -261,8 +267,7 @@ def conv_temporal(x, spec: ConvSpec, weights):
                 gw = np.matmul(windows, g[..., None]).sum(axis=(0, 2))
                 accumulate(weights, gw[:, None])
             if x.requires_grad:
-                # (1, C, kh, 1) taps times (N, C, 1, T): the input's shape
-                accumulate(x, w_data.reshape(1, c_in, kh, 1) * g, fresh=True)
+                accumulate(x, FactoredGrad(w_data.reshape(c_in, kh), g.reshape(n, c_in, t)))
 
         return from_op(out, (x, weights), backward)
 
@@ -275,14 +280,25 @@ def conv_temporal(x, spec: ConvSpec, weights):
                     t - reach if spec.padding == "valid" else t)
 
     def backward(g):
+        mix, g_taps = None, taps
+        if isinstance(g, FactoredGrad):
+            # g[n, f, h, t] = s[f, h] g_z[n, f, t] and x has one filter: sum
+            # the electrodes first, and run the taps depthwise on g_z's rows
+            mix, g, g_taps = g.s, g.g[:, :, None], taps[:, 0]
         if weights.requires_grad:
-            gw = band_conv_taps_grad(x.data, taps, g, left, dilation)
+            rows = x.data if mix is None else np.matmul(mix, x.data[:, 0])[:, :, None]
+            gw = band_conv_taps_grad(rows, g_taps, g, left, dilation)
             accumulate(weights, (gw[..., ::-1] if causal else gw).reshape(weights.shape))
         if x.requires_grad:
-            back = taps[..., ::-1] if spec.depthwise else taps[..., ::-1].transpose(1, 0, 2)
-            accumulate(x, band_conv(g, band_matrix(back, dilation), reach - left, t))
+            back = g_taps[..., ::-1]
+            if g_taps.ndim == 3:   # dense: input and output filters swap
+                back = back.transpose(1, 0, 2)
+            gx = band_conv(g, band_matrix(back, dilation), reach - left, t)
+            accumulate(x, gx if mix is None else np.matmul(mix.T, gx[:, :, 0])[:, None])
 
-    return from_op(out, (x, weights), backward)
+    out = from_op(out, (x, weights), backward)
+    out.keeps_factored = not spec.depthwise and c_in == 1
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -5,9 +5,11 @@ for a single reverse pass: the tensors it was computed from and a closure
 that routes the output gradient to them.  Recording happens implicitly
 whenever an operation touches a tensor with ``requires_grad`` set, so the
 forward pass *is* the tape.  Training code runs in float32; the gradient
-check tests build float64 graphs.  Besides the plumbing the engine holds
-only the two ops the model records outside ``ops``: the same-shape
-:func:`add` of the residual join and :func:`concat_channels`.
+check tests build float64 graphs.  A gradient is an array, or a rank-1
+:class:`FactoredGrad` that only a tensor marked for it keeps.  Besides the
+plumbing the engine holds only the two ops the model records outside
+``ops``: the same-shape :func:`add` of the residual join and
+:func:`concat_channels`.
 
 The engine is single-threaded by design: one graph is walked at a time and
 tensor data is never mutated once recorded (optimizers write only into leaf
@@ -50,19 +52,25 @@ class Tensor:
     ----------
     data : numpy.ndarray
         Row-major values.
-    grad : numpy.ndarray or None
-        Accumulated gradient, same shape as ``data``; allocated lazily.
+    grad : numpy.ndarray, FactoredGrad or None
+        Accumulated gradient, same shape as ``data``; allocated lazily.  A
+        tensor whose ``keeps_factored`` is set may hold a
+        :class:`FactoredGrad` instead (see :func:`accumulate`).
     requires_grad : bool
         Leaf parameters set this; op outputs inherit it from their inputs.
+    keeps_factored : bool
+        Set by the op that made the tensor when its backward reads a
+        :class:`FactoredGrad`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn",
-                 "_backward_done")
+    __slots__ = ("data", "grad", "requires_grad", "keeps_factored", "_parents",
+                 "_backward_fn", "_backward_done")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         self.data = _as_array(data, dtype)
         self.grad = None
         self.requires_grad = bool(requires_grad)
+        self.keeps_factored = False
         self._parents = ()
         self._backward_fn = None
         self._backward_done = False
@@ -150,6 +158,22 @@ def from_op(data, parents, backward_fn):
     return out
 
 
+class FactoredGrad:
+    """The (N, C, H, T) gradient ``s[c, h] * g[n, c, t]``, kept as its two
+    factors: ``s`` is (C, H) and ``g`` is (N, C, T).  It is what an
+    electrode-spanning depthwise filter ``s`` sends back to its input."""
+
+    __slots__ = ("s", "g")
+
+    def __init__(self, s, g):
+        self.s = s
+        self.g = g
+
+    def dense(self):
+        """The gradient as one new (N, C, H, T) array."""
+        return self.s[None, :, :, None] * self.g[:, :, None, :]
+
+
 def accumulate(tensor, grad, fresh=False):
     """Add ``grad`` into ``tensor.grad`` (no-op for constants).
 
@@ -157,9 +181,20 @@ def accumulate(tensor, grad, fresh=False):
     else: on first touch the tensor takes it over as its gradient, without a
     copy, when it owns its memory, is writeable and C-contiguous, and matches
     the tensor's dtype and shape.  Any other first gradient is copied.
+
+    A :class:`FactoredGrad` stays factored only as the first gradient of a
+    tensor whose ``keeps_factored`` is set; anywhere else, and as soon as a
+    second gradient arrives, it is made :meth:`~FactoredGrad.dense`.
     """
     if not tensor.requires_grad:
         return
+    if isinstance(grad, FactoredGrad):
+        if tensor.grad is None and tensor.keeps_factored:
+            tensor.grad = grad
+            return
+        grad, fresh = grad.dense(), True
+    if isinstance(tensor.grad, FactoredGrad):
+        tensor.grad = tensor.grad.dense()
     if tensor.grad is None:
         flags = grad.flags
         if (fresh and flags.owndata and flags.writeable and flags.c_contiguous

@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -419,7 +420,13 @@ def test_explain_rejects_a_sidecar_that_is_not_utf8(within_run, tmp_path, capsys
      "parameter branch0.spatial.w: non-finite value"),
     (b"tc0.bn0.running_var", len(b"tc0.bn0.running_var") + 6, np.float32(-1.0).tobytes(),
      "parameter tc0.bn0.running_var: negative variance"),
-], ids=["name-not-utf8", "non-finite-weight", "negative-variance"])
+    (b"branch0.temporal.b", len(b"branch0.temporal.b") + 1, bytes([70]),
+     "parameter branch0.temporal.b: rank 70 != 1"),
+    (b"branch0.spatial.w", len(b"branch0.spatial.w") + 1,
+     struct.pack("<B3I", 3, 0, 4_000_000_000, 4_000_000_000),
+     "parameter branch0.spatial.w: rank 3 != 4"),
+], ids=["name-not-utf8", "non-finite-weight", "negative-variance", "rank-70",
+        "huge-empty-extents"])
 def test_explain_rejects_bad_values_in_the_model_file(within_run, tmp_path, capsys, name,
                                                       offset, payload, fragment):
     # the offsets count from the array's name: its first byte, or its first

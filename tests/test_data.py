@@ -42,6 +42,15 @@ def test_epochset_validates_shapes(rng):
     with pytest.raises(ValueError):
         EpochSet(good.trials, good.labels, good.class_names,
                  good.channel_names[:-1], good.channel_xy, good.fs)
+    with pytest.raises(ValueError, match="channel name 'c1' appears twice"):
+        EpochSet(good.trials, good.labels, good.class_names,
+                 ("c1", "c1", "c3"), good.channel_xy, good.fs)
+    for bad in (np.nan, np.inf):
+        xy = good.channel_xy.copy()
+        xy[1, 0] = bad
+        with pytest.raises(ValueError, match="channel_xy of channel 1 is not finite"):
+            EpochSet(good.trials, good.labels, good.class_names,
+                     good.channel_names, xy, good.fs)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -170,6 +179,45 @@ def test_epoch_file_channel_name_that_is_not_utf8(tmp_path, rng):
     blob[len(EPOCH_MAGIC) + 26] = 0xFF  # the first byte of channel 0's name
     path.write_bytes(blob)
     with pytest.raises(FormatError, match="channel 0 name is not UTF-8") as err:
+        load_epochs(path)
+    assert err.value.code == "bad_value"
+
+
+def _append_seven_bytes(blob, s):
+    blob += b"\0" * 7
+
+
+def _insert_a_sample(blob, s):
+    # four bytes inside the data: every later sample would load shifted
+    at = len(blob) - 4 * s.trials.size + 40
+    blob[at:at] = np.float32(1.0).tobytes()
+
+
+def _repeat_a_channel_name(blob, s):
+    # "ch1" becomes "ch0": each name is a u16 length, 3 bytes, then 8 bytes of xy
+    at = len(EPOCH_MAGIC) + 24 + 13 + 2
+    blob[at:at + 3] = b"ch0"
+
+
+def _nan_coordinate(blob, s):
+    at = len(EPOCH_MAGIC) + 24 + 13 + 5   # channel 1's x
+    blob[at:at + 4] = np.float32(np.nan).tobytes()
+
+
+@pytest.mark.parametrize("corrupt, fragment", [
+    (_append_seven_bytes, "7 bytes after the declared"),
+    (_insert_a_sample, "4 bytes after the declared"),
+    (_repeat_a_channel_name, "channel name 'ch0' appears twice"),
+    (_nan_coordinate, "channel_xy of channel 1 is not finite"),
+], ids=["trailing-bytes", "inserted-bytes", "repeated-channel-name", "nan-coordinate"])
+def test_epoch_file_bad_layout_or_channel_table(tmp_path, rng, corrupt, fragment):
+    s = small_set(rng)
+    path = tmp_path / "s.eegepoch"
+    save_epochs(s, path)
+    blob = bytearray(path.read_bytes())
+    corrupt(blob, s)
+    path.write_bytes(blob)
+    with pytest.raises(FormatError, match=fragment) as err:
         load_epochs(path)
     assert err.value.code == "bad_value"
 

@@ -499,11 +499,28 @@ def _negative_running_variance(blob):
     blob[first:first + 4] = np.float32(-1.0).tobytes()
 
 
+def _rank_70(blob):
+    # the zeros of a bias and of the running means read as extents: the
+    # declared payload is empty, and numpy refuses 70 axes
+    at = blob.index(b"branch0.temporal.b") + len(b"branch0.temporal.b") + 1
+    blob[at] = 70
+
+
+def _huge_empty_extents(blob):
+    # rank 3 and extents (0, 4e9, 4e9): no values, and an array numpy
+    # refuses to shape
+    at = blob.index(b"branch0.spatial.w") + len(b"branch0.spatial.w") + 1
+    blob[at:at + 13] = struct.pack("<B3I", 3, 0, 4_000_000_000, 4_000_000_000)
+
+
 @pytest.mark.parametrize("corrupt, fragment", [
     (_corrupt_spatial_weight_name, "a parameter name is not UTF-8"),
     (_corrupt_spatial_weight_value, "parameter branch0.spatial.w: non-finite value"),
     (_negative_running_variance, "parameter tc0.bn0.running_var: negative variance"),
-], ids=["name-not-utf8", "non-finite-value", "negative-variance"])
+    (_rank_70, "parameter branch0.temporal.b: rank 70 != 1"),
+    (_huge_empty_extents, "parameter branch0.spatial.w: rank 3 != 4"),
+], ids=["name-not-utf8", "non-finite-value", "negative-variance", "rank-70",
+        "huge-empty-extents"])
 def test_bad_values_in_the_parameter_file_are_reported(tmp_path, corrupt, fragment):
     model = build(default_config(n_channels=4, n_samples=60))
     path = tmp_path / "m.itnetmdl"

@@ -140,6 +140,22 @@ def test_dense_conv_gradients_across_filters_electrodes_and_dilation(rng):
     check_gradients(lambda ts: to_scalar(conv_temporal(ts[0], spec, ts[1])), [x, w])
 
 
+@pytest.mark.parametrize("spec", [
+    ConvSpec(4, padding="same", filter_count=3),
+    ConvSpec(3, dilation=2, padding="causal", filter_count=3),
+    ConvSpec(3, padding="valid", filter_count=3),
+], ids=["same", "causal-dilated", "valid"])
+def test_temporal_then_spatial_conv_gradients(rng, spec):
+    # the spatial conv sends the temporal conv's output a factored gradient,
+    # and the temporal conv's backward sums it over the electrodes first
+    x = rng.standard_normal((2, 1, 4, 10))
+    w = rng.standard_normal((3, 1, 1, spec.kernel_extent))
+    s = rng.standard_normal((3, 1, 4, 1))
+    spatial = ConvSpec(4, padding="valid", depthwise=True, filter_count=3)
+    check_gradients(lambda ts: to_scalar(conv_temporal(conv_temporal(ts[0], spec, ts[1]),
+                                                       spatial, ts[2])), [x, w, s])
+
+
 @pytest.mark.parametrize("spec,w_shape", [
     (ConvSpec(4, padding="valid", filter_count=2), (2, 2, 4, 1)),
     (ConvSpec(4, padding="same", depthwise=True, filter_count=2), (2, 1, 4, 1)),

@@ -106,6 +106,54 @@ def test_a_fresh_gradient_that_cannot_be_adopted_is_copied(make):
     np.testing.assert_array_equal(x.grad, 1.0)
 
 
+def _factored(rng):
+    """A (C=2, H=3) by (N=4, C=2, T=5) factored gradient and its dense form."""
+    grad = T.FactoredGrad(rng.standard_normal((2, 3)), rng.standard_normal((4, 2, 5)))
+    return grad, np.einsum("ch,nct->ncht", grad.s, grad.g)
+
+
+def _node(marked):
+    """A recorded (4, 2, 3, 5) node, marked ``keeps_factored`` or not."""
+    leaf = Tensor(np.zeros((4, 2, 3, 5)), requires_grad=True, dtype=np.float64)
+    node = from_op(leaf.data.copy(), (leaf,), lambda g: None)
+    node.keeps_factored = marked
+    return node
+
+
+def test_a_marked_node_keeps_its_first_gradient_factored(rng):
+    grad, _ = _factored(rng)
+    node = _node(True)
+    accumulate(node, grad)
+    assert node.grad is grad
+
+
+@pytest.mark.parametrize("target", ["leaf", "unmarked-node"])
+def test_a_factored_gradient_elsewhere_is_made_dense(rng, target):
+    grad, want = _factored(rng)
+    x = (Tensor(np.zeros((4, 2, 3, 5)), requires_grad=True, dtype=np.float64)
+         if target == "leaf" else _node(False))
+    accumulate(x, grad)
+    assert isinstance(x.grad, np.ndarray) and x.grad.shape == (4, 2, 3, 5)
+    np.testing.assert_array_equal(x.grad, want)
+
+
+@pytest.mark.parametrize("order", ["factored-then-dense", "dense-then-factored",
+                                   "factored-twice"])
+def test_a_second_gradient_makes_a_factored_one_dense(rng, order):
+    # a marked node keeps only its first gradient factored: a second one,
+    # dense or factored, turns the sum into one array
+    grad, want = _factored(rng)
+    dense = rng.standard_normal((4, 2, 3, 5))
+    first, second = {"factored-then-dense": (grad, dense), "dense-then-factored": (dense, grad),
+                     "factored-twice": (grad, grad)}[order]
+    node = _node(True)
+    accumulate(node, first)
+    accumulate(node, second)
+    assert isinstance(node.grad, np.ndarray)
+    expected = 2 * want if order == "factored-twice" else want + dense
+    np.testing.assert_array_equal(node.grad, expected)
+
+
 def test_backward_rejects_non_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ValueError):

@@ -17,11 +17,13 @@ gradient bound therefore scales with the step's largest gradient, not with
 each array's own magnitude.
 """
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import eegitnet.model as model_module
+from eegitnet import ops, tensor
 from eegitnet.model import ArchConfig, build
 from eegitnet.ops import softmax_cross_entropy
 
@@ -41,14 +43,19 @@ def _perturbed_model(config, dtype):
     return model
 
 
-def _step(model):
+def _loss(model):
+    """The recorded training loss of one fixed batch."""
     cfg = model.config
     rng = np.random.default_rng(5)
     x = (0.5 + 3.0 * rng.standard_normal((16, 1, cfg.n_channels, cfg.n_samples))).astype(
         model.params["head.w"].dtype)
     y = np.arange(16) % cfg.n_classes
     logits = model.forward_logits(x, mode="train", rng=np.random.default_rng(6))
-    loss = softmax_cross_entropy(logits, y)
+    return softmax_cross_entropy(logits, y)
+
+
+def _step(model):
+    loss = _loss(model)
     loss.backward()
     return loss.item(), {n: p.grad for n, p in model.params.items()}, model.buffers
 
@@ -83,3 +90,65 @@ def test_training_step_matches_the_window_kernels(monkeypatch, dtype, tol):
 @pytest.mark.parametrize("dtype,tol", DTYPE_TOLERANCES)
 def test_desk_training_step_matches_the_window_kernels(monkeypatch, dtype, tol):
     _assert_step_matches_the_references(monkeypatch, DESK, dtype, tol)
+
+
+def _pass_through(from_op):
+    """``from_op`` that wraps every backward closure in another function,
+    as a tracer that times each op's backward does."""
+    def wrapped(data, parents, backward_fn):
+        def traced(g):
+            backward_fn(g)
+        return from_op(data, parents, traced)
+    return wrapped
+
+
+def test_wrapped_backward_closures_give_the_same_step(monkeypatch):
+    # the spatial conv hands the inception conv a factored gradient, marked
+    # on the tensor and not on the closure: a step with every closure
+    # wrapped gives bit-identical gradients, and neither backward allocates
+    # a (16, 8, 22, 1125) gradient for the temporal conv's output
+    full_size = 16 * 8 * 22 * 1125 * np.dtype(np.float32).itemsize
+    model = _perturbed_model(PAPER, np.float32)
+    runs = []
+    for wrap in (False, True):
+        step_model = copy.deepcopy(model)
+        with monkeypatch.context() as patch:
+            if wrap:
+                for owner in (ops, tensor):
+                    patch.setattr(owner, "from_op", _pass_through(owner.from_op))
+            loss = _loss(step_model)
+            tracemalloc.start()
+            try:
+                loss.backward()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < full_size, f"backward peak {peak} bytes (wrapped: {wrap})"
+        runs.append({n: p.grad for n, p in step_model.params.items()})
+    plain, wrapped = runs
+    for name, grad in plain.items():
+        np.testing.assert_array_equal(wrapped[name], grad, err_msg=name)
+
+
+@pytest.mark.parametrize("config", [PAPER, DESK], ids=["paper", "desk"])
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+def test_factored_spatial_gradient_matches_the_dense_one(monkeypatch, config, dtype, tol):
+    # the same step with every factored gradient made dense where it is
+    # sent, so the inception convs take their dense backward: gradients
+    # within tol of the step's largest
+    model = _perturbed_model(config, dtype)
+    dense_model = copy.deepcopy(model)
+    _, grads, _ = _step(model)
+
+    def accumulate_dense(t, g, fresh=False):
+        if isinstance(g, tensor.FactoredGrad):
+            g, fresh = g.dense(), True
+        tensor.accumulate(t, g, fresh)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ops, "accumulate", accumulate_dense)
+        _, ref_grads, _ = _step(dense_model)
+    largest = max(np.abs(g).max() for g in ref_grads.values())
+    for name, ref in ref_grads.items():
+        err = np.abs(grads[name] - ref).max() / largest
+        assert err <= tol, f"{name}: error {err:.2e} of the largest gradient"
