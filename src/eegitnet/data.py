@@ -12,7 +12,6 @@ checked against ground truth.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import struct
 from collections import namedtuple
@@ -74,8 +73,8 @@ class EpochSet:
             if name in seen:
                 raise ValueError(f"channel name {name!r} appears twice")
             seen.add(name)
-        if not self.fs > 0:
-            raise ValueError("fs must be positive")
+        if not 0 < self.fs < math.inf:
+            raise ValueError(f"fs must be positive and finite, got {self.fs}")
         object.__setattr__(self, "trials", trials)
         object.__setattr__(self, "labels", labels.astype(np.uint32))
         object.__setattr__(self, "class_names", tuple(self.class_names))
@@ -200,42 +199,12 @@ def load_epochs(path) -> EpochSet:
     except ValueError as exc:
         # the shapes were checked above; what is left is a bad value in the
         # file: a non-finite sample or coordinate, a repeated channel name or
-        # a sampling rate that is not positive
+        # a sampling rate that is not positive and finite
         raise FormatError("bad_value", str(exc)) from None
 
 
 # ----------------------------------------------------------------------
 # preprocessing
-
-def decimate(signal, factor):
-    """Anti-aliased downsampling along the last axis.
-
-    A 63-tap windowed-sinc low-pass at 0.45 of the new sampling rate is
-    applied forward and backward (zero phase), then every ``factor``-th
-    sample is kept; output length is floor(n / factor).  ``factor=1``
-    returns the signal unchanged.  scipy.signal designs and applies the
-    filter, and it is loaded on the first call, not at import.
-    """
-    signal = np.asarray(signal)
-    n = signal.shape[-1]
-    try:
-        factor = operator.index(factor)
-    except TypeError:
-        raise TypeError(f"factor must be an integer, got {factor!r}") from None
-    if factor < 1:
-        raise ValueError("factor must be >= 1")
-    if factor > n:
-        raise ValueError(f"factor {factor} exceeds signal length {n}")
-    if factor == 1:
-        return signal.copy()
-    from scipy.signal import filtfilt, firwin
-    h = firwin(63, 0.9 / factor, window="hamming")
-    smoothed = filtfilt(h, [1.0], signal, axis=-1, padlen=min(3 * len(h), n - 1))
-    out = smoothed[..., : (n // factor) * factor : factor]
-    if np.issubdtype(signal.dtype, np.floating):
-        out = out.astype(signal.dtype, copy=False)
-    return np.ascontiguousarray(out)
-
 
 ChannelStats = namedtuple("ChannelStats", ["mean", "std"])
 
@@ -270,18 +239,6 @@ def apply_standardize(epochs: EpochSet, stats: ChannelStats) -> EpochSet:
 def window_samples(fs, duration_s):
     """Number of samples in a fixed window, e.g. 3 s at 125 Hz -> 375."""
     return int(round(fs * duration_s))
-
-
-def extract_epochs(continuous, onsets, n_samples):
-    """Cut fixed-length windows starting at each onset sample from a
-    (channels, time) record."""
-    continuous = np.asarray(continuous)
-    total = continuous.shape[-1]
-    for onset in onsets:
-        if onset < 0 or onset + n_samples > total:
-            raise ValueError(f"window [{onset}, {onset + n_samples}) leaves the record of "
-                             f"length {total}")
-    return np.stack([continuous[:, o:o + n_samples] for o in onsets]).astype(np.float32)
 
 
 # ----------------------------------------------------------------------

@@ -72,13 +72,13 @@ def savgol_coeffs(half_width, order):
     return np.array([float(c) for c in coeffs])
 
 
-def savgol_smooth(series, half_width, order, edge_mode="fit"):
+def savgol_smooth(series, half_width, order):
     """Smooth a 1-D series by local least-squares polynomial fits.
 
     Interior points are the correlation of the series with the central
-    coefficient kernel.  Edges: ``fit`` (default) refits the polynomial on
-    the truncated one-sided window and evaluates it (order capped at
-    window length - 1), ``raw`` passes edge samples through unchanged.
+    coefficient kernel.  Each of the ``half_width`` points at either edge
+    refits the polynomial on its truncated one-sided window and evaluates
+    it there (order capped at window length - 1).
     """
     x = np.asarray(series, dtype=np.float64)
     if x.ndim != 1:
@@ -89,17 +89,11 @@ def savgol_smooth(series, half_width, order, edge_mode="fit"):
         raise ValueError(f"series of length {n} is shorter than the window {2 * l + 1}")
     out = np.empty(n)
     out[l:n - l] = np.correlate(x, savgol_coeffs(l, order), mode="valid")
-    if edge_mode == "fit":
-        for i in list(range(l)) + list(range(n - l, n)):
-            lo, hi = max(0, i - l), min(n, i + l + 1)
-            deg = min(order, hi - lo - 1)
-            poly = Polynomial.fit(np.arange(lo, hi), x[lo:hi], deg)
-            out[i] = poly(i)
-    elif edge_mode == "raw":
-        out[:l] = x[:l]
-        out[n - l:] = x[n - l:]
-    else:
-        raise ValueError(f"edge_mode must be 'fit' or 'raw', got {edge_mode!r}")
+    for i in list(range(l)) + list(range(n - l, n)):
+        lo, hi = max(0, i - l), min(n, i + l + 1)
+        deg = min(order, hi - lo - 1)
+        poly = Polynomial.fit(np.arange(lo, hi), x[lo:hi], deg)
+        out[i] = poly(i)
     return out
 
 
@@ -126,25 +120,15 @@ def kernel_spectrum(kernel, fs, pad_to=512):
     return freqs, magnitude
 
 
-def pinv(matrix, rcond=1e-10):
-    """Moore-Penrose pseudo-inverse with a relative singular-value cutoff."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    u, s, vt = np.linalg.svd(matrix, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((matrix.shape[1], matrix.shape[0]))
-    keep = s > rcond * s[0]
-    inv_s = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
-    return (vt.T * inv_s) @ u.T
-
-
 def spatial_patterns(model: ITNetModel):
-    """The unmixing matrix W and its pseudo-inverse.
+    """The unmixing matrix W and its Moore-Penrose pseudo-inverse.
 
     Row order: branches in concatenation order, temporal filters within
     each branch; each row is that filter's electrode-spanning depthwise
     kernel.  Columns of the returned ``w_plus`` are the scalp patterns.
-    An all-zero row is reported with a warning; its pattern column comes
-    out zero.
+    Singular values under 1e-10 of the largest are not inverted.  An
+    all-zero row is reported with a warning; its pattern column comes out
+    zero.
     """
     rows = []
     for i, (f, _) in enumerate(model.config.inception_branches):
@@ -156,7 +140,7 @@ def spatial_patterns(model: ITNetModel):
                               "its pattern is degenerate")
             rows.append(row)
     w = np.stack(rows)
-    return w, pinv(w)
+    return w, np.linalg.pinv(w, rcond=1e-10)
 
 
 # ----------------------------------------------------------------------

@@ -597,6 +597,12 @@ def load_model(path) -> ITNetModel:
             tag, rank = struct.unpack("<BB", read_exact(f, 2, f"{name} header"))
             if tag not in _TAG_DTYPES:
                 raise FormatError("bad_value", f"parameter {name}: unknown dtype tag {tag}")
+            dt = _TAG_DTYPES[tag]
+            if state:
+                first, first_array = next(iter(state.items()))
+                if dt != first_array.dtype:
+                    raise FormatError("bad_value", f"parameter {name}: dtype {dt} differs from "
+                                                   f"the {first_array.dtype} of {first}")
             extents = struct.unpack(f"<{rank}I", read_exact(f, 4 * rank, f"{name} extents"))
             count = 1
             for e in extents:
@@ -614,7 +620,6 @@ def load_model(path) -> ITNetModel:
             if extents != shapes[name]:
                 raise FormatError("bad_value",
                                   f"parameter {name}: extents {extents} != {shapes[name]}")
-            dt = _TAG_DTYPES[tag]
             raw = read_exact(f, count * dt.itemsize, f"{name} values")
             state[name] = np.frombuffer(raw, dtype=dt).reshape(extents).copy()
             if not np.isfinite(state[name]).all():

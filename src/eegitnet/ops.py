@@ -19,7 +19,8 @@ from numpy.lib.stride_tricks import as_strided
 from .tensor import FactoredGrad, Tensor, accumulate, from_op
 
 PAD_MODES = ("same", "valid", "causal")
-BN_EPS = 1e-3
+BN_EPS = 1e-3          # added to every batch norm's variance
+BN_MOMENTUM = 0.99     # share of a running moment kept at each update
 
 
 @dataclass(frozen=True)
@@ -390,10 +391,10 @@ def lag_statistics(x, extents):
 # ----------------------------------------------------------------------
 # batch normalization
 
-def _update_running(running, mean, var, momentum):
+def _update_running(running, mean, var):
     """Fold batch moments into the running ``(mean, var)`` arrays in place."""
     for buf, value in zip(running, (mean, var)):
-        buf[...] = momentum * buf + (1.0 - momentum) * value
+        buf[...] = BN_MOMENTUM * buf + (1.0 - BN_MOMENTUM) * value
 
 
 def _per_channel(v, ndim):
@@ -411,12 +412,12 @@ def _channel_sum(a, b=None):
     return np.einsum(f"{axes},{axes}->c", a, b)
 
 
-def batch_norm(x, gamma, beta, eps=BN_EPS, running=None, momentum=0.99, bias=None,
-               through=None):
+def batch_norm(x, gamma, beta, running=None, bias=None, through=None):
     """Train-mode norm per channel (axis 1) over all other axes, with biased
     batch moments; when given, the two arrays ``running=(mean, var)`` take
-    the moments in place (the mean of ``x`` plus ``bias``).  Inference never
-    comes here: it folds every norm into the layer before it.
+    the moments in place at ``BN_MOMENTUM`` (the mean of ``x`` plus
+    ``bias``).  Inference never comes here: it folds every norm into the
+    layer before it.
 
     ``bias``, when given, is a per-channel tensor added to ``x`` before the
     norm (the bias of the convolution in front of it).  It never touches the
@@ -441,15 +442,15 @@ def batch_norm(x, gamma, beta, eps=BN_EPS, running=None, momentum=0.99, bias=Non
     if x.shape[0] == 1:
         raise ValueError("batch of size 1 in train mode: batch variance is undefined up to eps")
     if through is not None:
-        return _batch_norm_through(x, gamma, beta, eps, running, momentum, bias, *through)
+        return _batch_norm_through(x, gamma, beta, running, bias, *through)
     parents = (x, gamma, beta) if bias is None else (x, gamma, beta, bias)
     m = x.size // x.shape[1]
     mean = _channel_sum(x.data) / m
     out = x.data - _per_channel(mean, x.ndim)   # centred; becomes the output in place
     var = _channel_sum(out, out) / m
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     if running is not None:
-        _update_running(running, mean if bias is None else mean + bias.data, var, momentum)
+        _update_running(running, mean if bias is None else mean + bias.data, var)
     scale = gamma.data * inv
     out *= _per_channel(scale, x.ndim)
     out += _per_channel(beta.data, x.ndim)
@@ -478,7 +479,7 @@ def batch_norm(x, gamma, beta, eps=BN_EPS, running=None, momentum=0.99, bias=Non
     return from_op(out, parents, backward)
 
 
-def _batch_norm_through(u, gamma, beta, eps, running, momentum, bias, z, s, w, lags):
+def _batch_norm_through(u, gamma, beta, running, bias, z, s, w, lags):
     """Train-mode norm of (N, C, H, T) ``u``, the "same" temporal
     convolution of ``lags.x`` with the (C, 1, 1, K) taps ``w``, applied
     after the electrode sum ``z = Σ_h s[c, h] u[:, c, h]``.
@@ -516,9 +517,9 @@ def _batch_norm_through(u, gamma, beta, eps, running, momentum, bias, z, s, w, l
     mean = taps @ sums / m
     var = np.einsum("ck,ck->c", gram_taps, taps) / m - mean * mean
     mean, var = mean.astype(u.dtype), var.astype(u.dtype)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     if running is not None:
-        _update_running(running, mean if bias is None else mean + bias.data, var, momentum)
+        _update_running(running, mean if bias is None else mean + bias.data, var)
     total = s.data.sum(axis=(1, 2, 3))          # S
     scale = gamma.data * inv                    # a
     shift = _per_channel(mean * total, 4)       # μ S

@@ -3,6 +3,10 @@ from __future__ import annotations
 
 import numpy as np
 
+BETA1 = 0.9     # decay of the first-moment average
+BETA2 = 0.999   # decay of the second-moment average
+EPS = 1e-7      # added to the root of the second moment
+
 
 class Adam:
     """First/second-moment adaptive steps over a fixed parameter list.
@@ -13,39 +17,35 @@ class Adam:
     optimizer means a fresh moment history.
     """
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-7):
+    def __init__(self, params, lr=1e-3):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        bias1 = 1.0 - b1 ** self.t
-        bias2 = 1.0 - b2 ** self.t
+        bias1 = 1.0 - BETA1 ** self.t
+        bias2 = 1.0 - BETA2 ** self.t
         for p, m, v in zip(self.params, self.m, self.v):
             if p.grad is None:
                 continue
             g = p.grad
-            # m = b1 * m + (1 - b1) * g and v = b2 * v + (1 - b2) * g * g,
-            # p -= lr * mhat / (sqrt(vhat) + eps): the same operations in the
+            # m = BETA1 m + (1 - BETA1) g and v = BETA2 v + (1 - BETA2) g g,
+            # p -= lr mhat / (sqrt(vhat) + EPS): the same operations in the
             # same order as the plain formula, written into place
-            np.multiply(m, b1, out=m)
-            m += (1.0 - b1) * g
-            np.multiply(v, b2, out=v)
+            np.multiply(m, BETA1, out=m)
+            m += (1.0 - BETA1) * g
+            np.multiply(v, BETA2, out=v)
             gg = np.multiply(g, g)
-            gg *= 1.0 - b2
+            gg *= 1.0 - BETA2
             v += gg
             step = np.divide(m, bias1)
             np.multiply(step, self.lr, out=step)
             denom = np.divide(v, bias2, out=gg)
             np.sqrt(denom, out=denom)
-            denom += self.eps
+            denom += EPS
             step /= denom
             p.data -= step
 

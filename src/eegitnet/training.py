@@ -28,6 +28,7 @@ from .ops import softmax_cross_entropy
 from .optim import Adam
 
 SCENARIOS = ("within", "cross", "cross_finetuned")
+EVAL_BATCH = 256   # trials per inference pass in evaluate
 
 
 @dataclass(frozen=True)
@@ -140,15 +141,16 @@ def _train_epoch(model, x, y, opt, rng, batch_size):
     return total_loss / n, 100.0 * correct / n
 
 
-def evaluate(model, x, y, batch_size=256):
-    """Mean cross-entropy and accuracy (percent) in inference mode."""
+def evaluate(model, x, y):
+    """Mean cross-entropy and accuracy (percent) in inference mode, over
+    batches of ``EVAL_BATCH`` trials."""
     n = len(y)
     if n == 0:
         raise ValueError("nothing to evaluate")
     total_loss = 0.0
     correct = 0
-    for c in range(0, n, batch_size):
-        xb, yb = x[c:c + batch_size], y[c:c + batch_size]
+    for c in range(0, n, EVAL_BATCH):
+        xb, yb = x[c:c + EVAL_BATCH], y[c:c + EVAL_BATCH]
         logits = model.forward_logits(xb, mode="infer")   # records no graph
         total_loss += softmax_cross_entropy(logits, yb).item() * len(yb)
         correct += int((np.argmax(logits.data, axis=1) == yb).sum())

@@ -425,13 +425,15 @@ def test_explain_rejects_a_sidecar_that_is_not_utf8(within_run, tmp_path, capsys
     (b"branch0.spatial.w", len(b"branch0.spatial.w") + 1,
      struct.pack("<B3I", 3, 0, 4_000_000_000, 4_000_000_000),
      "parameter branch0.spatial.w: rank 3 != 4"),
+    (b"head.b", len(b"head.b"), bytes([1]),
+     "parameter head.b: dtype float64 differs from the float32 of branch0.temporal.w"),
 ], ids=["name-not-utf8", "non-finite-weight", "negative-variance", "rank-70",
-        "huge-empty-extents"])
+        "huge-empty-extents", "mixed-dtypes"])
 def test_explain_rejects_bad_values_in_the_model_file(within_run, tmp_path, capsys, name,
                                                       offset, payload, fragment):
-    # the offsets count from the array's name: its first byte, or its first
-    # value after the dtype tag, the rank and the extents (four for a
-    # weight, one for a running variance)
+    # the offsets count from the array's name: its first byte, its dtype tag,
+    # its rank, or its first value after the dtype tag, the rank and the
+    # extents (four for a weight, one for a running variance)
     blob = bytearray((within_run / "model_s01.itnetmdl").read_bytes())
     at = blob.index(name) + offset
     blob[at:at + len(payload)] = payload

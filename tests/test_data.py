@@ -1,4 +1,4 @@
-"""Containers, the binary trial format, decimation, and the generator."""
+"""Containers, the binary trial format, standardisation, and the generator."""
 import json
 import os
 import subprocess
@@ -10,8 +10,7 @@ from scipy.signal import welch
 
 import eegitnet
 from eegitnet.data import (EPOCH_MAGIC, EpochSet, SourceSpec, SynthSpec, concat_epochs,
-                           decimate, extract_epochs, load_epochs, montage_22,
-                           ring_layout, save_epochs, standardize,
+                           load_epochs, montage_22, ring_layout, save_epochs, standardize,
                            synth_generate, window_samples)
 from eegitnet.errors import FormatError
 
@@ -45,6 +44,10 @@ def test_epochset_validates_shapes(rng):
     with pytest.raises(ValueError, match="channel name 'c1' appears twice"):
         EpochSet(good.trials, good.labels, good.class_names,
                  ("c1", "c1", "c3"), good.channel_xy, good.fs)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"fs must be positive and finite, got {bad}"):
+            EpochSet(good.trials, good.labels, good.class_names,
+                     good.channel_names, good.channel_xy, bad)
     for bad in (np.nan, np.inf):
         xy = good.channel_xy.copy()
         xy[1, 0] = bad
@@ -222,7 +225,7 @@ def test_epoch_file_bad_layout_or_channel_table(tmp_path, rng, corrupt, fragment
     assert err.value.code == "bad_value"
 
 
-@pytest.mark.parametrize("fs", [0.0, -125.0, np.nan])
+@pytest.mark.parametrize("fs", [0.0, -125.0, np.nan, np.inf])
 def test_epoch_file_bad_sampling_rate(tmp_path, rng, fs):
     path = tmp_path / "s.eegepoch"
     save_epochs(small_set(rng), path)
@@ -235,62 +238,12 @@ def test_epoch_file_bad_sampling_rate(tmp_path, rng, fs):
     assert err.value.code == "bad_value"
 
 
-# ----------------------------------------------------------------------
-# decimation
-
-def test_decimate_length_and_identity(rng):
-    x = rng.standard_normal(101).astype(np.float32)
-    assert decimate(x, 1) is not x
-    np.testing.assert_array_equal(decimate(x, 1), x)
-    assert decimate(x, 4).shape == (25,)
-    assert decimate(x, 4).dtype == np.float32
-    with pytest.raises(ValueError):
-        decimate(x, 0)
-    with pytest.raises(ValueError):
-        decimate(x, 200)
-
-
-def test_decimate_rejects_a_non_integer_factor(rng):
-    x = rng.standard_normal(101)
-    with pytest.raises(TypeError, match="factor must be an integer"):
-        decimate(x, 2.0)
-    np.testing.assert_array_equal(decimate(x, np.int64(2)), decimate(x, 2))
-
-
-def test_scipy_signal_is_loaded_only_by_decimate():
-    # scipy.signal is most of the package's import time and resident memory;
-    # importing the package and running a subcommand must not load it
-    probe = """
-import json, sys
-import numpy as np
-import eegitnet, eegitnet.cli
-seen = ["scipy.signal" in sys.modules]
-eegitnet.cli.main(["plan", "--target-r", "91"])
-seen.append("scipy.signal" in sys.modules)
-try:
-    eegitnet.decimate(np.zeros(64), 2.0)
-except TypeError:
-    pass
-seen.append("scipy.signal" in sys.modules)
-eegitnet.decimate(np.zeros(64), 2)
-seen.append("scipy.signal" in sys.modules)
-print(json.dumps(seen))
-"""
-    src = os.path.dirname(os.path.dirname(eegitnet.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env=env, check=True)
-    after_import, after_plan, after_bad_factor, after_decimate = json.loads(
-        proc.stdout.splitlines()[-1])
-    assert not after_import
-    assert not after_plan
-    assert not after_bad_factor
-    assert after_decimate
-
-
 def test_scipy_special_is_loaded_only_by_the_t_test(tmp_path):
-    # decimate's scipy.signal pulls in scipy.special, so this probe runs in a
-    # process of its own; only the t-test may load scipy.special
+    # scipy is most of the package's import time and resident memory; this
+    # probe runs in a process of its own, so that what other tests import
+    # does not count: importing the package, `plan` and the Wilcoxon test
+    # load neither scipy.signal nor scipy.special, and only the t-test may
+    # load scipy.special
     probe = """
 import json, sys
 import eegitnet, eegitnet.cli
@@ -324,63 +277,6 @@ print(json.dumps(seen))
     assert after_plan == [False, False]
     assert after_wilcoxon == [False, False]
     assert after_ttest[1]
-
-
-def windowed_sinc(cutoff_norm, taps=63):
-    """Hamming-windowed sinc low-pass with unit DC gain, cutoff in cycles
-    per sample; the reference for decimate's taps."""
-    n = np.arange(taps) - (taps - 1) / 2.0
-    h = 2.0 * cutoff_norm * np.sinc(2.0 * cutoff_norm * n)
-    h *= np.hamming(taps)
-    return h / h.sum()
-
-
-@pytest.mark.parametrize("factor", [2, 3, 4, 5, 8])
-def test_decimate_matches_the_windowed_sinc_design(rng, factor):
-    from scipy.signal import filtfilt
-    x = rng.standard_normal((3, 480))  # a multiple of every factor
-    h = windowed_sinc(0.45 / factor)
-    ref = filtfilt(h, [1.0], x, axis=-1, padlen=3 * len(h))[..., ::factor]
-    np.testing.assert_allclose(decimate(x, factor), ref, rtol=0, atol=1e-12)
-
-
-def test_decimate_passband_sine_survives_with_zero_phase():
-    fs, factor = 1000.0, 4
-    t = np.arange(4000) / fs
-    f0 = 20.0  # far below the post-decimation cutoff of 112.5 Hz
-    x = np.sin(2 * np.pi * f0 * t)
-    y = decimate(x, factor)
-    t_new = t[::factor][:len(y)]
-    ref = np.sin(2 * np.pi * f0 * t_new)
-    # zero-phase filtering: no lag anywhere away from the record edges; the
-    # double-pass passband droop of the 63-tap window design is under 1%
-    core = slice(50, -50)
-    assert np.abs(y[core] - ref[core]).max() < 0.02
-    # no phase shift: the cross-correlation peaks at zero lag
-    lags = [np.dot(y[core], np.roll(ref, k)[core]) for k in (-2, -1, 0, 1, 2)]
-    assert int(np.argmax(lags)) == 2
-
-
-def test_decimate_attenuates_aliasing_band():
-    fs, factor = 1000.0, 4
-    t = np.arange(4000) / fs
-    x = np.sin(2 * np.pi * 400.0 * t)  # above the new Nyquist of 125 Hz
-    y = decimate(x, factor)
-    # forward-backward filtering squares the stopband attenuation
-    assert np.sqrt(np.mean(y[50:-50] ** 2)) < 1e-3 * np.sqrt(0.5)
-
-
-def test_decimate_preserves_dc():
-    x = np.full(500, 3.7)
-    y = decimate(x, 5)
-    np.testing.assert_allclose(y, 3.7, rtol=1e-9)
-
-
-def test_decimate_works_along_last_axis(rng):
-    x = rng.standard_normal((2, 3, 120))
-    y = decimate(x, 3)
-    assert y.shape == (2, 3, 40)
-    np.testing.assert_allclose(y[1, 2], decimate(x[1, 2], 3), rtol=1e-12)
 
 
 def test_window_samples():
@@ -425,18 +321,7 @@ def test_standardize_rejects_flat_channel(rng):
 
 
 # ----------------------------------------------------------------------
-# epoch extraction and layouts
-
-def test_extract_epochs_cuts_requested_windows(rng):
-    record = rng.standard_normal((3, 100)).astype(np.float32)
-    out = extract_epochs(record, [0, 10, 60], 40)
-    assert out.shape == (3, 3, 40)
-    np.testing.assert_array_equal(out[1], record[:, 10:50])
-    with pytest.raises(ValueError):
-        extract_epochs(record, [70], 40)
-    with pytest.raises(ValueError):
-        extract_epochs(record, [-1], 40)
-
+# electrode layouts
 
 def test_montage_covers_22_unique_positions():
     names, xy = montage_22()

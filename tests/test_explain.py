@@ -1,4 +1,4 @@
-"""Smoothing coefficients, kernel spectra, pseudo-inverse, atlas export."""
+"""Smoothing coefficients, kernel spectra, scalp patterns, atlas export."""
 import os
 import warnings
 import xml.etree.ElementTree as ET
@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from eegitnet.explain import (MAX_PAD_TO, FilterAtlas, build_atlas, export_atlas,
-                              kernel_spectrum, pinv, savgol_coeffs,
-                              savgol_smooth, spatial_patterns)
+                              kernel_spectrum, savgol_coeffs, savgol_smooth,
+                              spatial_patterns)
 from eegitnet.model import ArchConfig, build
 
 
@@ -108,14 +108,6 @@ def test_edge_fit_reproduces_low_order_polynomials():
     np.testing.assert_allclose(sm, x, rtol=1e-8)
 
 
-def test_raw_edge_mode_passes_edges_through(rng):
-    x = rng.standard_normal(40)
-    sm = savgol_smooth(x, 4, 2, edge_mode="raw")
-    np.testing.assert_array_equal(sm[:4], x[:4])
-    np.testing.assert_array_equal(sm[-4:], x[-4:])
-    assert not np.array_equal(sm[4:-4], x[4:-4])
-
-
 def test_smoothing_reduces_noise_variance(rng):
     x = rng.standard_normal(5000)
     sm = savgol_smooth(x, 5, 3)
@@ -131,8 +123,6 @@ def test_smooth_input_validation(rng):
         savgol_smooth(np.ones(5), 3, 1)
     with pytest.raises(ValueError, match="1-D"):
         savgol_smooth(np.ones((4, 4)), 1, 1)
-    with pytest.raises(ValueError, match="edge_mode"):
-        savgol_smooth(np.ones(20), 2, 1, edge_mode="wrap")
 
 
 # ----------------------------------------------------------------------
@@ -192,50 +182,6 @@ def test_spectrum_input_validation():
 
 
 # ----------------------------------------------------------------------
-# pseudo-inverse
-
-def assert_penrose(a, ap, tol=1e-10):
-    np.testing.assert_allclose(a @ ap @ a, a, atol=tol)
-    np.testing.assert_allclose(ap @ a @ ap, ap, atol=tol)
-    np.testing.assert_allclose(a @ ap, (a @ ap).T, atol=tol)
-    np.testing.assert_allclose(ap @ a, (ap @ a).T, atol=tol)
-
-
-@pytest.mark.parametrize("shape", [(14, 22), (22, 14), (5, 5), (1, 8)])
-def test_pinv_penrose_conditions(rng, shape):
-    a = rng.standard_normal(shape)
-    assert_penrose(a, pinv(a))
-
-
-def test_pinv_rank_deficient(rng):
-    a = rng.standard_normal((6, 4))
-    a[3] = a[0] + a[1]  # rank 5 at most
-    ap = pinv(a)
-    assert_penrose(a, ap, tol=1e-9)
-    np.testing.assert_allclose(ap, np.linalg.pinv(a), atol=1e-10)
-
-
-def test_pinv_cutoff_suppresses_tiny_directions(rng):
-    u, _ = np.linalg.qr(rng.standard_normal((5, 5)))
-    v, _ = np.linalg.qr(rng.standard_normal((5, 5)))
-    s = np.array([3.0, 1.0, 0.1, 1e-14, 0.0])
-    a = (u * s) @ v.T
-    ap = pinv(a)
-    # directions below the relative cutoff must not be inverted into 1e13
-    assert np.abs(ap).max() < 100.0
-
-
-def test_pinv_zero_matrix():
-    np.testing.assert_array_equal(pinv(np.zeros((3, 4))), np.zeros((4, 3)))
-
-
-def test_pinv_inverts_orthonormal_rows(rng):
-    q, _ = np.linalg.qr(rng.standard_normal((8, 3)))
-    w = q.T  # 3x8 with orthonormal rows
-    np.testing.assert_allclose(pinv(w), w.T, atol=1e-12)
-
-
-# ----------------------------------------------------------------------
 # spatial patterns and the atlas
 
 def small_model(seed=3, channels=10):
@@ -270,6 +216,44 @@ def test_zero_spatial_kernel_warns():
     model.params["branch1.spatial.w"].data[2] = 0.0
     with pytest.warns(UserWarning, match="all-zero"):
         spatial_patterns(model)
+
+
+def assert_penrose(a, ap, tol=1e-10):
+    np.testing.assert_allclose(a @ ap @ a, a, atol=tol)
+    np.testing.assert_allclose(ap @ a @ ap, ap, atol=tol)
+    np.testing.assert_allclose(a @ ap, (a @ ap).T, atol=tol)
+    np.testing.assert_allclose(ap @ a, (ap @ a).T, atol=tol)
+
+
+def paper_model(seed=7):
+    return build(ArchConfig(n_channels=22, n_samples=1125, n_classes=4), seed=seed)
+
+
+def test_patterns_are_the_pseudo_inverse_at_the_paper_shape():
+    w, w_plus = spatial_patterns(paper_model())
+    assert w.shape == (14, 22)
+    assert_penrose(w, w_plus)
+    # W+ is the minimum-norm least-squares solution of W X = I
+    ref = np.linalg.lstsq(w, np.eye(14), rcond=None)[0]
+    np.testing.assert_allclose(w_plus, ref, rtol=0, atol=1e-10)
+
+
+def test_a_zeroed_spatial_row_is_cut_off():
+    model = paper_model()
+    model.params["branch1.spatial.w"].data[2] = 0.0   # row 4 of W
+    with pytest.warns(UserWarning, match="branch 1 filter 2: spatial kernel is all-zero"):
+        w, w_plus = spatial_patterns(model)
+    assert np.linalg.matrix_rank(w) == 13
+    # rounding leaves a singular value near 1e-16; inverting it instead of
+    # dropping it would break every Penrose condition
+    assert_penrose(w, w_plus)
+    ref = np.linalg.lstsq(w, np.eye(14), rcond=1e-10)[0]
+    np.testing.assert_allclose(w_plus, ref, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(w_plus[:, 4], 0.0, rtol=0, atol=1e-12)
+    with pytest.warns(UserWarning):
+        entry = build_atlas(model, fs=250.0).entries[4]
+    assert (entry.branch, entry.index, entry.degenerate) == (1, 2, True)
+    assert not entry.pattern.any()
 
 
 def test_atlas_inventory_and_order():

@@ -513,14 +513,24 @@ def _huge_empty_extents(blob):
     blob[at:at + 13] = struct.pack("<B3I", 3, 0, 4_000_000_000, 4_000_000_000)
 
 
+def _head_bias_as_float64(blob):
+    # a well-formed float64 entry in a float32 file
+    at = blob.index(b"head.b") + len(b"head.b")
+    n, = struct.unpack_from("<I", blob, at + 2)   # rank 1: one extent
+    values = np.frombuffer(bytes(blob[at + 6:at + 6 + 4 * n]), dtype="<f4")
+    blob[at:at + 6 + 4 * n] = struct.pack("<BBI", 1, 1, n) + values.astype("<f8").tobytes()
+
+
 @pytest.mark.parametrize("corrupt, fragment", [
     (_corrupt_spatial_weight_name, "a parameter name is not UTF-8"),
     (_corrupt_spatial_weight_value, "parameter branch0.spatial.w: non-finite value"),
     (_negative_running_variance, "parameter tc0.bn0.running_var: negative variance"),
     (_rank_70, "parameter branch0.temporal.b: rank 70 != 1"),
     (_huge_empty_extents, "parameter branch0.spatial.w: rank 3 != 4"),
+    (_head_bias_as_float64,
+     "parameter head.b: dtype float64 differs from the float32 of branch0.temporal.w"),
 ], ids=["name-not-utf8", "non-finite-value", "negative-variance", "rank-70",
-        "huge-empty-extents"])
+        "huge-empty-extents", "mixed-dtypes"])
 def test_bad_values_in_the_parameter_file_are_reported(tmp_path, corrupt, fragment):
     model = build(default_config(n_channels=4, n_samples=60))
     path = tmp_path / "m.itnetmdl"
