@@ -238,17 +238,27 @@ def test_patterns_are_the_pseudo_inverse_at_the_paper_shape():
     np.testing.assert_allclose(w_plus, ref, rtol=0, atol=1e-10)
 
 
-def test_a_zeroed_spatial_row_is_cut_off():
+def zeroed_row_patterns():
     model = paper_model()
     model.params["branch1.spatial.w"].data[2] = 0.0   # row 4 of W
     with pytest.warns(UserWarning, match="branch 1 filter 2: spatial kernel is all-zero"):
         w, w_plus = spatial_patterns(model)
+    return model, w, w_plus
+
+
+def test_pinv_rank_deficient():
+    _, w, w_plus = zeroed_row_patterns()
     assert np.linalg.matrix_rank(w) == 13
-    # rounding leaves a singular value near 1e-16; inverting it instead of
-    # dropping it would break every Penrose condition
     assert_penrose(w, w_plus)
     ref = np.linalg.lstsq(w, np.eye(14), rcond=1e-10)[0]
     np.testing.assert_allclose(w_plus, ref, rtol=0, atol=1e-10)
+
+
+def test_pinv_cutoff_suppresses_tiny_directions():
+    model, w, w_plus = zeroed_row_patterns()
+    # rounding leaves a singular value near 1e-16; it must be dropped, not
+    # inverted into a ~1e16 pattern
+    assert np.abs(w_plus).max() < 100.0
     np.testing.assert_allclose(w_plus[:, 4], 0.0, rtol=0, atol=1e-12)
     with pytest.warns(UserWarning):
         entry = build_atlas(model, fs=250.0).entries[4]
