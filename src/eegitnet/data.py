@@ -68,11 +68,12 @@ class EpochSet:
         if len(self.channel_names) != trials.shape[1]:
             raise ValueError(
                 f"{len(self.channel_names)} channel names for {trials.shape[1]} channels")
-        seen = set()
-        for name in self.channel_names:
-            if name in seen:
-                raise ValueError(f"channel name {name!r} appears twice")
-            seen.add(name)
+        for kind, names in (("channel", self.channel_names), ("class", self.class_names)):
+            seen = set()
+            for name in names:
+                if name in seen:
+                    raise ValueError(f"{kind} name {name!r} appears twice")
+                seen.add(name)
         if not 0 < self.fs < math.inf:
             raise ValueError(f"fs must be positive and finite, got {self.fs}")
         object.__setattr__(self, "trials", trials)
@@ -198,8 +199,8 @@ def load_epochs(path) -> EpochSet:
                         np.asarray(xy, dtype=np.float32).reshape(n_channels, 2), fs)
     except ValueError as exc:
         # the shapes were checked above; what is left is a bad value in the
-        # file: a non-finite sample or coordinate, a repeated channel name or
-        # a sampling rate that is not positive and finite
+        # file: a non-finite sample or coordinate, a repeated channel or
+        # class name or a sampling rate that is not positive and finite
         raise FormatError("bad_value", str(exc)) from None
 
 

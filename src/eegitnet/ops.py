@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .tensor import FactoredGrad, Tensor, accumulate, from_op
+from .tensor import DeferredConv, FactoredGrad, Tensor, accumulate, from_op
 
 PAD_MODES = ("same", "valid", "causal")
 BN_EPS = 1e-3          # added to every batch norm's variance
@@ -205,19 +205,28 @@ def conv_temporal(x, spec: ConvSpec, weights):
     ``j * dilation`` steps in the past) and only leading zeros are inserted,
     so output[t] never sees input[t' > t].
 
-    A depthwise kernel that spans every electrode and no time is one
-    contraction over the electrodes forward; backward, it sends its input
-    the gradient ``s[c, h] g[n, c, t]`` as a :class:`FactoredGrad` and
-    never builds it.  A time kernel runs :func:`band_conv` once, with its
-    taps' :func:`band_matrix`; a lag-ordered kernel's taps are reversed into
+    A time kernel runs :func:`band_conv` once, with its taps'
+    :func:`band_matrix`; a lag-ordered kernel's taps are reversed into
     correlation order there, and its tap gradient is reversed back.  The
     input gradient is the same kernel with reversed taps (and, for a dense
-    kernel, input and output filters swapped).  A dense time kernel on one
-    input filter marks its output ``keeps_factored``: given a factored
-    gradient, it sums the electrodes first, so its taps run depthwise on
-    the rows ``Σ_h s[f, h] x[:, 0, h]`` against ``g[:, f]``, and the input
-    gradient is ``Σ_f s[f, h]`` of the depthwise transposed convolution of
-    ``g``.
+    kernel, input and output filters swapped).
+
+    A depthwise kernel ``s`` that spans every electrode and no time is one
+    contraction over the electrodes forward; backward, it sends its input
+    the gradient ``s[c, h] g[n, c, t]`` as a :class:`FactoredGrad` and
+    never builds it.
+
+    A dense time kernel on one input filter (an inception branch) defers
+    its output: the tensor holds a :class:`~eegitnet.tensor.DeferredConv`
+    of its input and taps, and is marked ``keeps_factored``.  The
+    electrode kernel after it sums the electrodes first, since the two
+    are linear: forward, it runs the taps depthwise on the rows
+    ``Σ_h s[f, h] x[:, 0, h]``; backward, ``s`` takes
+    ``Σ_{n,t} (w_f ⋆ᵀ g)[n, f, t] x[n, h, t]``.  Given the factored
+    gradient, the time kernel's taps run depthwise on those same rows
+    against ``g[:, f]``, and its input gradient is ``Σ_f s[f, h]`` of the
+    depthwise transposed convolution of ``g``.  No (N, F, H, T) array is
+    built, forward or backward, unless another op reads the output.
     """
     if x.ndim != 4:
         raise ValueError(f"input must be 4-D (batch, filters, electrodes, time), got {x.ndim}-D")
@@ -258,36 +267,54 @@ def conv_temporal(x, spec: ConvSpec, weights):
     w_data = weights.data
 
     if spec.depthwise and kw == 1 and kh == h:
-        s = x.data.strides
-        # windows[n, c, 0] is the (kh, time) block of every electrode
-        windows = as_strided(x.data, (n, c_in, 1, kh, t), s[:3] + s[2:], writeable=False)
-        out = np.matmul(w_data.swapaxes(2, 3), windows).reshape(n, c_in, 1, t)
+        s, d = w_data.reshape(c_in, kh), x.data
+        if isinstance(d, DeferredConv):
+            # Σ_h s[f, h] (w_f ⋆ x_h) = w_f ⋆ (Σ_h s[f, h] x_h)
+            out = band_conv(d.mixed(s)[:, :, None], band_matrix(d.taps[:, 0], d.dilation),
+                            d.left, t)
+        else:
+            st = d.strides
+            # windows[n, c, 0] is the (kh, time) block of every electrode
+            windows = as_strided(d, (n, c_in, 1, kh, t), st[:3] + st[2:], writeable=False)
+            out = np.matmul(w_data.swapaxes(2, 3), windows).reshape(n, c_in, 1, t)
 
         def backward(g):
             if weights.requires_grad:
-                gw = np.matmul(windows, g[..., None]).sum(axis=(0, 2))
-                accumulate(weights, gw[:, None])
+                if isinstance(d, DeferredConv):
+                    # g_s[f, h] = Σ_{n,t} (w_f ⋆ᵀ g)[n, f, t] x[n, h, t]
+                    taps, t_x = d.taps[:, 0], d.x.shape[-1]
+                    back = band_conv(g, band_matrix(taps[:, ::-1], d.dilation),
+                                     d.dilation * (taps.shape[-1] - 1) - d.left, t_x)
+                    gw = np.matmul(back[:, :, 0], d.x[:, 0].swapaxes(1, 2)).sum(axis=0)
+                else:
+                    gw = np.matmul(windows, g[..., None]).sum(axis=(0, 2))
+                accumulate(weights, gw.reshape(weights.shape))
             if x.requires_grad:
-                accumulate(x, FactoredGrad(w_data.reshape(c_in, kh), g.reshape(n, c_in, t)))
+                accumulate(x, FactoredGrad(s, g.reshape(n, c_in, t)))
 
         return from_op(out, (x, weights), backward)
 
     causal = spec.padding == "causal"
     left = {"same": reach // 2, "causal": reach, "valid": 0}[spec.padding]
+    length = t - reach if spec.padding == "valid" else t
     taps = w_data[:, 0, 0] if spec.depthwise else w_data[:, :, 0]   # (..., kw)
     if causal:
         taps = taps[..., ::-1]   # lag order -> correlation order
-    out = band_conv(x.data, band_matrix(taps, dilation), left,
-                    t - reach if spec.padding == "valid" else t)
+    deferred = not spec.depthwise and c_in == 1
+    # the deferred value keeps a copy of the taps: an optimizer updates the
+    # weights in place, and the value may be built after that
+    value = (DeferredConv(x.data, np.array(taps), left, length, dilation) if deferred
+             else band_conv(x.data, band_matrix(taps, dilation), left, length))
 
     def backward(g):
         mix, g_taps = None, taps
         if isinstance(g, FactoredGrad):
             # g[n, f, h, t] = s[f, h] g_z[n, f, t] and x has one filter: sum
-            # the electrodes first, and run the taps depthwise on g_z's rows
+            # the electrodes first, and run the taps depthwise between g_z
+            # and the rows s·x that the spatial conv's forward mixed
             mix, g, g_taps = g.s, g.g[:, :, None], taps[:, 0]
         if weights.requires_grad:
-            rows = x.data if mix is None else np.matmul(mix, x.data[:, 0])[:, :, None]
+            rows = x.data if mix is None else value.mixed(mix)[:, :, None]
             gw = band_conv_taps_grad(rows, g_taps, g, left, dilation)
             accumulate(weights, (gw[..., ::-1] if causal else gw).reshape(weights.shape))
         if x.requires_grad:
@@ -297,8 +324,8 @@ def conv_temporal(x, spec: ConvSpec, weights):
             gx = band_conv(g, band_matrix(back, dilation), reach - left, t)
             accumulate(x, gx if mix is None else np.matmul(mix.T, gx[:, :, 0])[:, None])
 
-    out = from_op(out, (x, weights), backward)
-    out.keeps_factored = not spec.depthwise and c_in == 1
+    out = from_op(value, (x, weights), backward)
+    out.keeps_factored = deferred
     return out
 
 
@@ -436,8 +463,10 @@ def batch_norm(x, gamma, beta, running=None, bias=None, through=None):
     temporal convolution of ``lags.x`` with the taps ``w``, and ``lags`` is
     the :func:`lag_statistics` of that input.  The op returns the sum of the
     normalised ``x``, not ``x`` normalised, and takes its batch moments from
-    ``w`` and ``lags``; it never reads ``x``, and ``x`` is not one of its
-    parents.  See :func:`_batch_norm_through`.
+    ``w`` and ``lags``, and ``x`` is not one of its parents.  ``x`` may be
+    the deferred output of :func:`conv_temporal`; the op reads it, and so
+    builds it, only when ``lags.x`` takes a gradient.  See
+    :func:`_batch_norm_through`.
     """
     if x.shape[0] == 1:
         raise ValueError("batch of size 1 in train mode: batch variance is undefined up to eps")
@@ -489,8 +518,8 @@ def _batch_norm_through(u, gamma, beta, running, bias, z, s, w, lags):
     ``a (z - μ S) + β S``, where ``S = Σ_h s[c, h]``.  The batch moments are
     quadratic in the taps: with the window sums ``r`` and the lag Gram
     matrix ``Q`` of :class:`LagStatistics`, ``μ = w·r / m`` and
-    ``var = wᵀQw / m - μ²`` over the ``m`` values of a channel.  So the op
-    never reads ``u``.
+    ``var = wᵀQw / m - μ²`` over the ``m`` values of a channel.  So the
+    forward never reads ``u``.
 
     Backward, with ``G = Σ g`` and ``K = Σ g (z - μ S)`` per channel:
     ``z`` takes ``a g`` (its own backward routes that to ``u`` and ``s``),
@@ -499,7 +528,8 @@ def _batch_norm_through(u, gamma, beta, running, bias, z, s, w, lags):
     gradient is ``q u + p``, with ``q = -γ K / (m (var + eps)^1.5)`` and
     ``p = -a S G / m - q μ``; through the convolution it gives ``w`` the
     k-vector ``q Qw + p r``, and, only when ``lags.x`` takes a gradient,
-    ``x`` the transposed convolution of ``q u + p``.
+    ``x`` the transposed convolution of ``q u + p``: the op's one read of
+    ``u``, which builds a deferred ``u``.
     """
     n, c, h, t = u.shape
     k = w.shape[-1]
@@ -548,7 +578,7 @@ def _batch_norm_through(u, gamma, beta, running, bias, z, s, w, lags):
         if w.requires_grad:
             accumulate(w, (q[:, None] * gram_taps + p[:, None] * sums).reshape(w.shape))
         if x.requires_grad:
-            gu = np.multiply(u.data, _per_channel(q, 4))
+            gu = np.multiply(u.data, _per_channel(q, 4))   # builds a deferred u
             gu += _per_channel(p, 4)
             back = w.data[:, :, 0, ::-1].transpose(1, 0, 2)
             accumulate(x, band_conv(gu, band_matrix(back), k - 1 - (k - 1) // 2, t))

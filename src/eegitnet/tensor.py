@@ -6,10 +6,11 @@ that routes the output gradient to them.  Recording happens implicitly
 whenever an operation touches a tensor with ``requires_grad`` set, so the
 forward pass *is* the tape.  Training code runs in float32; the gradient
 check tests build float64 graphs.  A gradient is an array, or a rank-1
-:class:`FactoredGrad` that only a tensor marked for it keeps.  Besides the
-plumbing the engine holds only the two ops the model records outside
-``ops``: the same-shape :func:`add` of the residual join and
-:func:`concat_channels`.
+:class:`FactoredGrad` that only a tensor marked for it keeps.  A tensor's
+value is an array, or a :class:`DeferredConv` that builds its array only
+when read.  Besides the plumbing the engine holds only the two ops the
+model records outside ``ops``: the same-shape :func:`add` of the residual
+join and :func:`concat_channels`.
 
 The engine is single-threaded by design: one graph is walked at a time and
 tensor data is never mutated once recorded (optimizers write only into leaf
@@ -50,8 +51,9 @@ class Tensor:
 
     Attributes
     ----------
-    data : numpy.ndarray
-        Row-major values.
+    data : numpy.ndarray or DeferredConv
+        Row-major values, or a convolution's factors that build them when
+        read (:class:`DeferredConv`).
     grad : numpy.ndarray, FactoredGrad or None
         Accumulated gradient, same shape as ``data``; allocated lazily.  A
         tensor whose ``keeps_factored`` is set may hold a
@@ -67,7 +69,7 @@ class Tensor:
                  "_backward_fn", "_backward_done")
 
     def __init__(self, data, requires_grad=False, dtype=None):
-        self.data = _as_array(data, dtype)
+        self.data = data if isinstance(data, DeferredConv) else _as_array(data, dtype)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self.keeps_factored = False
@@ -174,6 +176,61 @@ class FactoredGrad:
         return self.s[None, :, :, None] * self.g[:, :, None, :]
 
 
+class DeferredConv(np.lib.mixins.NDArrayOperatorsMixin):
+    """The (N, F, H, L) output of a dense temporal convolution of one input
+    filter, kept as its factors: the (N, 1, H, T) input ``x``, the (F, 1, K)
+    correlation-order ``taps`` with their ``dilation``, the ``left`` zeros
+    read before ``x`` and the output ``length`` L.
+
+    It answers ``shape``, ``ndim``, ``size``, ``nbytes``, ``dtype`` and
+    ``itemsize`` without building anything.  :meth:`dense` builds the array,
+    once; numpy reads it through ``__array__`` and the arithmetic operators.
+    A depthwise filter over the electrodes needs only :meth:`mixed`.
+    """
+
+    __slots__ = ("x", "taps", "left", "length", "dilation", "shape", "dtype",
+                 "_dense", "_mix", "_rows")
+    ndim = 4
+
+    def __init__(self, x, taps, left, length, dilation):
+        self.x, self.taps, self.left, self.length, self.dilation = (x, taps, left, length,
+                                                                    dilation)
+        self.shape = (x.shape[0], taps.shape[0], x.shape[2], length)
+        self.dtype = np.result_type(x, taps)
+        self._dense = self._mix = self._rows = None
+
+    @property
+    def size(self):
+        return int(np.prod(self.shape))
+
+    @property
+    def itemsize(self):
+        return self.dtype.itemsize
+
+    @property
+    def nbytes(self):
+        return self.size * self.itemsize
+
+    def dense(self):
+        """The output as one (N, F, H, L) array, built on the first call."""
+        if self._dense is None:
+            from .ops import band_conv, band_matrix   # ops imports this module
+            self._dense = band_conv(self.x, band_matrix(self.taps, self.dilation), self.left,
+                                    self.length)
+        return self._dense
+
+    def __array__(self, dtype=None, copy=None):
+        a = self.dense()
+        return a.astype(a.dtype if dtype is None else dtype, copy=bool(copy))
+
+    def mixed(self, s):
+        """The (N, F, T) rows ``Σ_h s[f, h] x[:, 0, h]`` for (F, H) electrode
+        weights ``s``; the rows of the last ``s`` given are kept."""
+        if self._mix is not s:
+            self._mix, self._rows = s, np.matmul(s, self.x[:, 0])
+        return self._rows
+
+
 def accumulate(tensor, grad, fresh=False):
     """Add ``grad`` into ``tensor.grad`` (no-op for constants).
 
@@ -203,7 +260,8 @@ def accumulate(tensor, grad, fresh=False):
             return
         # first touch: ``grad + 0`` in a fresh array, never ``grad`` itself;
         # adding zero turns -0.0 into 0.0, as adding into zeros did
-        tensor.grad = np.add(grad, 0, out=np.empty_like(tensor.data), casting="same_kind")
+        tensor.grad = np.add(grad, 0, out=np.empty(tensor.shape, tensor.dtype),
+                             casting="same_kind")
     else:
         np.add(tensor.grad, grad, out=tensor.grad, casting="same_kind")
 

@@ -44,6 +44,9 @@ def test_epochset_validates_shapes(rng):
     with pytest.raises(ValueError, match="channel name 'c1' appears twice"):
         EpochSet(good.trials, good.labels, good.class_names,
                  ("c1", "c1", "c3"), good.channel_xy, good.fs)
+    with pytest.raises(ValueError, match="class name 'a' appears twice"):
+        EpochSet(good.trials, good.labels, ("a", "a"),
+                 good.channel_names, good.channel_xy, good.fs)
     for bad in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match=f"fs must be positive and finite, got {bad}"):
             EpochSet(good.trials, good.labels, good.class_names,
@@ -202,6 +205,12 @@ def _repeat_a_channel_name(blob, s):
     blob[at:at + 3] = b"ch0"
 
 
+def _repeat_a_class_name(blob, s):
+    # "class1" becomes "class0": the class names follow the 3 channel entries
+    at = len(EPOCH_MAGIC) + 24 + 3 * 13 + 8 + 2
+    blob[at:at + 6] = b"class0"
+
+
 def _nan_coordinate(blob, s):
     at = len(EPOCH_MAGIC) + 24 + 13 + 5   # channel 1's x
     blob[at:at + 4] = np.float32(np.nan).tobytes()
@@ -211,8 +220,10 @@ def _nan_coordinate(blob, s):
     (_append_seven_bytes, "7 bytes after the declared"),
     (_insert_a_sample, "4 bytes after the declared"),
     (_repeat_a_channel_name, "channel name 'ch0' appears twice"),
+    (_repeat_a_class_name, "class name 'class0' appears twice"),
     (_nan_coordinate, "channel_xy of channel 1 is not finite"),
-], ids=["trailing-bytes", "inserted-bytes", "repeated-channel-name", "nan-coordinate"])
+], ids=["trailing-bytes", "inserted-bytes", "repeated-channel-name", "repeated-class-name",
+        "nan-coordinate"])
 def test_epoch_file_bad_layout_or_channel_table(tmp_path, rng, corrupt, fragment):
     s = small_set(rng)
     path = tmp_path / "s.eegepoch"

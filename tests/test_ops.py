@@ -11,7 +11,7 @@ import pytest
 
 from eegitnet import ops
 from eegitnet.ops import ConvSpec, conv_temporal
-from eegitnet.tensor import Tensor
+from eegitnet.tensor import DeferredConv, FactoredGrad, Tensor
 
 from oracles import (batch_norm_train_reference, bias_add, check_gradients, conv_oracle,
                      elu_reference, lag_statistics_reference, to_scalar,
@@ -154,6 +154,86 @@ def test_temporal_then_spatial_conv_gradients(rng, spec):
     spatial = ConvSpec(4, padding="valid", depthwise=True, filter_count=3)
     check_gradients(lambda ts: to_scalar(conv_temporal(conv_temporal(ts[0], spec, ts[1]),
                                                        spatial, ts[2])), [x, w, s])
+
+
+TEMPORAL_SPECS = {
+    "same": ConvSpec(4, padding="same", filter_count=3),
+    "causal-dilated": ConvSpec(3, dilation=2, padding="causal", filter_count=3),
+    "valid": ConvSpec(3, padding="valid", filter_count=3),
+}
+
+
+def _refuse_to_build(monkeypatch):
+    """Make every build of a deferred convolution output fail the test."""
+    def build(self):
+        raise AssertionError("the deferred output was built")
+
+    monkeypatch.setattr(DeferredConv, "dense", build)
+
+
+@pytest.mark.parametrize("name", sorted(TEMPORAL_SPECS))
+def test_a_deferred_output_answers_its_shape_without_building(rng, monkeypatch, name):
+    # a dense time kernel on one input filter defers its output, and the
+    # tensor's and the value's shape attributes are read from the factors
+    spec = TEMPORAL_SPECS[name]
+    u = conv_temporal(Tensor(rng.standard_normal((2, 1, 4, 10)), dtype=np.float32), spec,
+                      Tensor(rng.standard_normal((3, 1, 1, spec.kernel_extent)),
+                             dtype=np.float32))
+    _refuse_to_build(monkeypatch)
+    shape = (2, 3, 4, 8 if spec.padding == "valid" else 10)
+    assert isinstance(u.data, DeferredConv)
+    assert u.shape == u.data.shape == shape and u.ndim == u.data.ndim == 4
+    assert u.size == u.data.size == np.prod(shape)
+    assert u.dtype == u.data.dtype == np.float32 and u.data.itemsize == 4
+    assert u.data.nbytes == 4 * np.prod(shape)
+    assert repr(u) == f"Tensor(shape={shape}, dtype=float32)"
+
+
+@pytest.mark.parametrize("name", sorted(TEMPORAL_SPECS))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_deferred_output_is_built_once_and_bit_equal_to_the_band_conv(rng, name, dtype):
+    # dense() runs the band_conv the op ran before it deferred its output,
+    # on one copy of the taps; numpy reads that same array
+    spec = TEMPORAL_SPECS[name]
+    x = rng.standard_normal((2, 1, 4, 10)).astype(dtype)
+    w = rng.standard_normal((3, 1, 1, spec.kernel_extent)).astype(dtype)
+    d = conv_temporal(Tensor(x), spec, Tensor(w)).data
+    reach = spec.dilation * (spec.kernel_extent - 1)
+    left = {"same": reach // 2, "causal": reach, "valid": 0}[spec.padding]
+    taps = w[:, :, 0, ::-1] if spec.padding == "causal" else w[:, :, 0]
+    want = ops.band_conv(x, ops.band_matrix(taps, spec.dilation), left, d.shape[-1])
+    got = d.dense()
+    assert d.dense() is got and np.asarray(d) is got
+    assert got.dtype == dtype and got.shape == d.shape
+    np.testing.assert_array_equal(got.view(f"u{got.itemsize}"), want.view(f"u{got.itemsize}"))
+
+
+@pytest.mark.parametrize("name", sorted(TEMPORAL_SPECS))
+def test_the_spatial_conv_of_a_deferred_output_builds_nothing(rng, monkeypatch, name):
+    # the spatial conv runs the taps on the mixed rows s.x, forward and
+    # backward, and sends the deferred input a factored gradient; its output
+    # and weight gradient match the spatial conv of the built array
+    spec = TEMPORAL_SPECS[name]
+    x = rng.standard_normal((2, 1, 4, 10))
+    w = rng.standard_normal((3, 1, 1, spec.kernel_extent))
+    s = rng.standard_normal((3, 1, 4, 1))
+    g = rng.standard_normal((2, 3, 1, 8 if spec.padding == "valid" else 10))
+    spatial = ConvSpec(4, padding="valid", depthwise=True, filter_count=3)
+    built = Tensor(conv_temporal(Tensor(x, dtype=np.float64), spec,
+                                 Tensor(w, dtype=np.float64)).data.dense())
+    ref_s = Tensor(s, requires_grad=True, dtype=np.float64)
+    ref = conv_temporal(built, spatial, ref_s)
+    _backward_with(ref, g)
+    with monkeypatch.context() as patch:
+        _refuse_to_build(patch)
+        u = conv_temporal(Tensor(x, dtype=np.float64), spec,
+                          Tensor(w, requires_grad=True, dtype=np.float64))
+        st = Tensor(s, requires_grad=True, dtype=np.float64)
+        z = conv_temporal(u, spatial, st)
+        _backward_with(z, g)
+    assert isinstance(u.grad, FactoredGrad)
+    np.testing.assert_allclose(z.data, ref.data, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(st.grad, ref_s.grad, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("spec,w_shape", [

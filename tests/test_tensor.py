@@ -154,6 +154,37 @@ def test_a_second_gradient_makes_a_factored_one_dense(rng, order):
     np.testing.assert_array_equal(node.grad, expected)
 
 
+def _deferred_node(rng, monkeypatch):
+    """A recorded (2, 3, 4, 6) node whose value is a deferred convolution of
+    a (2, 1, 4, 8) input with three 3-tap kernels, "valid", which the test
+    may not build."""
+    leaf = Tensor(rng.standard_normal((2, 1, 4, 8)), requires_grad=True, dtype=np.float64)
+    value = T.DeferredConv(leaf.data, rng.standard_normal((3, 1, 3)), 0, 6, 1)
+    node = from_op(value, (leaf,), lambda g: None)
+
+    def build(self):
+        raise AssertionError("the deferred value was built")
+
+    monkeypatch.setattr(T.DeferredConv, "dense", build)
+    return node
+
+
+@pytest.mark.parametrize("fresh", [False, True])
+def test_a_dense_gradient_to_a_deferred_node_accumulates(rng, monkeypatch, fresh):
+    # the first dense gradient is copied (or adopted, when fresh) into an
+    # array of the node's shape and dtype, and a second adds into it; the
+    # node's value is never built
+    node = _deferred_node(rng, monkeypatch)
+    assert node.shape == (2, 3, 4, 6)
+    first, second = rng.standard_normal((2, 2, 3, 4, 6))
+    accumulate(node, first.copy() if fresh else first[...], fresh=fresh)
+    assert isinstance(node.grad, np.ndarray) and node.grad.dtype == np.float64
+    assert node.grad.shape == (2, 3, 4, 6) and not np.shares_memory(node.grad, first)
+    np.testing.assert_array_equal(node.grad, first)
+    accumulate(node, second)
+    np.testing.assert_array_equal(node.grad, first + second)
+
+
 def test_backward_rejects_non_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ValueError):

@@ -26,6 +26,7 @@ import eegitnet.model as model_module
 from eegitnet import ops, tensor
 from eegitnet.model import ArchConfig, build
 from eegitnet.ops import softmax_cross_entropy
+from eegitnet.tensor import concat_channels
 
 from oracles import (bias_add_batch_norm, float_mask_dropout, mean_pool_time,
                      window_conv_temporal)
@@ -100,6 +101,48 @@ def _pass_through(from_op):
             backward_fn(g)
         return from_op(data, parents, traced)
     return wrapped
+
+
+def _reading_shapes(conv_temporal):
+    """``conv_temporal`` behind a pass-through that reads the input's and the
+    output's shapes and the input's item size, as a tracer that counts each
+    convolution's work does."""
+    def wrapped(x, spec, weights):
+        out = conv_temporal(x, spec, weights)
+        _ = (x.shape, out.shape, x.data.itemsize)
+        return out
+    return wrapped
+
+
+def test_the_inception_front_end_holds_no_full_size_array(monkeypatch):
+    # the inception convs' outputs are deferred: from the input to the join
+    # of the branches the forward never holds the widest branch's
+    # (16, 8, 22, 1125) array, and reading each conv's shapes and item size
+    # does not build it either.  The peak is taken at the join, because the
+    # causal stack's recorded layers alone hold more than that bound by the
+    # end of the forward
+    full_size = 16 * 8 * 22 * 1125 * np.dtype(np.float32).itemsize
+    model = _perturbed_model(PAPER, np.float32)
+    x = (0.5 + 3.0 * np.random.default_rng(5).standard_normal((16, 1, 22, 1125))).astype(
+        np.float32)
+    for wrap in (False, True):
+        peaks = []
+
+        def join(branches):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return concat_channels(branches)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(model_module, "concat_channels", join)
+            if wrap:
+                patch.setattr(model_module, "conv_temporal",
+                              _reading_shapes(model_module.conv_temporal))
+            tracemalloc.start()
+            try:
+                model.forward_logits(x, mode="train", rng=np.random.default_rng(6))
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < full_size, f"front-end peak {peaks[0]} bytes (shapes read: {wrap})"
 
 
 def test_wrapped_backward_closures_give_the_same_step(monkeypatch):
