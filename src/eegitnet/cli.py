@@ -64,7 +64,7 @@ def _read_kv(path):
 # ----------------------------------------------------------------------
 # synth
 
-_SOURCE_KEY = re.compile(r"^class(\d+)\.source(\d+)\.(center_freq|bandwidth|amplitude|mixing)$")
+_SOURCE_KEY = re.compile(r"^class(\d+)\.source(\d+)\.([^.]+)$")
 
 def _parse_synth_spec(items):
     scalars = {}
@@ -90,17 +90,9 @@ def _parse_synth_spec(items):
             raise CliError(EXIT_USAGE, f"class {cls} source indices must be 0..{len(src_ids) - 1}")
         cls_sources = []
         for s in src_ids:
-            entry = per_source.pop((cls, s))
-            missing = [f for f in ("center_freq", "bandwidth", "amplitude", "mixing")
-                       if f not in entry]
-            if missing:
-                raise CliError(EXIT_USAGE,
-                               f"class{cls}.source{s} is missing {', '.join(missing)}")
             try:
-                mixing = tuple(float(v) for v in entry["mixing"].split(","))
-                cls_sources.append(SourceSpec(float(entry["center_freq"]),
-                                              float(entry["bandwidth"]),
-                                              float(entry["amplitude"]), mixing))
+                values = parse_config_items(SourceSpec, per_source.pop((cls, s)), "source")
+                cls_sources.append(SourceSpec(**values))
             except ValueError as exc:
                 raise CliError(EXIT_USAGE, f"class{cls}.source{s}: {exc}") from None
         sources.append(cls_sources)

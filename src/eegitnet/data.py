@@ -15,7 +15,7 @@ import math
 import os
 import struct
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -98,11 +98,6 @@ class EpochSet:
     @property
     def n_classes(self):
         return len(self.class_names)
-
-    def subset(self, indices):
-        """A new set holding only the given trial indices (metadata shared)."""
-        indices = np.asarray(indices)
-        return replace(self, trials=self.trials[indices], labels=self.labels[indices])
 
 
 def check_compatible(sets, names=None):
@@ -291,15 +286,20 @@ def _require_finite(spec, names):
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _parse_floats(text):
+    return tuple(float(v) for v in text.split(","))
+
+
 @dataclass(frozen=True)
 class SourceSpec:
     """One planted source: a band-limited carrier spread over the channels
-    by a fixed unit-norm mixing column."""
+    by a fixed unit-norm mixing column.  Its fields are the keys of a
+    ``classK.sourceJ`` block of a synth spec; ``mixing`` is comma-separated."""
 
     center_freq: float
     bandwidth: float
     amplitude: float
-    mixing: tuple
+    mixing: tuple = field(metadata={"parse": _parse_floats})
 
     def __post_init__(self):
         _require_finite(self, ("center_freq", "bandwidth", "amplitude"))

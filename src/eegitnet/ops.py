@@ -14,7 +14,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .tensor import DeferredConv, FactoredGrad, Tensor, accumulate, from_op
 
@@ -94,13 +93,10 @@ def _span_chunks(z, left, span, block, blocks, out_filters):
     step = max(1, _CHUNK_BYTES // per_trial)
     for lo in range(0, n, step):
         zc = z[lo:lo + step]
-        if left == 0 and total <= t:
-            zp = np.ascontiguousarray(zc)
-        else:
-            zp = np.zeros(zc.shape[:3] + (total,), dtype=z.dtype)
-            a, b = max(left, 0), min(left + t, total)
-            if b > a:
-                zp[..., a:b] = zc[..., a - left:b - left]
+        zp = np.zeros(zc.shape[:3] + (total,), dtype=z.dtype)
+        a, b = max(left, 0), min(left + t, total)
+        if b > a:
+            zp[..., a:b] = zc[..., a - left:b - left]
         s = zp.strides
         yield lo, np.ndarray(zc.shape[:3] + (blocks, span), z.dtype, zp, 0,
                              s[:3] + (block * s[3], s[3]))
@@ -212,13 +208,13 @@ def conv_temporal(x, spec: ConvSpec, weights):
     kernel, input and output filters swapped).
 
     A depthwise kernel ``s`` that spans every electrode and no time is one
-    contraction over the electrodes forward; backward, it sends its input
-    the gradient ``s[c, h] g[n, c, t]`` as a :class:`FactoredGrad` and
-    never builds it.
+    ``einsum`` over the electrodes each way for an array input; backward,
+    it sends its input the gradient ``s[c, h] g[n, c, t]`` as a
+    :class:`FactoredGrad`, which an array input's tensor makes dense.
 
     A dense time kernel on one input filter (an inception branch) defers
     its output: the tensor holds a :class:`~eegitnet.tensor.DeferredConv`
-    of its input and taps, and is marked ``keeps_factored``.  The
+    of its input and taps, and so keeps that gradient factored.  The
     electrode kernel after it sums the electrodes first, since the two
     are linear: forward, it runs the taps depthwise on the rows
     ``Σ_h s[f, h] x[:, 0, h]``; backward, ``s`` takes
@@ -273,10 +269,7 @@ def conv_temporal(x, spec: ConvSpec, weights):
             out = band_conv(d.mixed(s)[:, :, None], band_matrix(d.taps[:, 0], d.dilation),
                             d.left, t)
         else:
-            st = d.strides
-            # windows[n, c, 0] is the (kh, time) block of every electrode
-            windows = as_strided(d, (n, c_in, 1, kh, t), st[:3] + st[2:], writeable=False)
-            out = np.matmul(w_data.swapaxes(2, 3), windows).reshape(n, c_in, 1, t)
+            out = np.einsum("ch,ncht->nct", s, d)[:, :, None]
 
         def backward(g):
             if weights.requires_grad:
@@ -287,7 +280,7 @@ def conv_temporal(x, spec: ConvSpec, weights):
                                      d.dilation * (taps.shape[-1] - 1) - d.left, t_x)
                     gw = np.matmul(back[:, :, 0], d.x[:, 0].swapaxes(1, 2)).sum(axis=0)
                 else:
-                    gw = np.matmul(windows, g[..., None]).sum(axis=(0, 2))
+                    gw = np.einsum("ncht,nct->ch", d, g[:, :, 0])
                 accumulate(weights, gw.reshape(weights.shape))
             if x.requires_grad:
                 accumulate(x, FactoredGrad(s, g.reshape(n, c_in, t)))
@@ -300,10 +293,10 @@ def conv_temporal(x, spec: ConvSpec, weights):
     taps = w_data[:, 0, 0] if spec.depthwise else w_data[:, :, 0]   # (..., kw)
     if causal:
         taps = taps[..., ::-1]   # lag order -> correlation order
-    deferred = not spec.depthwise and c_in == 1
     # the deferred value keeps a copy of the taps: an optimizer updates the
     # weights in place, and the value may be built after that
-    value = (DeferredConv(x.data, np.array(taps), left, length, dilation) if deferred
+    value = (DeferredConv(x.data, np.array(taps), left, length, dilation)
+             if not spec.depthwise and c_in == 1
              else band_conv(x.data, band_matrix(taps, dilation), left, length))
 
     def backward(g):
@@ -324,9 +317,7 @@ def conv_temporal(x, spec: ConvSpec, weights):
             gx = band_conv(g, band_matrix(back, dilation), reach - left, t)
             accumulate(x, gx if mix is None else np.matmul(mix.T, gx[:, :, 0])[:, None])
 
-    out = from_op(value, (x, weights), backward)
-    out.keeps_factored = deferred
-    return out
+    return from_op(value, (x, weights), backward)
 
 
 # ----------------------------------------------------------------------

@@ -5,12 +5,12 @@ for a single reverse pass: the tensors it was computed from and a closure
 that routes the output gradient to them.  Recording happens implicitly
 whenever an operation touches a tensor with ``requires_grad`` set, so the
 forward pass *is* the tape.  Training code runs in float32; the gradient
-check tests build float64 graphs.  A gradient is an array, or a rank-1
-:class:`FactoredGrad` that only a tensor marked for it keeps.  A tensor's
-value is an array, or a :class:`DeferredConv` that builds its array only
-when read.  Besides the plumbing the engine holds only the two ops the
-model records outside ``ops``: the same-shape :func:`add` of the residual
-join and :func:`concat_channels`.
+check tests build float64 graphs.  A tensor's value is an array, or a
+:class:`DeferredConv` that builds its array only when read.  A gradient is
+an array, or a rank-1 :class:`FactoredGrad` that only a tensor with a
+deferred value keeps.  Besides the plumbing the engine holds only the two
+ops the model records outside ``ops``: the same-shape :func:`add` of the
+residual join and :func:`concat_channels`.
 
 The engine is single-threaded by design: one graph is walked at a time and
 tensor data is never mutated once recorded (optimizers write only into leaf
@@ -56,23 +56,19 @@ class Tensor:
         read (:class:`DeferredConv`).
     grad : numpy.ndarray, FactoredGrad or None
         Accumulated gradient, same shape as ``data``; allocated lazily.  A
-        tensor whose ``keeps_factored`` is set may hold a
+        tensor whose value is a :class:`DeferredConv` may hold a
         :class:`FactoredGrad` instead (see :func:`accumulate`).
     requires_grad : bool
         Leaf parameters set this; op outputs inherit it from their inputs.
-    keeps_factored : bool
-        Set by the op that made the tensor when its backward reads a
-        :class:`FactoredGrad`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "keeps_factored", "_parents",
-                 "_backward_fn", "_backward_done")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn",
+                 "_backward_done")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         self.data = data if isinstance(data, DeferredConv) else _as_array(data, dtype)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self.keeps_factored = False
         self._parents = ()
         self._backward_fn = None
         self._backward_done = False
@@ -184,8 +180,10 @@ class DeferredConv(np.lib.mixins.NDArrayOperatorsMixin):
 
     It answers ``shape``, ``ndim``, ``size``, ``nbytes``, ``dtype`` and
     ``itemsize`` without building anything.  :meth:`dense` builds the array,
-    once; numpy reads it through ``__array__`` and the arithmetic operators.
-    A depthwise filter over the electrodes needs only :meth:`mixed`.
+    once; numpy reads it through ``__array__`` and the arithmetic operators,
+    and the ops through indexing and ``reshape``.  A depthwise filter over
+    the electrodes needs only :meth:`mixed`, and its backward sends the
+    tensor holding this value a :class:`FactoredGrad`.
     """
 
     __slots__ = ("x", "taps", "left", "length", "dilation", "shape", "dtype",
@@ -223,6 +221,12 @@ class DeferredConv(np.lib.mixins.NDArrayOperatorsMixin):
         a = self.dense()
         return a.astype(a.dtype if dtype is None else dtype, copy=bool(copy))
 
+    def __getitem__(self, key):
+        return self.dense()[key]
+
+    def reshape(self, *shape):
+        return self.dense().reshape(*shape)
+
     def mixed(self, s):
         """The (N, F, T) rows ``Σ_h s[f, h] x[:, 0, h]`` for (F, H) electrode
         weights ``s``; the rows of the last ``s`` given are kept."""
@@ -240,13 +244,14 @@ def accumulate(tensor, grad, fresh=False):
     the tensor's dtype and shape.  Any other first gradient is copied.
 
     A :class:`FactoredGrad` stays factored only as the first gradient of a
-    tensor whose ``keeps_factored`` is set; anywhere else, and as soon as a
-    second gradient arrives, it is made :meth:`~FactoredGrad.dense`.
+    tensor whose value is a :class:`DeferredConv`, whose op reads it
+    factored; anywhere else, and as soon as a second gradient arrives, it is
+    made :meth:`~FactoredGrad.dense`.
     """
     if not tensor.requires_grad:
         return
     if isinstance(grad, FactoredGrad):
-        if tensor.grad is None and tensor.keeps_factored:
+        if tensor.grad is None and isinstance(tensor.data, DeferredConv):
             tensor.grad = grad
             return
         grad, fresh = grad.dense(), True

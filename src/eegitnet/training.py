@@ -313,10 +313,6 @@ def _run_subject(scenario, si, names, subjects, arch, config):
                          pretrain_history=pre_history)
 
 
-def _run_subject_star(args):
-    return _run_subject(*args)
-
-
 def run_scenario(scenario, subjects, arch: ArchConfig, config: TrainConfig,
                  names=None, jobs=1) -> ScenarioReport:
     """Train and evaluate every subject under one scenario.
@@ -344,9 +340,9 @@ def run_scenario(scenario, subjects, arch: ArchConfig, config: TrainConfig,
              for si in range(len(subjects))]
     if jobs > 1 and len(subjects) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(subjects))) as pool:
-            results = list(pool.map(_run_subject_star, tasks))
+            results = list(pool.map(_run_subject, *zip(*tasks)))
     else:
-        results = [_run_subject_star(t) for t in tasks]
+        results = [_run_subject(*t) for t in tasks]
     return ScenarioReport.from_results(scenario, results)
 
 

@@ -90,6 +90,11 @@ def test_synth_writes_a_loadable_cohort(tmp_path, capsys):
     (lambda t: t.replace("center_freq=24", "center_freq=40"), "Nyquist"),
     (lambda t: t + "class0.source2.center_freq=9\n", "source indices"),
     (lambda t: t + "class7.source0.center_freq=9\n", "class range"),
+    # a source block's error names the block once, then the field
+    (lambda t: t.replace("class0.source0.amplitude=1\n", ""),
+     "error: class0.source0: source config is missing amplitude"),
+    (lambda t: t + "class0.source0.phase=1\n",
+     "error: class0.source0: unknown source keys: phase"),
     (lambda t: t.replace("mixing=1,0.5,0,0", "mixing=1,0.5"), "invalid synth spec"),
     (lambda t: t.replace("fs=64", "fs=nan"), "fs must be finite, got nan"),
     (lambda t: t.replace("fs=64", "fs=inf"), "fs must be finite, got inf"),

@@ -69,14 +69,6 @@ def test_epochset_rejects_non_finite_trials(rng, bad):
                  good.channel_xy, good.fs)
 
 
-def test_subset_selects_trials(rng):
-    s = small_set(rng)
-    sub = s.subset([0, 2, 4])
-    assert sub.n_trials == 3
-    np.testing.assert_array_equal(sub.trials, s.trials[[0, 2, 4]])
-    np.testing.assert_array_equal(sub.labels, s.labels[[0, 2, 4]])
-
-
 def test_concat_requires_identical_metadata(rng):
     a = small_set(rng)
     b = small_set(rng)

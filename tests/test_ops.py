@@ -236,6 +236,30 @@ def test_the_spatial_conv_of_a_deferred_output_builds_nothing(rng, monkeypatch, 
     np.testing.assert_allclose(st.grad, ref_s.grad, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("name", sorted(TEMPORAL_SPECS))
+def test_other_ops_read_a_deferred_output_as_its_built_array(rng, name):
+    # every op but the spatial conv reads the built array: on the deferred u
+    # it gives what it gives on Tensor(u.data.dense()), and a time conv after
+    # the deferred one passes the gradient check
+    spec = TEMPORAL_SPECS[name]
+    x = rng.standard_normal((2, 1, 4, 10))
+    w = rng.standard_normal((3, 1, 1, spec.kernel_extent))
+    causal = ConvSpec(2, dilation=2, padding="causal", depthwise=True, filter_count=3)
+    w_causal = rng.standard_normal((3, 1, 1, 2))
+    same = ConvSpec(3, padding="same", filter_count=2)
+    w_same = rng.standard_normal((2, 3, 1, 3))
+    u = conv_temporal(Tensor(x, dtype=np.float64), spec, Tensor(w, dtype=np.float64))
+    built = Tensor(u.data.dense())
+    readers = [lambda t: conv_temporal(t, causal, Tensor(w_causal, dtype=np.float64)),
+               lambda t: conv_temporal(t, same, Tensor(w_same, dtype=np.float64)),
+               lambda t: ops.avg_pool_time(t, 2),
+               ops.flatten]
+    for read in readers:
+        np.testing.assert_array_equal(read(u).data, read(built).data)
+    check_gradients(lambda ts: to_scalar(conv_temporal(conv_temporal(ts[0], spec, ts[1]),
+                                                       causal, ts[2])), [x, w, w_causal])
+
+
 @pytest.mark.parametrize("spec,w_shape", [
     (ConvSpec(4, padding="valid", filter_count=2), (2, 2, 4, 1)),
     (ConvSpec(4, padding="same", depthwise=True, filter_count=2), (2, 1, 4, 1)),

@@ -113,11 +113,12 @@ def _factored(rng):
 
 
 def _node(marked):
-    """A recorded (4, 2, 3, 5) node, marked ``keeps_factored`` or not."""
-    leaf = Tensor(np.zeros((4, 2, 3, 5)), requires_grad=True, dtype=np.float64)
-    node = from_op(leaf.data.copy(), (leaf,), lambda g: None)
-    node.keeps_factored = marked
-    return node
+    """A recorded (4, 2, 3, 5) node whose value is a deferred convolution
+    of a (4, 1, 3, 5) input (marked) or an array (unmarked)."""
+    leaf = Tensor(np.zeros((4, 1, 3, 5)), requires_grad=True, dtype=np.float64)
+    value = (T.DeferredConv(leaf.data, np.zeros((2, 1, 1)), 0, 5, 1) if marked
+             else np.zeros((4, 2, 3, 5)))
+    return from_op(value, (leaf,), lambda g: None)
 
 
 def test_a_marked_node_keeps_its_first_gradient_factored(rng):
@@ -140,7 +141,7 @@ def test_a_factored_gradient_elsewhere_is_made_dense(rng, target):
 @pytest.mark.parametrize("order", ["factored-then-dense", "dense-then-factored",
                                    "factored-twice"])
 def test_a_second_gradient_makes_a_factored_one_dense(rng, order):
-    # a marked node keeps only its first gradient factored: a second one,
+    # a deferred node keeps only its first gradient factored: a second one,
     # dense or factored, turns the sum into one array
     grad, want = _factored(rng)
     dense = rng.standard_normal((4, 2, 3, 5))

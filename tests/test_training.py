@@ -298,8 +298,8 @@ def test_worker_pool_is_capped_at_the_subject_count(cohort, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(training, "ProcessPoolExecutor", SerialPool)
     run_scenario("within", cohort[:2], ARCH, FAST, jobs=500)
