@@ -178,16 +178,17 @@ class DeferredConv(np.lib.mixins.NDArrayOperatorsMixin):
     correlation-order ``taps`` with their ``dilation``, the ``left`` zeros
     read before ``x`` and the output ``length`` L.
 
-    It answers ``shape``, ``ndim``, ``size``, ``nbytes``, ``dtype`` and
-    ``itemsize`` without building anything.  :meth:`dense` builds the array,
-    once; numpy reads it through ``__array__`` and the arithmetic operators,
-    and the ops through indexing and ``reshape``.  A depthwise filter over
-    the electrodes needs only :meth:`mixed`, and its backward sends the
-    tensor holding this value a :class:`FactoredGrad`.
+    It answers ``shape``, ``ndim``, ``size``, ``nbytes``, ``dtype``,
+    ``itemsize`` and ``len`` without building anything.  :meth:`dense`
+    builds the array, once.  numpy reads it through ``__array__`` and the
+    arithmetic operators; indexing and every other public attribute read it
+    too.  A depthwise filter over the electrodes needs only :meth:`mixed`,
+    and its backward sends the tensor holding this value a
+    :class:`FactoredGrad`.
     """
 
-    __slots__ = ("x", "taps", "left", "length", "dilation", "shape", "dtype",
-                 "_dense", "_mix", "_rows")
+    __slots__ = ("x", "taps", "left", "length", "dilation", "shape", "dtype", "size",
+                 "itemsize", "nbytes", "_dense", "_mix", "_rows")
     ndim = 4
 
     def __init__(self, x, taps, left, length, dilation):
@@ -195,19 +196,10 @@ class DeferredConv(np.lib.mixins.NDArrayOperatorsMixin):
                                                                     dilation)
         self.shape = (x.shape[0], taps.shape[0], x.shape[2], length)
         self.dtype = np.result_type(x, taps)
+        self.size = int(np.prod(self.shape))
+        self.itemsize = self.dtype.itemsize
+        self.nbytes = self.size * self.itemsize
         self._dense = self._mix = self._rows = None
-
-    @property
-    def size(self):
-        return int(np.prod(self.shape))
-
-    @property
-    def itemsize(self):
-        return self.dtype.itemsize
-
-    @property
-    def nbytes(self):
-        return self.size * self.itemsize
 
     def dense(self):
         """The output as one (N, F, H, L) array, built on the first call."""
@@ -224,8 +216,14 @@ class DeferredConv(np.lib.mixins.NDArrayOperatorsMixin):
     def __getitem__(self, key):
         return self.dense()[key]
 
-    def reshape(self, *shape):
-        return self.dense().reshape(*shape)
+    def __len__(self):
+        return self.shape[0]
+
+    def __getattr__(self, name):
+        # numpy's __array_*__ probes, copy and pickle find nothing here
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return getattr(self.dense(), name)
 
     def mixed(self, s):
         """The (N, F, T) rows ``Σ_h s[f, h] x[:, 0, h]`` for (F, H) electrode

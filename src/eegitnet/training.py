@@ -237,7 +237,7 @@ def _run_protocol(train_set: EpochSet, arch: ArchConfig, config: TrainConfig,
     x, y = train_set.trials, train_set.labels
     folds = stratified_kfold(y, config.folds, _seed(config, *seed_key, 0))
     all_idx = np.arange(len(y))
-    results = []
+    best = None   # (rank, fold, model, fit) of the best fold so far; the first wins a tie
     for fi, val_idx in enumerate(folds):
         train_idx = np.setdiff1d(all_idx, val_idx)
         model = build(arch, seed=_seed(config, *seed_key, 1, fi))
@@ -246,15 +246,14 @@ def _run_protocol(train_set: EpochSet, arch: ArchConfig, config: TrainConfig,
         rng = np.random.default_rng(_seed(config, *seed_key, 2, fi))
         fit = fit_with_early_stopping(model, (x[train_idx], y[train_idx]),
                                       (x[val_idx], y[val_idx]), config, rng)
-        results.append((model, fit))
-    selected = max(range(len(folds)),
-                   key=lambda i: (results[i][1].best_val_acc, -results[i][1].best_val_loss))
-    model, fit = results[selected]
+        rank = (fit.best_val_acc, -fit.best_val_loss)
+        if best is None or rank > best[0]:
+            best = rank, fi, model, fit
+    _, selected, model, fit = best
     refit_rng = np.random.default_rng(_seed(config, *seed_key, 3))
     refit = refit_extra_epochs(model, (x, y), config, refit_rng,
                                monitor=monitor, epoch_offset=fit.epochs_run)
-    history = list(fit.history) + list(refit.history)
-    return model, history, selected, len(history), refit.monitor_curve
+    return model, list(fit.history) + list(refit.history), selected, refit.monitor_curve
 
 
 # ----------------------------------------------------------------------
@@ -286,31 +285,26 @@ class ScenarioReport:
     mean: float
     std: float
 
-    @classmethod
-    def from_results(cls, scenario, results):
-        accs = np.array([r.accuracy for r in results], dtype=np.float64)
-        return cls(scenario, list(results), float(accs.mean()), float(accs.std()))
 
-
-def _run_subject(scenario, si, names, subjects, arch, config):
-    train, test = subjects[si]
-    others = () if scenario == "within" else tuple(j for j in range(len(subjects)) if j != si)
+def _run_subject(scenario, si, name, train, test, pool, arch, config):
+    """One subject's fit.  ``si`` keys its random streams; ``pool`` maps the other
+    subjects' names to their training sessions in subject order (empty under
+    ``within``); ``cross`` trains on the pool alone, and gets no ``train``."""
     init_state, pre_history, phase = None, [], 0
     if scenario == "cross":
-        train = concat_epochs([subjects[j][0] for j in others])
+        train = concat_epochs(list(pool.values()))
     elif scenario == "cross_finetuned":
         # pretrain on the pooled other subjects, then run the full protocol on
         # the target's training session starting every fold from that state
-        (pool_std,), _ = standardize(concat_epochs([subjects[j][0] for j in others]))
-        pre_model, pre_history, _, _, _ = _run_protocol(pool_std, arch, config, (si, 0))
+        (pool_std,), _ = standardize(concat_epochs(list(pool.values())))
+        pre_model, pre_history, _, _ = _run_protocol(pool_std, arch, config, (si, 0))
         init_state, phase = pre_model.state_arrays(), 1
     (train_std, test_std), _ = standardize(train, test)
-    model, history, fold, epochs, curve = _run_protocol(
+    model, history, fold, curve = _run_protocol(
         train_std, arch, config, (si, phase), init_state=init_state,
         monitor=(test_std.trials, test_std.labels))
-    return SubjectResult(names[si], scenario, curve[-1], max(curve), fold, epochs,
-                         history, model, pool=tuple(names[j] for j in others),
-                         pretrain_history=pre_history)
+    return SubjectResult(name, scenario, curve[-1], max(curve), fold, len(history),
+                         history, model, pool=tuple(pool), pretrain_history=pre_history)
 
 
 def run_scenario(scenario, subjects, arch: ArchConfig, config: TrainConfig,
@@ -320,6 +314,7 @@ def run_scenario(scenario, subjects, arch: ArchConfig, config: TrainConfig,
     ``subjects`` is a list of (train, test) EpochSet pairs sharing one label
     space.  Subjects are independent; ``jobs`` > 1 runs them in parallel
     worker processes (at most one per subject) without changing any result.
+    Each subject's task holds only the sessions its fit reads.
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}; expected one of {SCENARIOS}")
@@ -332,18 +327,21 @@ def run_scenario(scenario, subjects, arch: ArchConfig, config: TrainConfig,
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if names is None:
         names = [f"s{i + 1:02d}" for i in range(len(subjects))]
-    elif len(names) != len(subjects):
+    elif len(names) != len(subjects) or len(set(names)) != len(names):
         raise ValueError("one name per subject required")
     check_compatible([s for pair in subjects for s in pair],
                      [f"{name} {part}" for name in names for part in ("train", "test")])
-    tasks = [(scenario, si, list(names), subjects, arch, config)
-             for si in range(len(subjects))]
+    tasks = [(scenario, si, name, None if scenario == "cross" else train, test,
+              {} if scenario == "within" else
+              {other: subjects[j][0] for j, other in enumerate(names) if j != si}, arch, config)
+             for si, (name, (train, test)) in enumerate(zip(names, subjects))]
     if jobs > 1 and len(subjects) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(subjects))) as pool:
             results = list(pool.map(_run_subject, *zip(*tasks)))
     else:
         results = [_run_subject(*t) for t in tasks]
-    return ScenarioReport.from_results(scenario, results)
+    accs = np.array([r.accuracy for r in results], dtype=np.float64)
+    return ScenarioReport(scenario, results, float(accs.mean()), float(accs.std()))
 
 
 # ----------------------------------------------------------------------

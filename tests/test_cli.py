@@ -7,9 +7,10 @@ import struct
 import numpy as np
 import pytest
 
+from eegitnet import cli
 from eegitnet.cli import main
 from eegitnet.data import EPOCH_MAGIC, load_epochs
-from eegitnet.model import ArchConfig, load_model
+from eegitnet.model import MODEL_MAGIC, ArchConfig, load_model
 from eegitnet.training import TrainConfig
 
 SPEC = """\
@@ -206,6 +207,7 @@ def test_train_cross_finetuned_artifacts(data_dir, tmp_path, capsys):
     ("train.base_lr=0\n", "bad training config"),
     ("epochs=3\n", "train. or arch."),
     ("train.seed=-3\n", "bad training config: seed must be >= 0"),
+    ("arch.pool1=0\n", "bad architecture config"),
 ])
 def test_train_config_errors(data_dir, tmp_path, capsys, extra, fragment):
     cfg = write(tmp_path / "cfg", TRAIN_CFG + extra)
@@ -432,8 +434,9 @@ def test_explain_rejects_a_sidecar_that_is_not_utf8(within_run, tmp_path, capsys
      "parameter branch0.spatial.w: rank 3 != 4"),
     (b"head.b", len(b"head.b"), bytes([1]),
      "parameter head.b: dtype float64 differs from the float32 of branch0.temporal.w"),
+    (MODEL_MAGIC, len(MODEL_MAGIC), struct.pack("<I", 2), "unsupported model file version 2"),
 ], ids=["name-not-utf8", "non-finite-weight", "negative-variance", "rank-70",
-        "huge-empty-extents", "mixed-dtypes"])
+        "huge-empty-extents", "mixed-dtypes", "version-2"])
 def test_explain_rejects_bad_values_in_the_model_file(within_run, tmp_path, capsys, name,
                                                       offset, payload, fragment):
     # the offsets count from the array's name: its first byte, its dtype tag,
@@ -553,12 +556,26 @@ def test_stats_table_errors(tmp_path, capsys):
     assert main(["stats", "--table", str(latin), "--vs", a, "--test", "ttest"]) == 3
     assert f"{latin}:3: not UTF-8 text" in capsys.readouterr().err
 
+    blank = write(tmp_path / "g.csv", "\n  \n\n")
+    assert main(["stats", "--table", blank, "--vs", a, "--test", "ttest"]) == 3
+    assert f"{blank}: empty table" in capsys.readouterr().err
+
+
+def test_an_unexpected_error_exits_4_with_its_type_and_message(monkeypatch, capsys):
+    def fail(args):
+        raise RuntimeError("the disk went away")
+
+    monkeypatch.setattr(cli, "cmd_plan", fail)
+    assert main(["plan", "--target-r", "91"]) == 4
+    assert capsys.readouterr().err == "error: RuntimeError: the disk went away\n"
+
 
 def test_module_entry_point():
     import subprocess
     import sys
+    src = os.path.dirname(os.path.dirname(cli.__file__))
     proc = subprocess.run([sys.executable, "-m", "eegitnet", "plan",
                            "--target-r", "91"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0
     assert "kernel_extent=4" in proc.stdout

@@ -353,6 +353,19 @@ def test_export_marks_degenerate_patterns(tmp_path):
     assert "degenerate" in (tmp_path / "atlas.svg").read_text()
 
 
+def test_an_electrode_on_a_grid_node_gives_that_node_its_own_value():
+    # the inverse-distance weight is infinite at an electrode, so a grid node
+    # that is an electrode takes exactly that electrode's value
+    from eegitnet.explain import _idw_topomap
+    coords = np.linspace(-1.0, 1.0, 26)
+    xy = np.array([[0.3, -0.2], [coords[10], coords[15]], [coords[20], coords[5]]])
+    values = np.array([0.7, -0.4, 0.25])
+    grid, inside = _idw_topomap(xy, values)
+    assert inside[15, 10] and inside[5, 20]
+    assert grid[15, 10] == -0.4 and grid[5, 20] == 0.25
+    assert np.abs(grid[inside]).max() <= 0.7
+
+
 def scalar_topomap_rects(atlas):
     """Every topomap ``<rect>`` line of the atlas SVG, written cell by cell
     with the grey level of each value computed on its own, as the exporter

@@ -14,8 +14,8 @@ from eegitnet import model as model_module
 from eegitnet.errors import FormatError
 from eegitnet.fileio import (config_items, key_value_text, parse_config_items,
                              read_key_values)
-from eegitnet.model import (ArchConfig, arch_config_from_items, build, load_model,
-                            plan_kernel, receptive_field_blocks,
+from eegitnet.model import (MODEL_MAGIC, ArchConfig, arch_config_from_items, build,
+                            load_model, plan_kernel, receptive_field_blocks,
                             receptive_field_plain, save_model)
 from eegitnet.tensor import Tensor
 from eegitnet.training import TrainConfig
@@ -521,6 +521,10 @@ def _head_bias_as_float64(blob):
     blob[at:at + 6 + 4 * n] = struct.pack("<BBI", 1, 1, n) + values.astype("<f8").tobytes()
 
 
+def _version_2(blob):
+    blob[len(MODEL_MAGIC):len(MODEL_MAGIC) + 4] = struct.pack("<I", 2)
+
+
 @pytest.mark.parametrize("corrupt, fragment", [
     (_corrupt_spatial_weight_name, "a parameter name is not UTF-8"),
     (_corrupt_spatial_weight_value, "parameter branch0.spatial.w: non-finite value"),
@@ -529,8 +533,9 @@ def _head_bias_as_float64(blob):
     (_huge_empty_extents, "parameter branch0.spatial.w: rank 3 != 4"),
     (_head_bias_as_float64,
      "parameter head.b: dtype float64 differs from the float32 of branch0.temporal.w"),
+    (_version_2, "unsupported model file version 2"),
 ], ids=["name-not-utf8", "non-finite-value", "negative-variance", "rank-70",
-        "huge-empty-extents", "mixed-dtypes"])
+        "huge-empty-extents", "mixed-dtypes", "version-2"])
 def test_bad_values_in_the_parameter_file_are_reported(tmp_path, corrupt, fragment):
     model = build(default_config(n_channels=4, n_samples=60))
     path = tmp_path / "m.itnetmdl"
@@ -548,4 +553,30 @@ def test_load_state_arrays_refuses_a_negative_running_variance():
     state = model.state_arrays()
     state["tc0.bn0.running_var"][0] = -1.0
     with pytest.raises(ValueError, match="tc0.bn0.running_var: negative variance"):
+        model.load_state_arrays(state)
+
+
+def _drop_head_bias(state):
+    del state["head.b"]
+
+
+def _add_a_stray_array(state):
+    state["stray.w"] = np.zeros(3, dtype=np.float32)
+
+
+def _reshape_the_spatial_weight(state):
+    state["branch0.spatial.w"] = state["branch0.spatial.w"][:, :, :3]
+
+
+@pytest.mark.parametrize("change, fragment", [
+    (_drop_head_bias, r"missing \['head.b'\], unexpected \[\]"),
+    (_add_a_stray_array, r"missing \[\], unexpected \['stray.w'\]"),
+    (_reshape_the_spatial_weight,
+     r"parameter branch0.spatial.w: shape \(2, 1, 3, 1\) != \(2, 1, 4, 1\)"),
+], ids=["missing", "extra", "misshapen"])
+def test_load_state_arrays_names_a_missing_extra_or_misshapen_array(change, fragment):
+    model = build(default_config(n_channels=4, n_samples=60))
+    state = model.state_arrays()
+    change(state)
+    with pytest.raises(ValueError, match=fragment):
         model.load_state_arrays(state)

@@ -4,6 +4,8 @@ Every convolution variant is checked against the loop-based reference in
 oracles, every primitive gets a finite-difference gradient check, and the
 statistics of batch norm / dropout are verified against their definitions.
 """
+import copy
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -206,6 +208,29 @@ def test_a_deferred_output_is_built_once_and_bit_equal_to_the_band_conv(rng, nam
     assert d.dense() is got and np.asarray(d) is got
     assert got.dtype == dtype and got.shape == d.shape
     np.testing.assert_array_equal(got.view(f"u{got.itemsize}"), want.view(f"u{got.itemsize}"))
+
+
+@pytest.mark.parametrize("name", sorted(TEMPORAL_SPECS))
+def test_a_deferred_output_answers_every_array_attribute(rng, monkeypatch, name):
+    # len comes from the shape and any other public attribute from the built
+    # array; numpy's __array_*__ probes, copy and pickle build nothing
+    spec = TEMPORAL_SPECS[name]
+    x = rng.standard_normal((2, 1, 4, 10))
+    w = rng.standard_normal((3, 1, 1, spec.kernel_extent))
+    d = conv_temporal(Tensor(x, dtype=np.float32), spec, Tensor(w, dtype=np.float32)).data
+    with monkeypatch.context() as patch:
+        _refuse_to_build(patch)
+        assert len(d) == 2
+        assert not hasattr(d, "__array_interface__")
+        copies = [copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))]
+    built = d.dense()
+    assert d.sum() == built.sum() and d.max() == built.max()
+    assert d.tobytes() == built.tobytes()
+    for got, want in [(d.astype(np.float64), built.astype(np.float64)), (d.T, built.T),
+                      (d.copy(), built), (d.swapaxes(0, 1), built.swapaxes(0, 1)),
+                      *((c.dense(), built) for c in copies)]:
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("name", sorted(TEMPORAL_SPECS))

@@ -1,5 +1,6 @@
 """Fold splitting, early stopping, refitting, and the three scenarios."""
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -284,9 +285,11 @@ def test_parallel_jobs_do_not_change_results(cohort):
     assert report_csv_text(serial) == report_csv_text(parallel)
 
 
-def test_worker_pool_is_capped_at_the_subject_count(cohort, monkeypatch):
-    import eegitnet.training as training
-    started = []
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Stand in a serial pool for the worker pool; it records each pool's
+    worker count and the arguments of each task it maps, by parameter name."""
+    started, tasks = [], []
 
     class SerialPool:
         def __init__(self, max_workers):
@@ -299,13 +302,53 @@ def test_worker_pool_is_capped_at_the_subject_count(cohort, monkeypatch):
             return False
 
         def map(self, fn, *iterables):
+            tasks.extend(inspect.signature(fn).bind(*args).arguments for args in zip(*iterables))
             return map(fn, *iterables)
 
     monkeypatch.setattr(training, "ProcessPoolExecutor", SerialPool)
+    return started, tasks
+
+
+def test_worker_pool_is_capped_at_the_subject_count(cohort, serial_pool):
+    started, _ = serial_pool
     run_scenario("within", cohort[:2], ARCH, FAST, jobs=500)
     assert started == [2]
     with pytest.raises(ValueError, match="jobs"):
         run_scenario("within", cohort[:2], ARCH, FAST, jobs=0)
+
+
+def test_each_task_holds_only_its_subjects_sessions(cohort, serial_pool):
+    # a within task holds its own two sessions; a cross task its test session
+    # and the other subjects' training sessions, by name in subject order
+    _, tasks = serial_pool
+    names = ["s01", "s02", "s03"]
+    run_scenario("within", cohort, ARCH, FAST, jobs=2)
+    assert [(t["si"], t["name"]) for t in tasks] == list(enumerate(names))
+    for t, (train, test) in zip(tasks, cohort):
+        assert t["train"] is train and t["test"] is test and t["pool"] == {}
+    tasks.clear()
+    run_scenario("cross", cohort, ARCH, FAST, jobs=2)
+    assert [(t["si"], t["name"]) for t in tasks] == list(enumerate(names))
+    for si, (t, (_, test)) in enumerate(zip(tasks, cohort)):
+        assert t["train"] is None and t["test"] is test
+        assert list(t["pool"]) == names[:si] + names[si + 1:]
+        assert all(t["pool"][names[j]] is cohort[j][0] for j in range(3) if j != si)
+
+
+def test_the_first_of_the_best_folds_is_selected(cohort, monkeypatch):
+    # folds rank by validation accuracy, then by lower validation loss; the
+    # first of tied folds wins
+    ranks = iter([(50.0, 0.7), (60.0, 0.9), (60.0, 0.8), (60.0, 0.8)])
+
+    def fit(model, train, val, config, rng):
+        acc, loss = next(ranks)
+        return training.FitResult([training.HistoryRow(1, "cv", loss, loss, acc, acc)],
+                                  1, loss, acc, 1)
+
+    monkeypatch.setattr(training, "fit_with_early_stopping", fit)
+    report = run_scenario("within", cohort[:1], ARCH, dataclasses.replace(FAST, folds=4))
+    assert report.subjects[0].selected_fold == 2
+    assert report.subjects[0].epochs_run == 1 + FAST.extra_epochs_max
 
 
 def test_cross_pools_the_other_subjects(cohort):
@@ -334,6 +377,8 @@ def test_scenario_input_validation(cohort):
         run_scenario("cross", cohort[:1], ARCH, FAST)
     with pytest.raises(ValueError, match="one name per subject"):
         run_scenario("within", cohort[:2], ARCH, FAST, names=["only"])
+    with pytest.raises(ValueError, match="one name per subject"):
+        run_scenario("cross", cohort[:2], ARCH, FAST, names=["twin", "twin"])
 
 
 def test_cohorts_must_share_label_and_channel_spaces(cohort):
