@@ -22,8 +22,8 @@ from .errors import FormatError
 from .fileio import (atomic_write, config_items, decode_utf8, key_value_text, pack_string,
                      parse_config_items, read_exact, read_key_values)
 from .ops import (BN_EPS, ConvSpec, avg_pool_time, avg_pool_values, band_conv,
-                  band_matrix, batch_norm, conv_temporal, dense, dropout, elu, elu_values,
-                  flatten, lag_statistics, softmax_rows)
+                  band_matrix, batch_norm, check_finite_trials, conv_temporal, dense, dropout,
+                  elu, elu_values, flatten, lag_products, lag_statistics, softmax_rows)
 from .tensor import Tensor, add, concat_channels
 
 MODEL_MAGIC = b"ITNETMDL"
@@ -267,6 +267,18 @@ def _check_state(config: ArchConfig, state):
             raise ValueError(f"parameter {name}: negative variance")
 
 
+@dataclass(frozen=True)
+class LaggedTrials:
+    """Trials with their :func:`~eegitnet.ops.lag_products` rows, from
+    :meth:`ITNetModel.lagged`.  Indexing selects trials."""
+
+    trials: np.ndarray
+    products: np.ndarray
+
+    def __getitem__(self, idx):
+        return LaggedTrials(self.trials[idx], self.products[idx])
+
+
 class ITNetModel:
     """The assembled network: named parameter tensors plus forward passes.
 
@@ -294,7 +306,17 @@ class ITNetModel:
         return list(self.params.values())
 
     # ------------------------------------------------------------------
+    def lagged(self, x):
+        """The trials ``x`` with their lag products for the inception kernels,
+        built once for the training batches indexed from it."""
+        return LaggedTrials(x, lag_products(x, [k for _, k in self.config.inception_branches]))
+
     def _as_input(self, x):
+        """``x`` as an (N, 1, electrodes, time) tensor, and its lag products
+        if it is a :class:`LaggedTrials` (checked when they were built)."""
+        products = None
+        if isinstance(x, LaggedTrials):
+            x, products = x.trials, x.products
         if not isinstance(x, Tensor):
             x = np.asarray(x)
             if x.ndim == 3:
@@ -309,11 +331,9 @@ class ITNetModel:
         if x.shape[3] != self.config.n_samples:
             raise ValueError(
                 f"time axis mismatch: model expects {self.config.n_samples}, got {x.shape[3]}")
-        finite = np.isfinite(x.data)
-        if not finite.all():
-            t, _, c, s = np.unravel_index(np.argmin(finite), x.shape)
-            raise ValueError(f"non-finite sample at trial {t}, electrode {c}, sample {s}")
-        return x
+        if products is None:
+            check_finite_trials(x.data)
+        return x, products
 
     def forward_logits(self, x, mode="infer", rng=None):
         """Class scores before softmax for a (N, 1, electrodes, time) batch.
@@ -324,13 +344,13 @@ class ITNetModel:
         cfg = self.config
         if mode not in ("train", "infer"):
             raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
-        x = self._as_input(x)
+        x, products = self._as_input(x)
         if mode == "infer":
             return Tensor(self._infer_logits(x.data[:, 0]))
         # BN1 is applied through the spatial sum, with its batch moments
         # taken from the input's lag statistics and the temporal taps: it
         # never reads the temporal conv's output
-        lags = lag_statistics(x, [k for _, k in cfg.inception_branches])
+        lags = lag_statistics(x, [k for _, k in cfg.inception_branches], products)
         branch_outs = []
         for i, (f, k) in enumerate(cfg.inception_branches):
             w = self.params[f"branch{i}.temporal.w"]

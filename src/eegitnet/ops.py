@@ -337,6 +337,21 @@ def _fft_length(n):
         n += 1
 
 
+def _lag_extent(extents):
+    """``(left, width)`` of the row windows "same" kernels of these extents read."""
+    left = max((k - 1) // 2 for k in extents)
+    return left, left + max(k - 1 - (k - 1) // 2 for k in extents) + 1
+
+
+def check_finite_trials(a, first=0):
+    """Raise ``ValueError`` naming the first non-finite sample of the
+    (N, H, T) or (N, 1, H, T) array ``a``, its trial counted from ``first``."""
+    finite = np.isfinite(a)
+    if not finite.all():
+        t, *_, c, s = np.unravel_index(np.argmin(finite), a.shape)
+        raise ValueError(f"non-finite sample at trial {first + t}, electrode {c}, sample {s}")
+
+
 @dataclass(frozen=True)
 class LagStatistics:
     """Float64 lag statistics of an (N, 1, H, T) input tensor ``x``, for
@@ -350,6 +365,8 @@ class LagStatistics:
     k taps reads the offsets from ``left - (k - 1) // 2`` on, so every
     branch's statistics are one slice of these (:meth:`window`), and a
     convolution with taps w has ``Σ u = w·sums`` and ``Σ u² = wᵀ gram w``.
+    They are summed from the trials' :func:`lag_products`; ``xp`` is never
+    built.
     """
 
     x: Tensor
@@ -366,33 +383,64 @@ class LagStatistics:
         return self.gram[i:i + k, i:i + k], self.sums[i:i + k]
 
 
-def lag_statistics(x, extents):
-    """The :class:`LagStatistics` of the (N, 1, H, T) tensor ``x`` for
-    "same" kernels of the given extents.
+def lag_products(x, extents):
+    """Float64 lag products of each trial of the (N, H, T) or (N, 1, H, T)
+    array ``x`` for "same" kernels of the given extents: row n holds
+    ``Σ x[t] x[t + l]`` over trial n's electrode rows for each of the
+    ``width`` lags the kernels' windows span, then the trial's ``Σ x``.
 
-    The Toeplitz part comes from one power spectrum (Wiener-Khinchin): the
-    lag products ``ρ[l]`` of the whole rows.  Window i leaves out the
-    products of ``xp`` before its start and after its end, and these edge
-    terms are cumulative sums along the diagonals of the Gram matrices of
-    the first and last ``width`` samples of ``xp``.
+    They come from each trial's power spectrum (Wiener-Khinchin), over
+    chunks of about 4 MB of float64.  A non-finite sample raises
+    ``ValueError`` naming its trial in ``x``.
+    """
+    _, width = _lag_extent(extents)
+    n, t = len(x), x.shape[-1]
+    trials = x.reshape(n, -1, t)
+    nfft = _fft_length(t + width - 1)   # no lag below width wraps around
+    chunk = max(1, (1 << 19) // (trials.shape[1] * nfft))
+    products = np.empty((n, width + 1))
+    for a in range(0, n, chunk):
+        block = trials[a:a + chunk].astype(np.float64)
+        check_finite_trials(block, a)
+        spectrum = np.fft.rfft(block, nfft)
+        power = np.einsum("nhf,nhf->nf", spectrum.real, spectrum.real)
+        power += np.einsum("nhf,nhf->nf", spectrum.imag, spectrum.imag)
+        products[a:a + chunk, :width] = np.fft.irfft(power, nfft)[:, :width]
+        products[a:a + chunk, width] = block.sum(axis=(1, 2))
+    return products
+
+
+def lag_statistics(x, extents, products=None):
+    """The :class:`LagStatistics` of the (N, 1, H, T) tensor ``x`` for
+    "same" kernels of the given extents, from the :func:`lag_products` rows
+    of its trials (computed here when not given).
+
+    The Toeplitz part is the rows' sum, in row order.  Window i leaves out
+    the products of ``xp`` before its start and after its end: cumulative
+    sums along the diagonals of the Gram matrices of the first and last
+    ``width`` samples of ``xp``.  The window sums are the trials' totals
+    less those samples' column sums outside the window.  Only those samples
+    are read here, so no array of ``x``'s size is made.
     """
     n, g, h, t = x.shape
     if g != 1:
         raise ValueError(f"lag statistics need one input filter, got {g}")
-    left = max((k - 1) // 2 for k in extents)
-    width = left + max(k - 1 - (k - 1) // 2 for k in extents) + 1
-    xp = np.zeros((n * h, t + width))
-    xp[:, left:left + t] = x.data.reshape(n * h, t)
-    nfft = _fft_length(t + width - 1)   # no lag below width wraps around
-    spectrum = np.fft.rfft(xp[:, left:left + t], nfft)
-    power = np.einsum("rf,rf->f", spectrum.real, spectrum.real)
-    power += np.einsum("rf,rf->f", spectrum.imag, spectrum.imag)
-    lags = np.fft.irfft(power, nfft)[:width]
+    left, width = _lag_extent(extents)
+    if products is None:
+        products = lag_products(x.data, extents)
+    if products.shape != (n, width + 1):
+        raise ValueError(f"lag products of shape {products.shape} do not match "
+                         f"{n} trials and {width} lags")
+    summed = products.sum(axis=0)
     offsets = np.arange(width)
-    gram = lags[np.abs(offsets[:, None] - offsets)]
+    gram = summed[np.abs(offsets[:, None] - offsets)]
     # products before window i: the head's diagonal sums that end at
     # (i - 1, j - 1); after it: the tail's that start at (i, j)
-    head, tail = xp[:, :width], xp[:, t:]
+    rows = x.data.reshape(n * h, t)
+    head = np.pad(rows[:, :width - left].astype(np.float64),
+                  ((0, 0), (left, max(width - left - t, 0))))
+    tail = np.pad(rows[:, max(t - left, 0):].astype(np.float64),
+                  ((0, 0), (max(left - t, 0), width - left)))
     head_gram, tail_gram = head.T @ head, tail.T @ tail
     before, after = np.zeros((width, width)), np.zeros((width + 1, width + 1))
     for i in range(width - 1):
@@ -401,8 +449,9 @@ def lag_statistics(x, extents):
         after[i, :width] = tail_gram[i] + after[i + 1, 1:]
     gram -= before
     gram -= after[:width, :width]
-    prefix = np.concatenate(([0.0], np.cumsum(xp.sum(axis=0))))
-    sums = prefix[t:t + width] - prefix[:width]
+    head_cols, tail_cols = head.sum(axis=0), tail.sum(axis=0)
+    sums = summed[width] - np.cumsum(np.r_[0.0, head_cols[:-1]])
+    sums -= np.cumsum(tail_cols[::-1])[::-1]
     return LagStatistics(x, gram, sums, left)
 
 

@@ -175,6 +175,7 @@ def fit_with_early_stopping(model, train, val, config: TrainConfig, rng=None):
         raise ValueError("training split needs at least 2 trials")
     if rng is None:
         rng = np.random.default_rng(config.seed)
+    x = model.lagged(x)
     opt = Adam(model.parameters(), lr=config.base_lr)
     history = []
     best_loss = np.inf
@@ -214,6 +215,7 @@ def refit_extra_epochs(model, all_labeled, config: TrainConfig, rng=None,
     x, y = all_labeled
     if rng is None:
         rng = np.random.default_rng(config.seed)
+    x = model.lagged(x)
     opt = Adam(model.parameters(), lr=config.extra_lr)
     curve = []
     if monitor is not None:

@@ -16,7 +16,9 @@ chain (norm, then the spatial convolution) in place of
 ``batch_norm(..., through=(z, s, w, lags))``.  ``bias_add`` is the
 broadcast per-channel add that the engine does not have.
 ``lag_statistics_reference`` sums the lag Gram matrix and window sums of
-``ops.lag_statistics`` directly over sliding windows.
+``ops.lag_statistics`` directly over sliding windows, and
+``lag_statistics_fft_reference`` is the previous whole-batch form of that
+op: one float64 FFT over a zero-padded copy of every row.
 ``graph_infer_logits`` and ``graph_infer_tc`` run the model in infer mode
 as a graph of ``ops`` layers, unfolded, each batch norm applied on its own
 by ``infer_norm``, as the reference for the model's own plain-numpy
@@ -297,6 +299,37 @@ def lag_statistics_reference(x, k):
                   ((0, 0), (left, k - 1 - left)))
     win = sliding_window_view(rows, t, axis=1)   # (rows, k, T)
     return np.einsum("rit,rjt->ij", win, win), win.sum(axis=(0, 2))
+
+
+def lag_statistics_fft_reference(x, extents):
+    """``(gram, sums, left)`` of the (N, 1, H, T) array ``x`` for "same"
+    kernels of the given extents, as the previous ``ops.lag_statistics``
+    built them: the lag products of the whole batch from one power spectrum
+    of a zero-padded float64 copy ``xp`` of its rows, less the edge terms of
+    each window, and window sums from a cumulative sum along ``xp``."""
+    n, _, h, t = x.shape
+    left = max((k - 1) // 2 for k in extents)
+    width = left + max(k - 1 - (k - 1) // 2 for k in extents) + 1
+    xp = np.zeros((n * h, t + width))
+    xp[:, left:left + t] = x.reshape(n * h, t)
+    nfft = t + width - 1   # no lag below width wraps around
+    spectrum = np.fft.rfft(xp[:, left:left + t], nfft)
+    power = np.einsum("rf,rf->f", spectrum.real, spectrum.real)
+    power += np.einsum("rf,rf->f", spectrum.imag, spectrum.imag)
+    lags = np.fft.irfft(power, nfft)[:width]
+    offsets = np.arange(width)
+    gram = lags[np.abs(offsets[:, None] - offsets)]
+    head, tail = xp[:, :width], xp[:, t:]
+    head_gram, tail_gram = head.T @ head, tail.T @ tail
+    before, after = np.zeros((width, width)), np.zeros((width + 1, width + 1))
+    for i in range(width - 1):
+        before[i + 1, 1:] = before[i, :-1] + head_gram[i, :-1]
+    for i in range(width - 1, -1, -1):
+        after[i, :width] = tail_gram[i] + after[i + 1, 1:]
+    gram -= before
+    gram -= after[:width, :width]
+    prefix = np.concatenate(([0.0], np.cumsum(xp.sum(axis=0))))
+    return gram, prefix[t:t + width] - prefix[:width], left
 
 
 def float_mask_dropout(x, rate, rng):

@@ -17,6 +17,7 @@ from eegitnet.fileio import (config_items, key_value_text, parse_config_items,
 from eegitnet.model import (MODEL_MAGIC, ArchConfig, arch_config_from_items, build,
                             load_model, plan_kernel, receptive_field_blocks,
                             receptive_field_plain, save_model)
+from eegitnet.ops import softmax_cross_entropy
 from eegitnet.tensor import Tensor
 from eegitnet.training import TrainConfig
 
@@ -232,6 +233,26 @@ def test_all_parameters_receive_gradients(rng):
     softmax_cross_entropy(logits, labels).backward()
     missing = [n for n, p in model.params.items() if p.grad is None]
     assert not missing, f"no gradient reached: {missing}"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_batch_of_lagged_trials_trains_as_the_plain_batch_bit_for_bit(rng, dtype):
+    # training indexes its batches from trials whose lag products were built
+    # once; the plain batch builds its own rows, and both take one assembly
+    config = default_config(n_channels=4, n_samples=60)
+    x = rng.standard_normal((12, 4, 60)).astype(dtype)
+    idx = rng.permutation(12)[:6]
+    labels = np.arange(6) % 4
+    results = []
+    for lagged in (False, True):
+        model = build(config, seed=2, dtype=dtype)
+        batch = model.lagged(x)[idx] if lagged else x[idx]
+        logits = model.forward_logits(batch, mode="train", rng=np.random.default_rng(0))
+        softmax_cross_entropy(logits, labels).backward()
+        results.append([logits.data] + [p.grad for p in model.parameters()]
+                       + list(model.buffers.values()))
+    for plain, lagged in zip(*results):
+        np.testing.assert_array_equal(lagged, plain)
 
 
 def test_a_training_step_loads_no_scipy_module():

@@ -16,8 +16,8 @@ from eegitnet.ops import ConvSpec, conv_temporal
 from eegitnet.tensor import DeferredConv, FactoredGrad, Tensor
 
 from oracles import (batch_norm_train_reference, bias_add, check_gradients, conv_oracle,
-                     elu_reference, lag_statistics_reference, to_scalar,
-                     window_conv_reference)
+                     elu_reference, lag_statistics_fft_reference, lag_statistics_reference,
+                     to_scalar, window_conv_reference)
 
 
 # ----------------------------------------------------------------------
@@ -515,13 +515,89 @@ def test_batch_norm_through_rejects_a_z_that_is_not_the_electrode_sum(rng):
     ((4, 1, 2, 30), (1, 4)),
 ])
 def test_lag_statistics_match_the_sliding_windows(shape, extents):
-    x = 0.5 + 3.0 * np.random.default_rng(13).standard_normal(shape)
-    lags = ops.lag_statistics(Tensor(x), extents)
-    for k in extents:
-        gram, sums = lags.window(k)
-        ref_gram, ref_sums = lag_statistics_reference(x, k)
-        assert np.abs(gram - ref_gram).max() <= 1e-12 * np.abs(ref_gram).max(), k
-        assert np.abs(sums - ref_sums).max() <= 1e-12 * np.abs(ref_sums).max(), k
+    # from the batch's own products, and assembled from the products of a
+    # larger set at a shuffled index batch, as training does
+    rng = np.random.default_rng(13)
+    n = shape[0]
+    larger = 0.5 + 3.0 * rng.standard_normal((3 * n,) + shape[1:])
+    idx = rng.permutation(3 * n)[:n]
+    x = larger[idx]
+    products = ops.lag_products(larger, extents)
+    for lags in (ops.lag_statistics(Tensor(x), extents),
+                 ops.lag_statistics(Tensor(x), extents, products[idx])):
+        for k in extents:
+            gram, sums = lags.window(k)
+            ref_gram, ref_sums = lag_statistics_reference(x, k)
+            assert np.abs(gram - ref_gram).max() <= 1e-12 * np.abs(ref_gram).max(), k
+            assert np.abs(sums - ref_sums).max() <= 1e-12 * np.abs(ref_sums).max(), k
+
+
+PAPER_EXTENTS = (16, 32, 64)
+
+
+def _paper_trials(n, seed=17):
+    return np.random.default_rng(seed).standard_normal((n, 1, 22, 1125), dtype=np.float32)
+
+
+def test_lag_statistics_at_the_paper_shape_match_the_whole_batch_fft():
+    # 16 of 48 paper-shape trials, assembled from the 48 trials' products,
+    # against the previous formula: one FFT over the batch's padded rows
+    larger = _paper_trials(48)
+    idx = np.random.default_rng(3).permutation(48)[:16]
+    lags = ops.lag_statistics(Tensor(larger[idx]), PAPER_EXTENTS,
+                              ops.lag_products(larger, PAPER_EXTENTS)[idx])
+    gram, sums, left = lag_statistics_fft_reference(larger[idx], PAPER_EXTENTS)
+    assert lags.left == left
+    assert np.abs(lags.gram - gram).max() <= 1e-12 * np.abs(gram).max()
+    assert np.abs(lags.sums - sums).max() <= 1e-12 * np.abs(sums).max()
+
+
+def test_lag_statistics_from_products_allocate_no_batch_size_array():
+    # the previous form built a float64 copy of the padded batch, 3.3 MB at
+    # this shape; the assembly reads only each row's first and last samples
+    larger = _paper_trials(48)
+    idx = np.random.default_rng(3).permutation(48)[:16]
+    products = ops.lag_products(larger, PAPER_EXTENTS)[idx]
+    x = Tensor(larger[idx])
+    tracemalloc.start()
+    try:
+        ops.lag_statistics(x, PAPER_EXTENTS, products)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < x.data.nbytes, f"peak {peak} bytes for a {x.data.nbytes}-byte batch"
+
+
+def test_lag_products_are_built_in_chunks():
+    # 512 paper-shape trials: a float64 spectrum of all of them would be
+    # about 100 MB, and an unchunked build peaks near 200 MB
+    x = _paper_trials(512)
+    tracemalloc.start()
+    try:
+        products = ops.lag_products(x, PAPER_EXTENTS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert products.shape == (512, 65)
+    assert peak < 25 * 1024 * 1024, f"peak {peak} bytes"
+    np.testing.assert_allclose(products[:, -1], x.sum(axis=(1, 2, 3), dtype=np.float64),
+                               rtol=1e-12, atol=1e-9)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_lag_products_name_a_non_finite_sample_by_its_trial(bad):
+    x = np.zeros((40, 3, 50), dtype=np.float32)
+    x[37, 2, 10] = bad
+    with pytest.raises(ValueError, match="non-finite sample at trial 37, electrode 2, sample 10"):
+        ops.lag_products(x, [5])
+
+
+def test_lag_statistics_reject_products_of_another_shape():
+    x = Tensor(np.zeros((4, 1, 3, 50)))
+    with pytest.raises(ValueError, match="lag products of shape"):
+        ops.lag_statistics(x, [5], np.zeros((4, 5)))
+    with pytest.raises(ValueError, match="lag products of shape"):
+        ops.lag_statistics(x, [5], ops.lag_products(np.zeros((5, 3, 50)), [5]))
 
 
 def test_elu_is_bit_identical_to_reference_at_paper_shape():

@@ -246,6 +246,21 @@ def test_evaluate_rejects_a_non_finite_trial(bad):
                                 TrainConfig(max_epochs_cv=2, patience=1))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_training_trial_is_named_by_its_index_in_the_array_passed(bad):
+    # the fit's trials are checked once, before the first shuffled batch
+    (x, y), val = random_split(4, n_train=40)
+    x = x.copy()
+    x[37, 2, 10] = bad
+    where = "non-finite sample at trial 37, electrode 2, sample 10"
+    model = build(ARCH, seed=0)
+    with pytest.raises(ValueError, match=where):
+        fit_with_early_stopping(model, (x, y), val, TrainConfig(max_epochs_cv=2, patience=1))
+    with pytest.raises(ValueError, match=where):
+        refit_extra_epochs(model, (x, y), FAST)
+    assert all(p.grad is None for p in model.parameters())
+
+
 # ----------------------------------------------------------------------
 # scenarios
 
