@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DeferredConv, FactoredGrad, Tensor, accumulate, from_op
+from .tensor import Tensor, accumulate, from_op
 
 PAD_MODES = ("same", "valid", "causal")
 BN_EPS = 1e-3          # added to every batch norm's variance
@@ -188,6 +188,96 @@ def _zero_padded(a, length):
     return out
 
 
+@dataclass(frozen=True)
+class FactoredGrad:
+    """The (N, C, H, T) gradient ``s[c, h] * g[n, c, t]``, kept as its two
+    factors: ``s`` is (C, H) and ``g`` is (N, C, T).  It is what an
+    electrode-spanning depthwise filter ``s`` sends back to a
+    :class:`DeferredConv` input; numpy reads it as :meth:`dense`."""
+
+    s: np.ndarray
+    g: np.ndarray
+
+    def dense(self):
+        """The gradient as one new (N, C, H, T) array."""
+        return self.s[None, :, :, None] * self.g[:, :, None, :]
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.dense(), dtype=dtype)
+
+
+class DeferredConv(np.lib.mixins.NDArrayOperatorsMixin):
+    """The (N, F, H, L) output of a dense temporal convolution of one input
+    filter, kept as its factors: the (N, 1, H, T) input ``x``, the (F, 1, K)
+    correlation-order ``taps`` with their ``dilation``, the ``left`` zeros
+    read before ``x`` and the output ``length`` L.
+
+    It answers ``shape``, ``ndim``, ``size``, ``nbytes``, ``dtype``,
+    ``itemsize`` and ``len`` without building anything.  :meth:`dense`
+    builds the array, once.  numpy reads it through ``__array__`` and the
+    arithmetic operators; indexing and every other public attribute read it
+    too.  A depthwise filter over the electrodes needs only :meth:`mixed`,
+    and its backward sends the tensor holding this value a
+    :class:`FactoredGrad`.
+    """
+
+    __slots__ = ("x", "taps", "left", "length", "dilation", "shape", "dtype", "size",
+                 "itemsize", "nbytes", "_dense", "_mix", "_rows")
+    ndim = 4
+
+    def __init__(self, x, taps, left, length, dilation):
+        self.x, self.taps, self.left, self.length, self.dilation = (x, taps, left, length,
+                                                                    dilation)
+        self.shape = (x.shape[0], taps.shape[0], x.shape[2], length)
+        self.dtype = np.result_type(x, taps)
+        self.size = int(np.prod(self.shape))
+        self.itemsize = self.dtype.itemsize
+        self.nbytes = self.size * self.itemsize
+        self._dense = self._mix = self._rows = None
+
+    def dense(self):
+        """The output as one (N, F, H, L) array, built on the first call."""
+        if self._dense is None:
+            self._dense = band_conv(self.x, band_matrix(self.taps, self.dilation), self.left,
+                                    self.length)
+        return self._dense
+
+    def __array__(self, dtype=None, copy=None):
+        a = self.dense()
+        return a.astype(a.dtype if dtype is None else dtype, copy=bool(copy))
+
+    def __getitem__(self, key):
+        return self.dense()[key]
+
+    def __len__(self):
+        return self.shape[0]
+
+    def __getattr__(self, name):
+        # numpy's __array_*__ probes, copy and pickle find nothing here
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return getattr(self.dense(), name)
+
+    def mixed(self, s):
+        """The (N, F, T) rows ``Σ_h s[f, h] x[:, 0, h]`` for (F, H) electrode
+        weights ``s``; the rows of the last ``s`` given are kept."""
+        if self._mix is not s:
+            self._mix, self._rows = s, np.matmul(s, self.x[:, 0])
+        return self._rows
+
+
+def _transposed_conv(g, taps, left, length, dilation=1):
+    """The ``length``-sample input gradient of :func:`band_conv` with the
+    band of ``taps`` after ``left`` zeros, for the output gradient ``g``:
+    the taps reversed (a dense kernel's filters swapped), after reach - left
+    zeros."""
+    back = taps[..., ::-1]
+    if taps.ndim == 3:
+        back = back.transpose(1, 0, 2)
+    return band_conv(g, band_matrix(back, dilation), dilation * (taps.shape[-1] - 1) - left,
+                     length)
+
+
 def conv_temporal(x, spec: ConvSpec, weights):
     """Convolution per a :class:`ConvSpec`, with dilation along time.
 
@@ -204,17 +294,16 @@ def conv_temporal(x, spec: ConvSpec, weights):
     A time kernel runs :func:`band_conv` once, with its taps'
     :func:`band_matrix`; a lag-ordered kernel's taps are reversed into
     correlation order there, and its tap gradient is reversed back.  The
-    input gradient is the same kernel with reversed taps (and, for a dense
-    kernel, input and output filters swapped).
+    input gradient is the taps' :func:`_transposed_conv`.
 
     A depthwise kernel ``s`` that spans every electrode and no time is one
     ``einsum`` over the electrodes each way for an array input; backward,
-    it sends its input the gradient ``s[c, h] g[n, c, t]`` as a
-    :class:`FactoredGrad`, which an array input's tensor makes dense.
+    it sends its input the gradient ``s[c, h] g[n, c, t]``: built, for an
+    array input; as a :class:`FactoredGrad`, for a deferred one.
 
     A dense time kernel on one input filter (an inception branch) defers
-    its output: the tensor holds a :class:`~eegitnet.tensor.DeferredConv`
-    of its input and taps, and so keeps that gradient factored.  The
+    its output: the tensor holds a :class:`DeferredConv` of its input and
+    taps, and its gradient stays a :class:`FactoredGrad`.  The
     electrode kernel after it sums the electrodes first, since the two
     are linear: forward, it runs the taps depthwise on the rows
     ``Σ_h s[f, h] x[:, 0, h]``; backward, ``s`` takes
@@ -275,15 +364,15 @@ def conv_temporal(x, spec: ConvSpec, weights):
             if weights.requires_grad:
                 if isinstance(d, DeferredConv):
                     # g_s[f, h] = Σ_{n,t} (w_f ⋆ᵀ g)[n, f, t] x[n, h, t]
-                    taps, t_x = d.taps[:, 0], d.x.shape[-1]
-                    back = band_conv(g, band_matrix(taps[:, ::-1], d.dilation),
-                                     d.dilation * (taps.shape[-1] - 1) - d.left, t_x)
+                    back = _transposed_conv(g, d.taps[:, 0], d.left, d.x.shape[-1],
+                                            d.dilation)
                     gw = np.matmul(back[:, :, 0], d.x[:, 0].swapaxes(1, 2)).sum(axis=0)
                 else:
                     gw = np.einsum("ncht,nct->ch", d, g[:, :, 0])
                 accumulate(weights, gw.reshape(weights.shape))
             if x.requires_grad:
-                accumulate(x, FactoredGrad(s, g.reshape(n, c_in, t)))
+                gx = FactoredGrad(s, g.reshape(n, c_in, t))
+                accumulate(x, gx if isinstance(d, DeferredConv) else gx.dense(), fresh=True)
 
         return from_op(out, (x, weights), backward)
 
@@ -311,10 +400,7 @@ def conv_temporal(x, spec: ConvSpec, weights):
             gw = band_conv_taps_grad(rows, g_taps, g, left, dilation)
             accumulate(weights, (gw[..., ::-1] if causal else gw).reshape(weights.shape))
         if x.requires_grad:
-            back = g_taps[..., ::-1]
-            if g_taps.ndim == 3:   # dense: input and output filters swap
-                back = back.transpose(1, 0, 2)
-            gx = band_conv(g, band_matrix(back, dilation), reach - left, t)
+            gx = _transposed_conv(g, g_taps, left, t, dilation)
             accumulate(x, gx if mix is None else np.matmul(mix.T, gx[:, :, 0])[:, None])
 
     return from_op(value, (x, weights), backward)
@@ -620,8 +706,7 @@ def _batch_norm_through(u, gamma, beta, running, bias, z, s, w, lags):
         if x.requires_grad:
             gu = np.multiply(u.data, _per_channel(q, 4))   # builds a deferred u
             gu += _per_channel(p, 4)
-            back = w.data[:, :, 0, ::-1].transpose(1, 0, 2)
-            accumulate(x, band_conv(gu, band_matrix(back), k - 1 - (k - 1) // 2, t))
+            accumulate(x, _transposed_conv(gu, w.data[:, :, 0], (k - 1) // 2, t))
 
     return from_op(out, parents, backward)
 

@@ -24,7 +24,7 @@ import numpy as np
 from .data import EpochSet, check_compatible, concat_epochs, standardize
 from .fileio import csv_text, key_value_text
 from .model import ArchConfig, ITNetModel, build
-from .ops import softmax_cross_entropy
+from .ops import check_finite_trials, softmax_cross_entropy
 from .optim import Adam
 
 SCENARIOS = ("within", "cross", "cross_finetuned")
@@ -141,9 +141,15 @@ def _train_epoch(model, x, y, opt, rng, batch_size):
     return total_loss / n, 100.0 * correct / n
 
 
+def _check_lengths(x, y, what):
+    if len(x) != len(y):
+        raise ValueError(f"{what} holds {len(x)} trials but {len(y)} labels")
+
+
 def evaluate(model, x, y):
     """Mean cross-entropy and accuracy (percent) in inference mode, over
     batches of ``EVAL_BATCH`` trials."""
+    _check_lengths(x, y, "the evaluated set")
     n = len(y)
     if n == 0:
         raise ValueError("nothing to evaluate")
@@ -151,7 +157,11 @@ def evaluate(model, x, y):
     correct = 0
     for c in range(0, n, EVAL_BATCH):
         xb, yb = x[c:c + EVAL_BATCH], y[c:c + EVAL_BATCH]
-        logits = model.forward_logits(xb, mode="infer")   # records no graph
+        try:
+            logits = model.forward_logits(xb, mode="infer")   # records no graph
+        except ValueError:
+            check_finite_trials(xb, c)   # names the trial by its index in x, not in xb
+            raise
         total_loss += softmax_cross_entropy(logits, yb).item() * len(yb)
         correct += int((np.argmax(logits.data, axis=1) == yb).sum())
     return total_loss / n, 100.0 * correct / n
@@ -169,6 +179,8 @@ def fit_with_early_stopping(model, train, val, config: TrainConfig, rng=None):
     """
     x, y = train
     vx, vy = val
+    _check_lengths(x, y, "the training set")
+    _check_lengths(vx, vy, "the validation set")
     if len(vy) == 0:
         raise ValueError("validation set is empty")
     if len(y) < 2:
@@ -213,6 +225,7 @@ def refit_extra_epochs(model, all_labeled, config: TrainConfig, rng=None,
     validation columns empty (all labeled data is now training data).
     """
     x, y = all_labeled
+    _check_lengths(x, y, "the labeled set")
     if rng is None:
         rng = np.random.default_rng(config.seed)
     x = model.lagged(x)

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from eegitnet import ops
-from eegitnet.ops import ConvSpec, conv_temporal
-from eegitnet.tensor import DeferredConv, FactoredGrad, Tensor
+from eegitnet.ops import ConvSpec, DeferredConv, FactoredGrad, conv_temporal
+from eegitnet.tensor import Tensor
 
 from oracles import (batch_norm_train_reference, bias_add, check_gradients, conv_oracle,
                      elu_reference, lag_statistics_fft_reference, lag_statistics_reference,
@@ -237,7 +237,8 @@ def test_a_deferred_output_answers_every_array_attribute(rng, monkeypatch, name)
 def test_the_spatial_conv_of_a_deferred_output_builds_nothing(rng, monkeypatch, name):
     # the spatial conv runs the taps on the mixed rows s.x, forward and
     # backward, and sends the deferred input a factored gradient; its output
-    # and weight gradient match the spatial conv of the built array
+    # and weight gradient match the spatial conv of the built array, which
+    # takes the built form of that gradient
     spec = TEMPORAL_SPECS[name]
     x = rng.standard_normal((2, 1, 4, 10))
     w = rng.standard_normal((3, 1, 1, spec.kernel_extent))
@@ -245,7 +246,7 @@ def test_the_spatial_conv_of_a_deferred_output_builds_nothing(rng, monkeypatch, 
     g = rng.standard_normal((2, 3, 1, 8 if spec.padding == "valid" else 10))
     spatial = ConvSpec(4, padding="valid", depthwise=True, filter_count=3)
     built = Tensor(conv_temporal(Tensor(x, dtype=np.float64), spec,
-                                 Tensor(w, dtype=np.float64)).data.dense())
+                                 Tensor(w, dtype=np.float64)).data.dense(), requires_grad=True)
     ref_s = Tensor(s, requires_grad=True, dtype=np.float64)
     ref = conv_temporal(built, spatial, ref_s)
     _backward_with(ref, g)
@@ -257,6 +258,8 @@ def test_the_spatial_conv_of_a_deferred_output_builds_nothing(rng, monkeypatch, 
         z = conv_temporal(u, spatial, st)
         _backward_with(z, g)
     assert isinstance(u.grad, FactoredGrad)
+    assert isinstance(built.grad, np.ndarray)
+    np.testing.assert_array_equal(built.grad, u.grad.dense())
     np.testing.assert_allclose(z.data, ref.data, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(st.grad, ref_s.grad, rtol=1e-12, atol=1e-12)
 

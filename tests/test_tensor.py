@@ -1,10 +1,14 @@
 """Autodiff core: graph recording, reverse pass, the engine's two ops."""
+import ast
+import inspect
+import sys
 import weakref
 
 import numpy as np
 import pytest
 
 from eegitnet import tensor as T
+from eegitnet.ops import DeferredConv, FactoredGrad
 from eegitnet.tensor import Tensor, accumulate, from_op, no_grad
 
 from oracles import check_gradients, to_scalar
@@ -108,7 +112,7 @@ def test_a_fresh_gradient_that_cannot_be_adopted_is_copied(make):
 
 def _factored(rng):
     """A (C=2, H=3) by (N=4, C=2, T=5) factored gradient and its dense form."""
-    grad = T.FactoredGrad(rng.standard_normal((2, 3)), rng.standard_normal((4, 2, 5)))
+    grad = FactoredGrad(rng.standard_normal((2, 3)), rng.standard_normal((4, 2, 5)))
     return grad, np.einsum("ch,nct->ncht", grad.s, grad.g)
 
 
@@ -116,23 +120,27 @@ def _node(marked):
     """A recorded (4, 2, 3, 5) node whose value is a deferred convolution
     of a (4, 1, 3, 5) input (marked) or an array (unmarked)."""
     leaf = Tensor(np.zeros((4, 1, 3, 5)), requires_grad=True, dtype=np.float64)
-    value = (T.DeferredConv(leaf.data, np.zeros((2, 1, 1)), 0, 5, 1) if marked
+    value = (DeferredConv(leaf.data, np.zeros((2, 1, 1)), 0, 5, 1) if marked
              else np.zeros((4, 2, 3, 5)))
     return from_op(value, (leaf,), lambda g: None)
 
 
 def test_a_marked_node_keeps_its_first_gradient_factored(rng):
+    # the op that makes a factored gradient sends it fresh, and the engine
+    # takes a fresh gradient that is not an array as it is
     grad, _ = _factored(rng)
     node = _node(True)
-    accumulate(node, grad)
+    accumulate(node, grad, fresh=True)
     assert node.grad is grad
 
 
-@pytest.mark.parametrize("target", ["leaf", "unmarked-node"])
+@pytest.mark.parametrize("target", ["leaf", "unmarked-node", "marked-node"])
 def test_a_factored_gradient_elsewhere_is_made_dense(rng, target):
+    # a factored gradient not sent fresh is copied into an array, whatever
+    # the tensor's value: the engine does not look at it
     grad, want = _factored(rng)
     x = (Tensor(np.zeros((4, 2, 3, 5)), requires_grad=True, dtype=np.float64)
-         if target == "leaf" else _node(False))
+         if target == "leaf" else _node(target == "marked-node"))
     accumulate(x, grad)
     assert isinstance(x.grad, np.ndarray) and x.grad.shape == (4, 2, 3, 5)
     np.testing.assert_array_equal(x.grad, want)
@@ -148,7 +156,7 @@ def test_a_second_gradient_makes_a_factored_one_dense(rng, order):
     first, second = {"factored-then-dense": (grad, dense), "dense-then-factored": (dense, grad),
                      "factored-twice": (grad, grad)}[order]
     node = _node(True)
-    accumulate(node, first)
+    accumulate(node, first, fresh=first is grad)
     accumulate(node, second)
     assert isinstance(node.grad, np.ndarray)
     expected = 2 * want if order == "factored-twice" else want + dense
@@ -160,13 +168,13 @@ def _deferred_node(rng, monkeypatch):
     a (2, 1, 4, 8) input with three 3-tap kernels, "valid", which the test
     may not build."""
     leaf = Tensor(rng.standard_normal((2, 1, 4, 8)), requires_grad=True, dtype=np.float64)
-    value = T.DeferredConv(leaf.data, rng.standard_normal((3, 1, 3)), 0, 6, 1)
+    value = DeferredConv(leaf.data, rng.standard_normal((3, 1, 3)), 0, 6, 1)
     node = from_op(value, (leaf,), lambda g: None)
 
     def build(self):
         raise AssertionError("the deferred value was built")
 
-    monkeypatch.setattr(T.DeferredConv, "dense", build)
+    monkeypatch.setattr(DeferredConv, "dense", build)
     return node
 
 
@@ -184,6 +192,21 @@ def test_a_dense_gradient_to_a_deferred_node_accumulates(rng, monkeypatch, fresh
     np.testing.assert_array_equal(node.grad, first)
     accumulate(node, second)
     np.testing.assert_array_equal(node.grad, first + second)
+
+
+def test_the_engine_holds_no_op_type():
+    # the deferred convolution output and its factored gradient belong to
+    # ops; the engine imports only the standard library and numpy
+    assert not {"DeferredConv", "FactoredGrad"} & set(vars(T))
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(T))):
+        if isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported, "no import found"
+    assert all(name.split(".")[0] in sys.stdlib_module_names | {"numpy"}
+               for name in imported), imported
 
 
 def test_backward_rejects_non_scalar():

@@ -184,7 +184,7 @@ def test_factored_spatial_gradient_matches_the_dense_one(monkeypatch, config, dt
     _, grads, _ = _step(model)
 
     def accumulate_dense(t, g, fresh=False):
-        if isinstance(g, tensor.FactoredGrad):
+        if isinstance(g, ops.FactoredGrad):
             g, fresh = g.dense(), True
         tensor.accumulate(t, g, fresh)
 

@@ -244,6 +244,12 @@ def test_evaluate_rejects_a_non_finite_trial(bad):
     with pytest.raises(ValueError, match="trial 5"):
         fit_with_early_stopping(build(ARCH, seed=0), train, (x, val[1]),
                                 TrainConfig(max_epochs_cv=2, patience=1))
+    # past the first EVAL_BATCH trials, the trial is still named by its
+    # index in the array passed
+    x = np.zeros((300, 4, 64), dtype=np.float32)
+    x[270, 1, 5] = bad
+    with pytest.raises(ValueError, match="non-finite sample at trial 270, electrode 1, sample 5"):
+        evaluate(build(ARCH, seed=0), x, np.zeros(300, dtype=int))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -258,6 +264,26 @@ def test_a_non_finite_training_trial_is_named_by_its_index_in_the_array_passed(b
         fit_with_early_stopping(model, (x, y), val, TrainConfig(max_epochs_cv=2, patience=1))
     with pytest.raises(ValueError, match=where):
         refit_extra_epochs(model, (x, y), FAST)
+    assert all(p.grad is None for p in model.parameters())
+
+
+@pytest.mark.parametrize("call, trials, labels", [
+    ("fit-train", 30, 40), ("fit-train", 40, 30), ("fit-val", 10, 12),
+    ("refit", 30, 40), ("refit", 40, 30), ("evaluate", 30, 40), ("evaluate", 40, 30),
+])
+def test_trials_and_labels_of_different_lengths_are_refused(call, trials, labels):
+    # refused before any step, naming both lengths
+    (x, y), (vx, vy) = random_split(5, n_train=40, n_val=12)
+    x, y = (x, y) if call == "fit-val" else (x[:trials], y[:labels])
+    vx, vy = (vx[:trials], vy[:labels]) if call == "fit-val" else (vx, vy)
+    model = build(ARCH, seed=0)
+    with pytest.raises(ValueError, match=f"{trials} trials but {labels} labels"):
+        if call == "refit":
+            refit_extra_epochs(model, (x, y), FAST)
+        elif call == "evaluate":
+            evaluate(model, x, y)
+        else:
+            fit_with_early_stopping(model, (x, y), (vx, vy), FAST)
     assert all(p.grad is None for p in model.parameters())
 
 
