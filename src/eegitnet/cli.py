@@ -113,6 +113,8 @@ def cmd_synth(args):
         raise CliError(EXIT_USAGE, f"invalid synth spec: {exc}") from None
     try:
         save_epochs(epochs, args.out)
+    except ValueError as exc:
+        raise CliError(EXIT_USAGE, f"invalid synth spec: {exc}") from None
     except OSError as exc:
         raise CliError(EXIT_DATA, f"cannot write {args.out}: {exc}") from None
     print(f"wrote {args.out}: {epochs.n_trials} trials, {epochs.n_channels} channels, "

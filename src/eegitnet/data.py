@@ -8,6 +8,14 @@ through the ``EEGEPOCH`` binary container bit-exactly.
 The synthetic generator plants band-limited sources with known mixing
 columns so that classifier accuracy and the explainability outputs can be
 checked against ground truth.
+
+Each function keeps one float32 copy of the trials it returns.  The
+generator sums each trial in float64 and stores it once; standardisation
+takes float64 statistics from the float32 trials (``std``'s deviations are
+its one float64 temporary) and writes its result a chunk of trials at a
+time; the container is written from, and read into, the trial array
+itself.  The results are bit-identical to working on a float64 copy of the
+whole set.
 """
 from __future__ import annotations
 
@@ -20,11 +28,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import FormatError
-from .fileio import atomic_write, pack_string, read_exact, read_string
+from .fileio import atomic_write, pack_string, read_exact, read_into, read_string
+from .ops import non_finite_sample
 
 EPOCH_MAGIC = b"EEGEPOCH"
 EPOCH_VERSION = 1
 _MAX_ELEMENTS = 2 ** 31  # sanity bound on declared payload size
+_CHUNK_BYTES = 1 << 20   # apply_standardize's float64 temporary, per chunk of trials
 
 
 # ----------------------------------------------------------------------
@@ -52,9 +62,9 @@ class EpochSet:
         labels = np.asarray(self.labels)
         if labels.shape != (trials.shape[0],):
             raise ValueError(f"need one label per trial: {labels.shape} vs {trials.shape[0]} trials")
-        finite = np.isfinite(trials)
-        if not finite.all():
-            t, c, s = np.unravel_index(np.argmin(finite), trials.shape)
+        bad = non_finite_sample(trials)
+        if bad is not None:
+            t, c, s = bad
             raise ValueError(f"non-finite sample at trial {t}, channel {c}, sample {s}")
         if labels.size and (labels.min() < 0 or labels.max() >= len(self.class_names)):
             raise ValueError(f"labels must lie in [0, {len(self.class_names)})")
@@ -138,18 +148,27 @@ def concat_epochs(sets):
 # EEGEPOCH container format
 
 def save_epochs(epochs: EpochSet, path):
-    parts = [EPOCH_MAGIC,
-             struct.pack("<IIIII", EPOCH_VERSION, epochs.n_trials, epochs.n_channels,
-                         epochs.n_samples, epochs.n_classes),
-             struct.pack("<f", epochs.fs)]
+    """Write the set as an ``EEGEPOCH`` file: a header, then the labels and
+    the trial array as they are in memory.  The sampling rate is stored as
+    float32, so a rate float32 cannot hold exactly raises ``ValueError``
+    before anything is written."""
+    with np.errstate(over="ignore"):
+        exact = float(np.float32(epochs.fs)) == epochs.fs
+    if not exact:
+        raise ValueError(f"fs={epochs.fs!r} Hz is not exactly representable as float32, "
+                         "the container's sampling-rate type")
+    header = [EPOCH_MAGIC,
+              struct.pack("<IIIII", EPOCH_VERSION, epochs.n_trials, epochs.n_channels,
+                          epochs.n_samples, epochs.n_classes),
+              struct.pack("<f", epochs.fs)]
     for name, (x, y) in zip(epochs.channel_names, epochs.channel_xy):
-        parts.append(pack_string(name))
-        parts.append(struct.pack("<ff", x, y))
+        header.append(pack_string(name))
+        header.append(struct.pack("<ff", x, y))
     for name in epochs.class_names:
-        parts.append(pack_string(name))
-    parts.append(np.ascontiguousarray(epochs.labels, dtype="<u4").tobytes())
-    parts.append(np.ascontiguousarray(epochs.trials, dtype="<f4").tobytes())
-    atomic_write(path, b"".join(parts))
+        header.append(pack_string(name))
+    atomic_write(path, b"".join(header),
+                 np.ascontiguousarray(epochs.labels, dtype="<u4"),
+                 np.ascontiguousarray(epochs.trials, dtype="<f4"))
 
 
 def load_epochs(path) -> EpochSet:
@@ -187,10 +206,10 @@ def load_epochs(path) -> EpochSet:
         if labels.size and labels.max() >= n_classes:
             raise FormatError("bad_value",
                               f"label {labels.max()} out of range for {n_classes} classes")
-        raw = read_exact(f, 4 * n_trials * n_channels * n_samples, "the trial data")
-        trials = np.frombuffer(raw, dtype="<f4").reshape(n_trials, n_channels, n_samples)
+        trials = np.empty((n_trials, n_channels, n_samples), dtype="<f4")
+        read_into(f, trials, "the trial data")
     try:
-        return EpochSet(trials.copy(), labels.copy(), class_names, channel_names,
+        return EpochSet(trials, labels, class_names, channel_names,
                         np.asarray(xy, dtype=np.float32).reshape(n_channels, 2), fs)
     except ValueError as exc:
         # the shapes were checked above; what is left is a bad value in the
@@ -213,11 +232,13 @@ def standardize(train: EpochSet, *others: EpochSet):
     ``stats`` holds the per-channel mean/std the transform used.  Only the
     training trials contribute to the statistics.
     """
-    x = train.trials.astype(np.float64)
+    x = train.trials
     if x.size == 0:
         raise ValueError("training set is empty")
-    mean = x.mean(axis=(0, 2))
-    std = x.std(axis=(0, 2))
+    # float64 reductions over the float32 trials give the statistics of a
+    # float64 copy bit for bit; only std's deviations are a float64 temporary
+    mean = x.mean(axis=(0, 2), dtype=np.float64)
+    std = x.std(axis=(0, 2), dtype=np.float64)
     flat = np.nonzero(std == 0.0)[0]
     if flat.size:
         names = ", ".join(train.channel_names[i] for i in flat)
@@ -228,8 +249,17 @@ def standardize(train: EpochSet, *others: EpochSet):
 
 
 def apply_standardize(epochs: EpochSet, stats: ChannelStats) -> EpochSet:
-    z = (epochs.trials.astype(np.float64) - stats.mean[:, None]) / stats.std[:, None]
-    return replace(epochs, trials=z.astype(np.float32))
+    """``(x - mean) / std`` per channel, computed in float64 and stored into
+    one float32 array a chunk of trials at a time."""
+    x = epochs.trials
+    mean, std = stats.mean[:, None], stats.std[:, None]
+    z = np.empty_like(x)
+    chunk = max(1, _CHUNK_BYTES // (8 * max(1, x.shape[1] * x.shape[2])))
+    for a in range(0, len(x), chunk):
+        block = x[a:a + chunk] - mean
+        block /= std
+        z[a:a + chunk] = block
+    return replace(epochs, trials=z)
 
 
 def window_samples(fs, duration_s):
@@ -390,9 +420,9 @@ def synth_generate(spec: SynthSpec) -> EpochSet:
     labels = np.repeat(np.arange(spec.n_classes, dtype=np.uint32),
                        spec.n_trials // spec.n_classes)
     rng.shuffle(labels)
-    trials = np.zeros((spec.n_trials, spec.n_channels, n_samples))
+    trials = np.empty((spec.n_trials, spec.n_channels, n_samples), dtype=np.float32)
     for t, label in enumerate(labels):
-        x = trials[t]
+        x = np.zeros((spec.n_channels, n_samples))   # summed in float64, stored once
         for src in spec.sources[label]:
             lo = max(src.center_freq - src.bandwidth / 2.0, 0.0)
             hi = min(src.center_freq + src.bandwidth / 2.0, spec.fs / 2.0)
@@ -400,6 +430,7 @@ def synth_generate(spec: SynthSpec) -> EpochSet:
             x += src.amplitude * np.outer(src.mixing_array, carrier)
         if spec.noise_sigma > 0:
             x += spec.noise_sigma * rng.standard_normal((spec.n_channels, n_samples))
+        trials[t] = x
     channel_names, xy = default_channels(spec.n_channels)
     class_names = tuple(f"class{i}" for i in range(spec.n_classes))
     return EpochSet(trials, labels, class_names, channel_names, xy, spec.fs)

@@ -17,14 +17,17 @@ import numpy as np
 from .errors import FormatError
 
 
-def atomic_write(path, payload: bytes):
-    """Write the whole payload to a sibling temp file, then rename over
-    ``path`` so readers never observe a half-written file."""
+def atomic_write(path, *parts):
+    """Write the parts in order to a sibling temp file, then rename over
+    ``path`` so readers never observe a half-written file.  Each part is a
+    bytes-like object; a C-contiguous numpy array is written from its own
+    buffer, without a bytes copy."""
     path = os.fspath(path)
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "wb") as f:
-            f.write(payload)
+            for part in parts:
+                f.write(part)
         os.replace(tmp, path)
     except OSError:
         if os.path.exists(tmp):
@@ -37,6 +40,18 @@ def read_exact(f, n, what):
     if len(data) != n:
         raise FormatError("truncated", f"file ends inside {what}")
     return data
+
+
+def read_into(f, out, what):
+    """Fill the C-contiguous array ``out`` with the next bytes of ``f``,
+    read straight into its buffer."""
+    view = memoryview(out.reshape(-1).view(np.uint8))
+    done = 0
+    while done < len(view):
+        n = f.readinto(view[done:])
+        if not n:
+            raise FormatError("truncated", f"file ends inside {what}")
+        done += n
 
 
 def pack_string(s):

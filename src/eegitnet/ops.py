@@ -429,12 +429,21 @@ def _lag_extent(extents):
     return left, left + max(k - 1 - (k - 1) // 2 for k in extents) + 1
 
 
+def non_finite_sample(a):
+    """Index of the first non-finite element of ``a`` in C order, or None.
+    ``min`` and ``max`` propagate NaN and show ±inf, so a finite array is
+    checked without a mask; the mask is built only to find a bad sample."""
+    if a.size == 0 or (np.isfinite(a.min()) and np.isfinite(a.max())):
+        return None
+    return np.unravel_index(np.argmin(np.isfinite(a)), a.shape)
+
+
 def check_finite_trials(a, first=0):
     """Raise ``ValueError`` naming the first non-finite sample of the
     (N, H, T) or (N, 1, H, T) array ``a``, its trial counted from ``first``."""
-    finite = np.isfinite(a)
-    if not finite.all():
-        t, *_, c, s = np.unravel_index(np.argmin(finite), a.shape)
+    bad = non_finite_sample(a)
+    if bad is not None:
+        t, *_, c, s = bad
         raise ValueError(f"non-finite sample at trial {first + t}, electrode {c}, sample {s}")
 
 

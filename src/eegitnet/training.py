@@ -313,8 +313,10 @@ def _run_subject(scenario, si, name, train, test, pool, arch, config):
         # the target's training session starting every fold from that state
         (pool_std,), _ = standardize(concat_epochs(list(pool.values())))
         pre_model, pre_history, _, _ = _run_protocol(pool_std, arch, config, (si, 0))
+        del pool_std   # the target's protocol never reads the pool
         init_state, phase = pre_model.state_arrays(), 1
     (train_std, test_std), _ = standardize(train, test)
+    del train   # under cross, the raw pool: the protocol reads only its standardised copy
     model, history, fold, curve = _run_protocol(
         train_std, arch, config, (si, phase), init_state=init_state,
         monitor=(test_std.trials, test_std.labels))

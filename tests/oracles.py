@@ -23,11 +23,16 @@ op: one float64 FFT over a zero-padded copy of every row.
 as a graph of ``ops`` layers, unfolded, each batch norm applied on its own
 by ``infer_norm``, as the reference for the model's own plain-numpy
 inference.
+``synth_generate_reference`` and ``standardize_reference`` are the data
+path's previous whole-set forms: the generator's trials summed into one
+float64 array and cast to float32 once, and the standardisation
+statistics and transform taken on a float64 copy of every set.
 """
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from eegitnet.data import _band_noise, window_samples
 from eegitnet.ops import ConvSpec, avg_pool_time, conv_temporal, dense, elu, flatten
 from eegitnet.tensor import Tensor, accumulate, add, concat_channels, from_op, no_grad
 
@@ -407,3 +412,38 @@ def graph_infer_tc(model, y):
         y = elu(add(y, skip))
     return y
 
+
+
+def synth_generate_reference(spec):
+    """``(trials, labels)`` of ``data.synth_generate(spec)``, the trials
+    summed into one float64 (N, C, T) array and cast to float32 once."""
+    rng = np.random.default_rng(spec.seed)
+    n_samples = window_samples(spec.fs, spec.duration_s)
+    freqs = np.fft.rfftfreq(n_samples, 1.0 / spec.fs)
+    labels = np.repeat(np.arange(spec.n_classes, dtype=np.uint32),
+                       spec.n_trials // spec.n_classes)
+    rng.shuffle(labels)
+    trials = np.zeros((spec.n_trials, spec.n_channels, n_samples))
+    for t, label in enumerate(labels):
+        x = trials[t]
+        for src in spec.sources[label]:
+            lo = max(src.center_freq - src.bandwidth / 2.0, 0.0)
+            hi = min(src.center_freq + src.bandwidth / 2.0, spec.fs / 2.0)
+            carrier = _band_noise(rng, n_samples, freqs, lo, hi)
+            x += src.amplitude * np.outer(src.mixing_array, carrier)
+        if spec.noise_sigma > 0:
+            x += spec.noise_sigma * rng.standard_normal((spec.n_channels, n_samples))
+    return trials.astype(np.float32), labels
+
+
+def standardize_reference(train, *others):
+    """``(arrays, mean, std)`` of ``data.standardize`` on the float32 trial
+    arrays given: the per-channel statistics of a float64 copy of
+    ``train``, and ``(x - mean) / std`` of a float64 copy of every set,
+    cast to float32.  A zero-variance channel shows as a zero in ``std``."""
+    x = train.astype(np.float64)
+    mean = x.mean(axis=(0, 2))
+    std = x.std(axis=(0, 2))
+    arrays = [((t.astype(np.float64) - mean[:, None]) / std[:, None]).astype(np.float32)
+              for t in (train, *others)]
+    return arrays, mean, std

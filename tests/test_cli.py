@@ -109,6 +109,8 @@ def test_synth_writes_a_loadable_cohort(tmp_path, capsys):
      "amplitude must be finite"),
     (lambda t: t.replace("mixing=1,0.5,0,0", "mixing=1,nan,0,0"), "mixing weights must be finite"),
     (lambda t: t.replace("seed=0\n", "seed=-1\n"), "invalid synth spec: seed must be >= 0"),
+    (lambda t: t.replace("fs=64", "fs=100.3"),
+     "invalid synth spec: fs=100.3 Hz is not exactly representable as float32"),
     (lambda t: t.replace("fs=64", "fs=100").replace("duration_s=1", "duration_s=0.001"),
      "under one sample"),
     (lambda t: t.replace("fs=64", "fs=100").replace("duration_s=1", "duration_s=0.03"),

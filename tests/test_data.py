@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,10 +14,13 @@ from eegitnet.data import (EPOCH_MAGIC, EpochSet, SourceSpec, SynthSpec, concat_
                            load_epochs, montage_22, ring_layout, save_epochs, standardize,
                            synth_generate, window_samples)
 from eegitnet.errors import FormatError
+from eegitnet.ops import check_finite_trials
+from oracles import standardize_reference, synth_generate_reference
 
 
-def small_set(rng, n_trials=6, n_channels=3, n_samples=20, n_classes=2, fs=100.0):
-    trials = rng.standard_normal((n_trials, n_channels, n_samples)).astype(np.float32)
+def small_set(rng, n_trials=6, n_channels=3, n_samples=20, n_classes=2, fs=100.0, trials=None):
+    if trials is None:
+        trials = rng.standard_normal((n_trials, n_channels, n_samples)).astype(np.float32)
     labels = np.arange(n_trials) % n_classes
     names = tuple(f"ch{i}" for i in range(n_channels))
     xy = ring_layout(n_channels)
@@ -69,6 +73,36 @@ def test_epochset_rejects_non_finite_trials(rng, bad):
                  good.channel_xy, good.fs)
 
 
+def test_epochset_names_the_first_non_finite_sample_in_order(rng):
+    good = small_set(rng)
+    trials = good.trials.copy()
+    trials[4, 0, 2] = np.inf
+    trials[2, 1, 9] = np.nan
+    trials[2, 2, 3] = -np.inf
+    with pytest.raises(ValueError, match="trial 2, channel 1, sample 9"):
+        EpochSet(trials, good.labels, good.class_names, good.channel_names,
+                 good.channel_xy, good.fs)
+
+
+def test_epochset_may_hold_no_trials(rng):
+    good = small_set(rng)
+    empty = EpochSet(good.trials[:0], good.labels[:0], good.class_names, good.channel_names,
+                     good.channel_xy, good.fs)
+    assert empty.n_trials == 0
+
+
+def test_finite_checks_build_no_mask(rng):
+    # a bool mask of every sample would be a quarter of the trials' bytes
+    trials = rng.standard_normal((64, 8, 375)).astype(np.float32)
+    labels = np.arange(64) % 2
+    _, peak = peak_bytes(lambda: EpochSet(trials, labels, ("a", "b"),
+                                          tuple(f"ch{i}" for i in range(8)),
+                                          ring_layout(8), 125.0))
+    assert peak <= 0.05 * trials.nbytes, f"EpochSet peak {peak} bytes"
+    _, peak = peak_bytes(lambda: check_finite_trials(trials[:, None]))
+    assert peak <= 0.05 * trials.nbytes, f"check_finite_trials peak {peak} bytes"
+
+
 def test_concat_requires_identical_metadata(rng):
     a = small_set(rng)
     b = small_set(rng)
@@ -103,6 +137,23 @@ def test_epoch_file_round_trip_is_bit_exact(tmp_path, rng):
     path2 = tmp_path / "s2.eegepoch"
     save_epochs(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize("fs", [100.3, 1e39])
+def test_save_refuses_a_rate_float32_cannot_hold(tmp_path, rng, fs):
+    # the container stores fs as float32: 100.3 would load back as
+    # 100.30000305175781, and 1e39 does not fit at all
+    s = small_set(rng, fs=fs)
+    with pytest.raises(ValueError, match="not exactly representable as float32"):
+        save_epochs(s, tmp_path / "s.eegepoch")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("fs", [250.0, float(np.float32(100.3))])
+def test_a_rate_float32_holds_round_trips(tmp_path, rng, fs):
+    path = tmp_path / "s.eegepoch"
+    save_epochs(small_set(rng, fs=fs), path)
+    assert load_epochs(path).fs == fs
 
 
 def test_epoch_file_bad_magic(tmp_path, rng):
@@ -319,8 +370,35 @@ def test_standardize_rejects_flat_channel(rng):
     flat[:, 1, :] = 2.5
     bad = EpochSet(flat, s.labels, s.class_names, s.channel_names,
                    s.channel_xy, s.fs)
-    with pytest.raises(ValueError, match="ch1"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, _, std = standardize_reference(flat)
+    assert std[1] == 0.0 and (np.delete(std, 1) > 0).all()
+    with pytest.raises(ValueError, match="zero-variance channel\\(s\\): ch1$"):
         standardize(bad)
+
+
+@pytest.mark.parametrize("n_train, n_test, n_channels, n_samples, scale, offset", [
+    (7, 0, 1, 33, 1.0, 0.0),
+    (6, 5, 1, 1, 1.0, 0.0),
+    (20, 9, 3, 101, 1e3, 5.0),
+    (11, 4, 5, 9001, 1e-3, -2.0),
+    (5, 3, 7, 375, 30.0, 1e4),
+    (48, 16, 22, 1125, 1.0, 0.0),
+], ids=["1ch", "1ch-1sample", "3ch-odd", "5ch-long", "large-offset", "paper-two-sets"])
+def test_standardize_matches_the_float64_reference(rng, n_train, n_test, n_channels,
+                                                   n_samples, scale, offset):
+    def epochs(n):
+        x = (rng.standard_normal((n, n_channels, n_samples)) * scale + offset)
+        return small_set(rng, n_trials=n, n_channels=n_channels, n_samples=n_samples,
+                         trials=x.astype(np.float32))
+
+    sets = [epochs(n_train)] + ([epochs(n_test)] if n_test else [])
+    out, stats = standardize(*sets)
+    arrays, mean, std = standardize_reference(*(s.trials for s in sets))
+    np.testing.assert_array_equal(stats.mean, mean, strict=True)
+    np.testing.assert_array_equal(stats.std, std, strict=True)
+    for got, want in zip(out, arrays, strict=True):
+        np.testing.assert_array_equal(got.trials, want, strict=True)
 
 
 # ----------------------------------------------------------------------
@@ -434,7 +512,74 @@ def test_synth_rejects_band_between_grid_points():
         synth_generate(spec)
 
 
+@pytest.mark.parametrize("n_channels, fs, duration_s, noise, per_class", [
+    (1, 125.0, 0.6, 0.1, 1),
+    (3, 101.0, 1.0, 0.0, 2),
+    (6, 125.0, 3.0, 0.3, 2),
+    (22, 250.0, 4.5, 0.2, 1),
+], ids=["1ch-75-samples", "3ch-odd-rate", "6ch-two-sources", "paper-shape"])
+def test_synth_matches_the_float64_reference(n_channels, fs, duration_s, noise, per_class):
+    mixing = np.random.default_rng(n_channels).standard_normal((2, per_class, n_channels))
+    spec = SynthSpec(
+        n_trials=8, n_channels=n_channels, n_classes=2, fs=fs, duration_s=duration_s,
+        sources=[[SourceSpec(f + 6.0 * j, 2.0, 1.0 + j, tuple(mixing[ci, j]))
+                  for j in range(per_class)] for ci, f in enumerate((10.0, 20.0))],
+        noise_sigma=noise, seed=n_channels)
+    trials, labels = synth_generate_reference(spec)
+    epochs = synth_generate(spec)
+    np.testing.assert_array_equal(epochs.trials, trials, strict=True)
+    np.testing.assert_array_equal(epochs.labels, labels, strict=True)
+
+
 def test_mixing_columns_are_normalized():
     src = SourceSpec(10.0, 2.0, 1.0, (3.0, 4.0))
     np.testing.assert_allclose(np.linalg.norm(src.mixing_array), 1.0, rtol=1e-12)
     np.testing.assert_allclose(src.mixing_array, [0.6, 0.8], rtol=1e-12)
+
+
+# ----------------------------------------------------------------------
+# allocations: each call holds about one float32 copy of the trials it
+# returns, measured in multiples of the float32 bytes of the sets involved
+
+def peak_bytes(fn):
+    """``(fn(), peak bytes traced while it ran)``."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def paper_spec(n_trials, seed):
+    mixing = np.random.default_rng(0).standard_normal((4, 22))
+    return SynthSpec(n_trials=n_trials, n_channels=22, n_classes=4, fs=250.0, duration_s=4.5,
+                     sources=[[SourceSpec(f, 2.0, 1.0, tuple(m))]
+                              for f, m in zip((8.0, 12.0, 18.0, 26.0), mixing)],
+                     noise_sigma=0.2, seed=seed)
+
+
+def test_synth_generate_holds_one_float32_copy():
+    epochs, peak = peak_bytes(lambda: synth_generate(paper_spec(48, 1)))
+    assert peak <= 1.5 * epochs.trials.nbytes, f"peak {peak / epochs.trials.nbytes:.2f}x"
+
+
+def test_standardize_holds_at_most_twice_its_sets():
+    train, test = synth_generate(paper_spec(48, 1)), synth_generate(paper_spec(16, 2))
+    size = train.trials.nbytes + test.trials.nbytes
+    _, peak = peak_bytes(lambda: standardize(train, test))
+    assert peak <= 2.0 * size, f"peak {peak / size:.2f}x"
+
+
+def test_save_epochs_writes_the_trial_array_itself(tmp_path):
+    epochs = synth_generate(paper_spec(48, 1))
+    _, peak = peak_bytes(lambda: save_epochs(epochs, tmp_path / "s.eegepoch"))
+    assert peak <= 0.1 * epochs.trials.nbytes, f"peak {peak / epochs.trials.nbytes:.2f}x"
+
+
+def test_load_epochs_reads_into_the_trial_array(tmp_path):
+    path = tmp_path / "s.eegepoch"
+    save_epochs(synth_generate(paper_spec(48, 1)), path)
+    epochs, peak = peak_bytes(lambda: load_epochs(path))
+    assert peak <= 1.2 * epochs.trials.nbytes, f"peak {peak / epochs.trials.nbytes:.2f}x"

@@ -1,12 +1,13 @@
 """Fold splitting, early stopping, refitting, and the three scenarios."""
 import dataclasses
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from eegitnet import training
-from eegitnet.data import SourceSpec, SynthSpec, synth_generate
+from eegitnet.data import EpochSet, SourceSpec, SynthSpec, default_channels, synth_generate
 from eegitnet.model import ArchConfig, build
 from eegitnet.training import (SCENARIOS, ScenarioReport, TrainConfig,
                                _batches, default_train_config, evaluate,
@@ -397,6 +398,62 @@ def test_cross_pools_the_other_subjects(cohort):
     assert [r.pool for r in report.subjects] == [
         ("s02", "s03"), ("s01", "s03"), ("s01", "s02")]
     assert all(r.pretrain_history == [] for r in report.subjects)
+
+
+def traced_subject_task(monkeypatch, scenario):
+    """Run one subject's task on eight paper-shape pool sessions with the
+    fits stubbed, so that what is traced is the data path.  Returns the
+    pool's float32 bytes, the traced peak and the bytes live as each fit
+    starts."""
+    rng = np.random.default_rng(3)
+    names, xy = default_channels(22)
+    classes = ("a", "b", "c", "d")
+
+    def session(n):
+        return EpochSet(rng.standard_normal((n, 22, 1125)).astype(np.float32),
+                        np.arange(n) % 4, classes, names, xy, 250.0)
+
+    pool = {f"s{i:02d}": session(16) for i in range(2, 10)}
+    train, test = session(8), session(8)
+    live = []
+
+    def fit(model, train, val, config, rng):
+        live.append(tracemalloc.get_traced_memory()[0])
+        return training.FitResult([training.HistoryRow(1, "cv", 1.0, 1.0, 50.0, 50.0)],
+                                  1, 1.0, 50.0, 1)
+
+    def refit(model, all_labeled, config, rng, monitor=None, epoch_offset=0):
+        return training.RefitResult([], [50.0])
+
+    monkeypatch.setattr(training, "fit_with_early_stopping", fit)
+    monkeypatch.setattr(training, "refit_extra_epochs", refit)
+    arch = ArchConfig(n_channels=22, n_samples=1125, n_classes=4)
+    tracemalloc.start()
+    try:
+        training._run_subject(scenario, 0, "s01", None if scenario == "cross" else train,
+                              test, pool, arch, dataclasses.replace(FAST, folds=2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return sum(s.trials.nbytes for s in pool.values()), peak, live
+
+
+def test_a_cross_task_peaks_near_three_pools_and_trains_beside_two(monkeypatch):
+    # the pool, its float64 deviations for the statistics, then the
+    # standardised pool and one fold's copy, with the raw pool dropped
+    pool_bytes, peak, live = traced_subject_task(monkeypatch, "cross")
+    assert len(live) == 2
+    assert peak <= 3.5 * pool_bytes, f"peak {peak / pool_bytes:.2f} pools"
+    assert max(live) <= 2.5 * pool_bytes, f"{max(live) / pool_bytes:.2f} pools live in a fit"
+
+
+def test_finetuning_drops_the_pool_before_the_target_protocol(monkeypatch):
+    # two pretrain fits on the pool, then two on the target's 8 trials
+    pool_bytes, peak, live = traced_subject_task(monkeypatch, "cross_finetuned")
+    assert len(live) == 4
+    assert peak <= 3.5 * pool_bytes, f"peak {peak / pool_bytes:.2f} pools"
+    assert max(live[2:]) <= 0.5 * pool_bytes, \
+        f"{max(live[2:]) / pool_bytes:.2f} pools live in a fine-tuning fit"
 
 
 def test_finetuning_records_the_pretrain_phase(cohort):
