@@ -31,10 +31,10 @@ from .errors import FormatError
 from .explain import build_atlas, export_atlas
 from .fileio import (atomic_write, config_items, key_value_text, parse_config_items,
                      read_key_values, read_text_lines)
-from .model import (arch_config_from_items, load_model, plan_kernel,
-                    receptive_field_blocks, save_model)
+from .model import (ArchConfig, load_model, plan_kernel, receptive_field_blocks,
+                    save_model)
 from .stats import paired_t_right, wilcoxon_one_sided
-from .training import (TrainConfig, default_train_config, history_csv_text,
+from .training import (SCENARIOS, TrainConfig, default_train_config, history_csv_text,
                        report_csv_text, run_scenario, summary_text)
 
 EXIT_USAGE = 2
@@ -130,16 +130,19 @@ def _scan_subjects(data_dir):
         names = sorted(os.listdir(data_dir))
     except OSError as exc:
         raise CliError(EXIT_DATA, f"cannot list {data_dir}: {exc}") from None
-    stems = [n[:-len(".train.eegepoch")] for n in names if n.endswith(".train.eegepoch")]
-    if not stems:
+    stems = {part: {n[:-len(f".{part}.eegepoch")] for n in names
+                    if n.endswith(f".{part}.eegepoch")} for part in ("train", "test")}
+    if not stems["train"]:
         raise CliError(EXIT_DATA, f"no *.train.eegepoch files in {data_dir}")
+    for part, other in (("train", "test"), ("test", "train")):
+        orphans = sorted(stems[part] - stems[other])
+        if orphans:
+            raise CliError(EXIT_DATA, f"{orphans[0]}.{part}.eegepoch has no matching "
+                                      f"{orphans[0]}.{other}.eegepoch")
     pairs = []
-    for stem in stems:
-        test_path = os.path.join(data_dir, stem + ".test.eegepoch")
-        if not os.path.exists(test_path):
-            raise CliError(EXIT_DATA, f"{stem}.train.eegepoch has no matching "
-                                      f"{stem}.test.eegepoch")
+    for stem in sorted(stems["train"]):
         train_path = os.path.join(data_dir, stem + ".train.eegepoch")
+        test_path = os.path.join(data_dir, stem + ".test.eegepoch")
         try:
             pairs.append((stem, load_epochs(train_path), load_epochs(test_path)))
         except FormatError as exc:
@@ -160,25 +163,25 @@ def _split_train_config(items, path):
         else:
             raise CliError(EXIT_USAGE,
                            f"{path}: keys must start with train. or arch., got {key!r}")
-    try:
-        overrides = parse_config_items(TrainConfig, train_items, "train")
-    except ValueError as exc:
-        raise CliError(EXIT_USAGE, f"{path}: {exc}") from None
     derived = sorted(set(arch_items) & set(_DATA_DERIVED_ARCH))
     if derived:
         raise CliError(EXIT_USAGE,
                        f"{path}: {', '.join(derived)} are derived from the data; "
                        "remove them from the config")
-    return overrides, arch_items
+    try:
+        return (parse_config_items(TrainConfig, train_items, "train"),
+                parse_config_items(ArchConfig, arch_items, "architecture", skip=_DATA_DERIVED_ARCH))
+    except ValueError as exc:
+        raise CliError(EXIT_USAGE, f"{path}: {exc}") from None
 
 
 def cmd_train(args):
     if args.jobs < 1:
         raise CliError(EXIT_USAGE, "--jobs must be >= 1")
     scenario = _SCENARIO_FLAGS[args.scenario]
-    train_overrides, arch_items = ({}, {})
+    train_overrides, arch_overrides = ({}, {})
     if args.config:
-        train_overrides, arch_items = _split_train_config(_read_kv(args.config), args.config)
+        train_overrides, arch_overrides = _split_train_config(_read_kv(args.config), args.config)
     if args.seed is not None:
         train_overrides["seed"] = args.seed
     try:
@@ -189,13 +192,9 @@ def cmd_train(args):
     pairs = _scan_subjects(args.data)
     names = [stem for stem, _, _ in pairs]
     subjects = [(train, test) for _, train, test in pairs]
-    first = subjects[0][0]
-    if scenario != "within":
-        arch_items.setdefault("dropout_rate", "0.2")
-    arch_items.update(n_channels=str(first.n_channels), n_samples=str(first.n_samples),
-                      n_classes=str(first.n_classes))
     try:
-        arch = arch_config_from_items(arch_items)
+        arch = ArchConfig(**{**SCENARIOS[scenario]["arch"], **arch_overrides,
+                             **{f: getattr(subjects[0][0], f) for f in _DATA_DERIVED_ARCH}})
     except ValueError as exc:
         raise CliError(EXIT_USAGE, f"bad architecture config: {exc}") from None
 

@@ -232,6 +232,14 @@ def standardize(train: EpochSet, *others: EpochSet):
     ``stats`` holds the per-channel mean/std the transform used.  Only the
     training trials contribute to the statistics.
     """
+    stats = _channel_stats(train)
+    out = tuple(apply_standardize(s, stats) for s in (train, *others))
+    return out, stats
+
+
+def _channel_stats(train: EpochSet) -> ChannelStats:
+    """The per-channel mean and std that :func:`standardize` scales by;
+    ``ValueError`` for an empty set or a zero-variance channel."""
     x = train.trials
     if x.size == 0:
         raise ValueError("training set is empty")
@@ -243,9 +251,7 @@ def standardize(train: EpochSet, *others: EpochSet):
     if flat.size:
         names = ", ".join(train.channel_names[i] for i in flat)
         raise ValueError(f"zero-variance channel(s): {names}")
-    stats = ChannelStats(mean, std)
-    out = tuple(apply_standardize(s, stats) for s in (train, *others))
-    return out, stats
+    return ChannelStats(mean, std)
 
 
 def apply_standardize(epochs: EpochSet, stats: ChannelStats) -> EpochSet:

@@ -21,21 +21,35 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import EpochSet, check_compatible, concat_epochs, standardize
+from .data import EpochSet, _channel_stats, check_compatible, concat_epochs, standardize
 from .fileio import csv_text, key_value_text
 from .model import ArchConfig, ITNetModel, build
 from .ops import check_finite_trials, softmax_cross_entropy
 from .optim import Adam
 
-SCENARIOS = ("within", "cross", "cross_finetuned")
 EVAL_BATCH = 256   # trials per inference pass in evaluate
+
+# What each scenario runs, and with which defaults: its ``stages`` in order
+# ("pool" trains on the other subjects' training sessions pooled, "target" on
+# the subject's own, fine-tuned from the pool stage's model when both run),
+# TrainConfig and ArchConfig field defaults, and the fewest subjects it needs.
+_POOLED = dict(train=dict(max_epochs_cv=150, patience=15), arch=dict(dropout_rate=0.2),
+               min_subjects=2)
+SCENARIOS = {"within": dict(stages=("target",), train={}, arch={}, min_subjects=1),
+             "cross": dict(stages=("pool",), **_POOLED),
+             "cross_finetuned": dict(stages=("pool", "target"), **_POOLED)}
+
+
+def _spec(scenario):
+    if scenario not in SCENARIOS:
+        raise ValueError(f"unknown scenario {scenario!r}; expected one of {tuple(SCENARIOS)}")
+    return SCENARIOS[scenario]
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Protocol knobs.  Defaults fit the within-subject regime; cross-subject
-    runs conventionally shorten to 150 epochs with patience 15
-    (see :func:`default_train_config`)."""
+    """Protocol knobs.  Defaults fit the within-subject regime; a scenario
+    may override them (see ``SCENARIOS`` and :func:`default_train_config`)."""
 
     max_epochs_cv: int = 500
     patience: int = 100
@@ -67,13 +81,7 @@ class TrainConfig:
 
 def default_train_config(scenario, **overrides):
     """The conventional epoch/patience budget for a scenario, with overrides."""
-    if scenario not in SCENARIOS:
-        raise ValueError(f"unknown scenario {scenario!r}; expected one of {SCENARIOS}")
-    base = {}
-    if scenario != "within":
-        base.update(max_epochs_cv=150, patience=15)
-    base.update(overrides)
-    return TrainConfig(**base)
+    return TrainConfig(**{**_spec(scenario)["train"], **overrides})
 
 
 HistoryRow = namedtuple("HistoryRow",
@@ -302,26 +310,45 @@ class ScenarioReport:
 
 
 def _run_subject(scenario, si, name, train, test, pool, arch, config):
-    """One subject's fit.  ``si`` keys its random streams; ``pool`` maps the other
-    subjects' names to their training sessions in subject order (empty under
-    ``within``); ``cross`` trains on the pool alone, and gets no ``train``."""
-    init_state, pre_history, phase = None, [], 0
-    if scenario == "cross":
-        train = concat_epochs(list(pool.values()))
-    elif scenario == "cross_finetuned":
-        # pretrain on the pooled other subjects, then run the full protocol on
-        # the target's training session starting every fold from that state
-        (pool_std,), _ = standardize(concat_epochs(list(pool.values())))
-        pre_model, pre_history, _, _ = _run_protocol(pool_std, arch, config, (si, 0))
-        del pool_std   # the target's protocol never reads the pool
-        init_state, phase = pre_model.state_arrays(), 1
-    (train_std, test_std), _ = standardize(train, test)
-    del train   # under cross, the raw pool: the protocol reads only its standardised copy
-    model, history, fold, curve = _run_protocol(
-        train_std, arch, config, (si, phase), init_state=init_state,
-        monitor=(test_std.trials, test_std.labels))
+    """One subject's stages in order (see ``SCENARIOS``), keyed ``(si, stage
+    index)``: the pool stage trains on ``pool``, the other subjects' training
+    sessions by name in subject order, the target stage on ``train``.  Without
+    a pool stage ``pool`` is empty, and without a target stage ``train`` None."""
+    init_state, pretrain = None, []
+    for phase, stage in enumerate(SCENARIOS[scenario]["stages"]):
+        if phase:   # fine-tune every fold from the previous stage's selected model
+            init_state, pretrain = model.state_arrays(), history
+        # the raw pooled copy is dropped once standardised, and the previous
+        # stage's standardised sessions when rebound here, before any fit
+        (train_std, test_std), _ = standardize(
+            concat_epochs(list(pool.values())) if stage == "pool" else train, test)
+        model, history, fold, curve = _run_protocol(
+            train_std, arch, config, (si, phase), init_state=init_state,
+            monitor=(test_std.trials, test_std.labels))
     return SubjectResult(name, scenario, curve[-1], max(curve), fold, len(history),
-                         history, model, pool=tuple(pool), pretrain_history=pre_history)
+                         history, model, pool=tuple(pool), pretrain_history=pretrain)
+
+
+def _check_sessions(name, train, test, pool, config):
+    """Raise now what this subject's stages would raise only after training
+    began: an empty test session, which every refit monitors; a class with
+    fewer trials than folds in the pool or the target's training session,
+    by the splitter's own rule; and a target training session that
+    ``standardize`` refuses."""
+    def check(session, rule, *args):
+        try:
+            rule(*args)
+        except ValueError as exc:
+            raise ValueError(f"{session}: {exc}") from None
+
+    if test.n_trials == 0:
+        raise ValueError(f"{name} test: nothing to evaluate")
+    if pool:
+        check(f"{name} pool ({'+'.join(pool)})", stratified_kfold,
+              np.concatenate([s.labels for s in pool.values()]), config.folds, 0)
+    if train is not None:
+        check(f"{name} train", stratified_kfold, train.labels, config.folds, 0)
+        check(f"{name} train", _channel_stats, train)
 
 
 def run_scenario(scenario, subjects, arch: ArchConfig, config: TrainConfig,
@@ -331,15 +358,15 @@ def run_scenario(scenario, subjects, arch: ArchConfig, config: TrainConfig,
     ``subjects`` is a list of (train, test) EpochSet pairs sharing one label
     space.  Subjects are independent; ``jobs`` > 1 runs them in parallel
     worker processes (at most one per subject) without changing any result.
-    Each subject's task holds only the sessions its fit reads.
+    Each subject's task holds only the sessions its stages read, and every
+    such session is checked before the first fit.
     """
-    if scenario not in SCENARIOS:
-        raise ValueError(f"unknown scenario {scenario!r}; expected one of {SCENARIOS}")
+    spec = _spec(scenario)
     subjects = list(subjects)
     if not subjects:
         raise ValueError("no subjects")
-    if scenario != "within" and len(subjects) < 2:
-        raise ValueError(f"{scenario} requires >= 2 subjects")
+    if len(subjects) < spec["min_subjects"]:
+        raise ValueError(f"{scenario} requires >= {spec['min_subjects']} subjects")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if names is None:
@@ -348,10 +375,12 @@ def run_scenario(scenario, subjects, arch: ArchConfig, config: TrainConfig,
         raise ValueError("one name per subject required")
     check_compatible([s for pair in subjects for s in pair],
                      [f"{name} {part}" for name in names for part in ("train", "test")])
-    tasks = [(scenario, si, name, None if scenario == "cross" else train, test,
-              {} if scenario == "within" else
-              {other: subjects[j][0] for j, other in enumerate(names) if j != si}, arch, config)
+    tasks = [(scenario, si, name, train if "target" in spec["stages"] else None, test,
+              {other: subjects[j][0] for j, other in enumerate(names) if j != si}
+              if "pool" in spec["stages"] else {}, arch, config)
              for si, (name, (train, test)) in enumerate(zip(names, subjects))]
+    for _, _, name, train, test, pool, _, _ in tasks:
+        _check_sessions(name, train, test, pool, config)
     if jobs > 1 and len(subjects) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(subjects))) as pool:
             results = list(pool.map(_run_subject, *zip(*tasks)))

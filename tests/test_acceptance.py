@@ -48,6 +48,14 @@ def desk_spec(n_trials, seed):
         noise_sigma=NOISE_SIGMA, seed=seed)
 
 
+def timed(run):
+    """``run()``'s result and its (wall, process CPU) seconds over one span:
+    wall far above CPU means the machine was shared."""
+    start, cpu = time.perf_counter(), time.process_time()
+    result = run()
+    return result, (time.perf_counter() - start, time.process_time() - cpu)
+
+
 @pytest.fixture(scope="module")
 def within_run():
     """One 200-trial subject (100 train + 100 test) under the within protocol."""
@@ -56,9 +64,8 @@ def within_run():
     arch = ArchConfig(n_channels=8, n_samples=375, n_classes=2)
     config = TrainConfig(max_epochs_cv=20, patience=4, extra_epochs_max=3,
                          folds=10, batch_size=16, seed=11)
-    start = time.perf_counter()
-    report = run_scenario("within", [subject], arch, config)
-    return report, time.perf_counter() - start, subject
+    report, seconds = timed(lambda: run_scenario("within", [subject], arch, config))
+    return report, seconds, subject
 
 
 @pytest.fixture(scope="module")
@@ -71,9 +78,7 @@ def cross_run():
                       dropout_rate=0.2)
     config = TrainConfig(max_epochs_cv=10, patience=3, extra_epochs_max=2,
                          folds=4, batch_size=16, seed=13)
-    start = time.perf_counter()
-    report = run_scenario("cross", subjects, arch, config)
-    return report, time.perf_counter() - start
+    return timed(lambda: run_scenario("cross", subjects, arch, config))
 
 
 @pytest.fixture
@@ -318,8 +323,8 @@ def test_stats_fidelity(verdict):
 # 5. learning at desk scale
 
 def test_desk_scale_learning(verdict, within_run, cross_run):
-    within_report, within_s, _ = within_run
-    cross_report, cross_s = cross_run
+    within_report, (within_s, within_cpu), _ = within_run
+    cross_report, (cross_s, cross_cpu) = cross_run
     within_acc = within_report.subjects[0].accuracy
     cross_accs = [r.accuracy for r in cross_report.subjects]
     elapsed = within_s + cross_s
@@ -327,7 +332,8 @@ def test_desk_scale_learning(verdict, within_run, cross_run):
             within_acc >= 90.0 and cross_report.mean > 60.0 and elapsed < 300.0,
             f"within-subject {within_acc:.1f}% >= 90%, cross-subject mean "
             f"{cross_report.mean:.1f}% > 60% (per subject "
-            f"{[f'{a:.0f}' for a in cross_accs]}), training {elapsed:.0f}s < 300s")
+            f"{[f'{a:.0f}' for a in cross_accs]}), training {elapsed:.0f}s < 300s, "
+            f"process CPU {within_cpu + cross_cpu:.0f}s")
 
 
 # ----------------------------------------------------------------------

@@ -7,9 +7,9 @@ import struct
 import numpy as np
 import pytest
 
-from eegitnet import cli
+from eegitnet import cli, training
 from eegitnet.cli import main
-from eegitnet.data import EPOCH_MAGIC, load_epochs
+from eegitnet.data import EPOCH_MAGIC, load_epochs, save_epochs
 from eegitnet.model import MODEL_MAGIC, ArchConfig, load_model
 from eegitnet.training import TrainConfig
 
@@ -203,6 +203,19 @@ def test_train_cross_finetuned_artifacts(data_dir, tmp_path, capsys):
     assert "pool.s01=s02" in (out / "summary.txt").read_text()
 
 
+def test_a_configured_architecture_overrides_the_scenario_default(data_dir, tmp_path,
+                                                                 monkeypatch):
+    def no_training(*args, **kwargs):
+        raise ValueError("not trained")
+
+    monkeypatch.setattr("eegitnet.cli.run_scenario", no_training)
+    out = tmp_path / "run"
+    cfg = write(tmp_path / "cfg", TRAIN_CFG + "arch.dropout_rate=0.3\n")
+    assert main(["train", "--scenario", "cross", "--data", str(data_dir),
+                 "--out", str(out), "--config", cfg]) == 3
+    assert "arch.dropout_rate=0.3" in (out / "config.effective").read_text()
+
+
 @pytest.mark.parametrize("extra,fragment", [
     ("train.optimizer=sgd\n", "unknown train keys"),
     ("arch.n_channels=8\n", "derived from the data"),
@@ -257,6 +270,37 @@ def test_train_data_errors(tmp_path, capsys):
                  "--out", str(tmp_path / "run")]) == 3
     assert f"cannot read {unreadable / 's01.train.eegepoch'}" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def test_train_refuses_a_test_file_without_a_training_file(data_dir, tmp_path, capsys):
+    # s02 would otherwise drop out of the cohort and out of s01's pool
+    orphan = tmp_path / "orphan"
+    orphan.mkdir()
+    for name in ("s01.train.eegepoch", "s01.test.eegepoch", "s02.test.eegepoch"):
+        (orphan / name).write_bytes((data_dir / name).read_bytes())
+    assert main(["train", "--scenario", "cross", "--data", str(orphan),
+                 "--out", str(tmp_path / "run")]) == 3
+    assert "s02.test.eegepoch has no matching s02.train.eegepoch" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_refuses_an_empty_test_session_before_training(data_dir, tmp_path, capsys,
+                                                             monkeypatch):
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    for name in ("s01.train.eegepoch", "s01.test.eegepoch", "s02.train.eegepoch"):
+        (bad / name).write_bytes((data_dir / name).read_bytes())
+    test = load_epochs(str(data_dir / "s02.test.eegepoch"))
+    save_epochs(dataclasses.replace(test, trials=test.trials[:0], labels=test.labels[:0]),
+                str(bad / "s02.test.eegepoch"))
+    fits = []
+    monkeypatch.setattr(training, "fit_with_early_stopping",
+                        lambda *args, **kwargs: fits.append(args))
+    out = tmp_path / "run"
+    assert main(["train", "--scenario", "within", "--data", str(bad), "--out", str(out),
+                 "--config", write(tmp_path / "cfg", TRAIN_CFG)]) == 3
+    assert "scenario failed: s02 test: nothing to evaluate" in capsys.readouterr().err
+    assert fits == []
 
 
 def test_train_rejects_corrupt_epoch_files(data_dir, tmp_path, capsys):

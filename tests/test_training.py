@@ -508,6 +508,70 @@ def test_incompatible_sets_fail_before_any_fit(cohort, monkeypatch, part, change
     assert calls == []
 
 
+def without_trials(s):
+    return dataclasses.replace(s, trials=s.trials[:0], labels=s.labels[:0])
+
+
+def one_trial_of_class_1(s):
+    keep = np.concatenate([np.nonzero(s.labels == 0)[0], np.nonzero(s.labels == 1)[0][:1]])
+    return dataclasses.replace(s, trials=s.trials[keep], labels=s.labels[keep])
+
+
+def flat_channel_2(s):
+    trials = s.trials.copy()
+    trials[:, 2] = 0.0
+    return dataclasses.replace(s, trials=trials)
+
+
+@pytest.mark.parametrize("scenario, n, si, part, change, fragment", [
+    # the refit monitors the test session, after every fold's fit
+    ("within", 3, 1, 1, without_trials, "s02 test: nothing to evaluate"),
+    ("cross", 3, 0, 1, without_trials, "s01 test: nothing to evaluate"),
+    # the folds split s02's training session after s01's protocol
+    ("within", 3, 1, 0, one_trial_of_class_1,
+     "s02 train: class 1 has 1 trials, fewer than 2 folds"),
+    # s02's pool is s01's training session, split after s01's protocol
+    ("cross", 2, 0, 0, one_trial_of_class_1,
+     r"s02 pool \(s01\): class 1 has 1 trials, fewer than 2 folds"),
+    # the fine-tune splits and standardises s01's training session after its pretrain
+    ("cross_finetuned", 3, 0, 0, one_trial_of_class_1,
+     "s01 train: class 1 has 1 trials, fewer than 2 folds"),
+    ("cross_finetuned", 3, 0, 0, flat_channel_2, "s01 train: zero-variance channel"),
+])
+def test_a_session_a_later_stage_reads_is_checked_before_any_fit(
+        cohort, monkeypatch, scenario, n, si, part, change, fragment):
+    calls = []
+    monkeypatch.setattr(training, "fit_with_early_stopping",
+                        lambda *args, **kwargs: calls.append(args))
+    subjects = [list(pair) for pair in cohort[:n]]
+    subjects[si][part] = change(subjects[si][part])
+    with pytest.raises(ValueError, match=fragment):
+        run_scenario(scenario, [tuple(pair) for pair in subjects], ARCH, FAST)
+    assert calls == []
+
+
+def test_the_finetuned_pretrain_is_the_cross_fit(cohort, monkeypatch):
+    # every subject's pretrain repeats its cross fit row for row, and the
+    # fine-tune starts from the model cross selected and refit
+    cross = run_scenario("cross", cohort, ARCH, FAST)
+    starts = []
+    run_protocol = training._run_protocol
+
+    def spy(*args, init_state=None, **kwargs):
+        if init_state is not None:
+            starts.append(init_state)
+        return run_protocol(*args, init_state=init_state, **kwargs)
+
+    monkeypatch.setattr(training, "_run_protocol", spy)
+    finetuned = run_scenario("cross_finetuned", cohort, ARCH, FAST)
+    assert len(starts) == len(cohort)
+    for c, f, start in zip(cross.subjects, finetuned.subjects, starts):
+        assert f.pretrain_history == c.history
+        selected = c.model.state_arrays()
+        assert start.keys() == selected.keys()
+        assert all(np.array_equal(start[k], selected[k]) for k in selected)
+
+
 # ----------------------------------------------------------------------
 # report serialization
 
