@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import FormatError
 from .fileio import atomic_write, pack_string, read_exact, read_into, read_string
-from .ops import non_finite_sample
+from .ops import check_finite_trials
 
 EPOCH_MAGIC = b"EEGEPOCH"
 EPOCH_VERSION = 1
@@ -62,10 +62,10 @@ class EpochSet:
         labels = np.asarray(self.labels)
         if labels.shape != (trials.shape[0],):
             raise ValueError(f"need one label per trial: {labels.shape} vs {trials.shape[0]} trials")
-        bad = non_finite_sample(trials)
-        if bad is not None:
-            t, c, s = bad
-            raise ValueError(f"non-finite sample at trial {t}, channel {c}, sample {s}")
+        odd = np.flatnonzero(labels != np.trunc(labels)) if labels.dtype.kind == "f" else []
+        if len(odd):   # NaN is never whole
+            raise ValueError(f"label of trial {odd[0]} is {labels[odd[0]]}, not a whole number")
+        check_finite_trials(trials, axis="channel")
         if labels.size and (labels.min() < 0 or labels.max() >= len(self.class_names)):
             raise ValueError(f"labels must lie in [0, {len(self.class_names)})")
         xy = np.asarray(self.channel_xy, dtype=np.float32)
@@ -240,18 +240,29 @@ def standardize(train: EpochSet, *others: EpochSet):
 def _channel_stats(train: EpochSet) -> ChannelStats:
     """The per-channel mean and std that :func:`standardize` scales by;
     ``ValueError`` for an empty set or a zero-variance channel."""
+    _check_variance([train])
     x = train.trials
-    if x.size == 0:
-        raise ValueError("training set is empty")
     # float64 reductions over the float32 trials give the statistics of a
     # float64 copy bit for bit; only std's deviations are a float64 temporary
     mean = x.mean(axis=(0, 2), dtype=np.float64)
     std = x.std(axis=(0, 2), dtype=np.float64)
-    flat = np.nonzero(std == 0.0)[0]
-    if flat.size:
-        names = ", ".join(train.channel_names[i] for i in flat)
-        raise ValueError(f"zero-variance channel(s): {names}")
     return ChannelStats(mean, std)
+
+
+def _check_variance(sessions):
+    """Refuse sessions without samples, or name each channel whose float64 std
+    over them all is zero, without concatenating them: whose ``min`` equals its
+    ``max``.  Up to 2**29 equal float32 samples have an exact float64 mean, and
+    two unequal ones give a deviation whose square does not underflow."""
+    sessions = [s for s in sessions if s.trials.size]
+    if not sessions:
+        raise ValueError("training set is empty")
+    lo = np.min([s.trials.min(axis=(0, 2)) for s in sessions], axis=0)
+    hi = np.max([s.trials.max(axis=(0, 2)) for s in sessions], axis=0)
+    flat = np.flatnonzero(lo == hi)
+    if flat.size:
+        names = ", ".join(sessions[0].channel_names[i] for i in flat)
+        raise ValueError(f"zero-variance channel(s): {names}")
 
 
 def apply_standardize(epochs: EpochSet, stats: ChannelStats) -> EpochSet:

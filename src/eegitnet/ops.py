@@ -431,20 +431,24 @@ def _lag_extent(extents):
 
 def non_finite_sample(a):
     """Index of the first non-finite element of ``a`` in C order, or None.
-    ``min`` and ``max`` propagate NaN and show ±inf, so a finite array is
-    checked without a mask; the mask is built only to find a bad sample."""
-    if a.size == 0 or (np.isfinite(a.min()) and np.isfinite(a.max())):
-        return None
-    return np.unravel_index(np.argmin(np.isfinite(a)), a.shape)
+    NaN or ±inf makes the flattened array's dot product with itself
+    non-finite, so a finite array is checked in one pass; the mask is built
+    only then, and finds nothing if the finite squares' sum overflowed."""
+    flat = a.reshape(-1)   # no copy of a C-contiguous array
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(np.dot(flat, flat)) or np.isfinite(flat).all():
+            return None
+    return np.unravel_index(np.argmin(np.isfinite(flat)), a.shape)
 
 
-def check_finite_trials(a, first=0):
+def check_finite_trials(a, first=0, axis="electrode"):
     """Raise ``ValueError`` naming the first non-finite sample of the
-    (N, H, T) or (N, 1, H, T) array ``a``, its trial counted from ``first``."""
+    (N, H, T) or (N, 1, H, T) array ``a``, its trial counted from ``first``
+    and its row by ``axis``."""
     bad = non_finite_sample(a)
     if bad is not None:
         t, *_, c, s = bad
-        raise ValueError(f"non-finite sample at trial {first + t}, electrode {c}, sample {s}")
+        raise ValueError(f"non-finite sample at trial {first + t}, {axis} {c}, sample {s}")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import EpochSet, _channel_stats, check_compatible, concat_epochs, standardize
+from .data import EpochSet, _check_variance, check_compatible, concat_epochs, standardize
 from .fileio import csv_text, key_value_text
 from .model import ArchConfig, ITNetModel, build
 from .ops import check_finite_trials, softmax_cross_entropy
@@ -133,20 +133,32 @@ def _batches(n, size, rng):
     return batches
 
 
-def _train_epoch(model, x, y, opt, rng, batch_size):
+def _epochs(model, train, config, lr, n_epochs, rng, what):
+    """Train on the (trials, labels) pair ``train``, ``what`` in messages, at
+    rate ``lr``; yield ``(epoch, loss, accuracy)`` after each of up to
+    ``n_epochs`` epochs of shuffled batches.  The set needs at least 2 trials
+    (batch statistics); its lag products and the optimizer are built once."""
+    x, y = train
+    _check_lengths(x, y, what)
     n = len(y)
-    total_loss = 0.0
-    correct = 0
-    for idx in _batches(n, batch_size, rng):
-        xb, yb = x[idx], y[idx]
-        logits = model.forward_logits(xb, mode="train", rng=rng)
-        loss = softmax_cross_entropy(logits, yb)
-        loss.backward()
-        opt.step()
-        opt.zero_grad()
-        total_loss += loss.item() * len(idx)
-        correct += int((np.argmax(logits.data, axis=1) == yb).sum())
-    return total_loss / n, 100.0 * correct / n
+    if n < 2:
+        raise ValueError(f"{what} needs at least 2 trials, got {n}")
+    if rng is None:
+        rng = np.random.default_rng(config.seed)
+    x = model.lagged(x)
+    opt = Adam(model.parameters(), lr=lr)
+    for epoch in range(1, n_epochs + 1):
+        total_loss, correct = 0.0, 0
+        for idx in _batches(n, config.batch_size, rng):
+            xb, yb = x[idx], y[idx]
+            logits = model.forward_logits(xb, mode="train", rng=rng)
+            loss = softmax_cross_entropy(logits, yb)
+            loss.backward()
+            opt.step()
+            opt.zero_grad()
+            total_loss += loss.item() * len(idx)
+            correct += int((np.argmax(logits.data, axis=1) == yb).sum())
+        yield epoch, total_loss / n, 100.0 * correct / n
 
 
 def _check_lengths(x, y, what):
@@ -185,36 +197,20 @@ def fit_with_early_stopping(model, train, val, config: TrainConfig, rng=None):
     ``train``/``val`` are (trials, labels) pairs with disjoint trials.
     Returns the per-epoch history and which epoch was kept.
     """
-    x, y = train
-    vx, vy = val
-    _check_lengths(x, y, "the training set")
-    _check_lengths(vx, vy, "the validation set")
-    if len(vy) == 0:
+    _check_lengths(*val, "the validation set")
+    if len(val[1]) == 0:
         raise ValueError("validation set is empty")
-    if len(y) < 2:
-        raise ValueError("training split needs at least 2 trials")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    x = model.lagged(x)
-    opt = Adam(model.parameters(), lr=config.base_lr)
-    history = []
-    best_loss = np.inf
-    best_acc = 0.0
-    best_epoch = 0
-    best_state = None
-    stale = 0
-    for epoch in range(1, config.max_epochs_cv + 1):
-        train_loss, train_acc = _train_epoch(model, x, y, opt, rng, config.batch_size)
-        val_loss, val_acc = evaluate(model, vx, vy)
+    history, best_state = [], None
+    best_loss, best_acc, best_epoch = np.inf, 0.0, 0
+    for epoch, train_loss, train_acc in _epochs(model, train, config, config.base_lr,
+                                                config.max_epochs_cv, rng, "the training set"):
+        val_loss, val_acc = evaluate(model, *val)
         history.append(HistoryRow(epoch, "cv", train_loss, val_loss, train_acc, val_acc))
         if val_loss < best_loss:
             best_loss, best_acc, best_epoch = val_loss, val_acc, epoch
             best_state = model.state_arrays()
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.patience:
-                break
+        elif epoch - best_epoch >= config.patience:
+            break
     if best_state is None:
         raise FloatingPointError(
             f"no finite validation loss in {len(history)} epochs "
@@ -232,18 +228,10 @@ def refit_extra_epochs(model, all_labeled, config: TrainConfig, rng=None,
     trained on.  History rows carry the ``extra`` phase tag and leave the
     validation columns empty (all labeled data is now training data).
     """
-    x, y = all_labeled
-    _check_lengths(x, y, "the labeled set")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    x = model.lagged(x)
-    opt = Adam(model.parameters(), lr=config.extra_lr)
-    curve = []
-    if monitor is not None:
-        curve.append(evaluate(model, *monitor)[1])
+    curve = [] if monitor is None else [evaluate(model, *monitor)[1]]
     rows = []
-    for e in range(1, config.extra_epochs_max + 1):
-        train_loss, train_acc = _train_epoch(model, x, y, opt, rng, config.batch_size)
+    for e, train_loss, train_acc in _epochs(model, all_labeled, config, config.extra_lr,
+                                            config.extra_epochs_max, rng, "the labeled set"):
         rows.append(HistoryRow(epoch_offset + e, "extra", train_loss, None, train_acc, None))
         if monitor is not None:
             curve.append(evaluate(model, *monitor)[1])
@@ -329,26 +317,22 @@ def _run_subject(scenario, si, name, train, test, pool, arch, config):
                          history, model, pool=tuple(pool), pretrain_history=pretrain)
 
 
-def _check_sessions(name, train, test, pool, config):
+def _check_sessions(scenario, name, train, test, pool, config):
     """Raise now what this subject's stages would raise only after training
-    began: an empty test session, which every refit monitors; a class with
-    fewer trials than folds in the pool or the target's training session,
-    by the splitter's own rule; and a target training session that
-    ``standardize`` refuses."""
-    def check(session, rule, *args):
-        try:
-            rule(*args)
-        except ValueError as exc:
-            raise ValueError(f"{session}: {exc}") from None
-
+    began: an empty test session, which every refit monitors; and in each
+    stage's training sessions (the pool, or the target's own) a class with
+    fewer trials than folds, or no trials or a zero-variance channel, each
+    by the rule of the splitter or ``standardize`` that would raise it."""
     if test.n_trials == 0:
         raise ValueError(f"{name} test: nothing to evaluate")
-    if pool:
-        check(f"{name} pool ({'+'.join(pool)})", stratified_kfold,
-              np.concatenate([s.labels for s in pool.values()]), config.folds, 0)
-    if train is not None:
-        check(f"{name} train", stratified_kfold, train.labels, config.folds, 0)
-        check(f"{name} train", _channel_stats, train)
+    stages = {"pool": (f"{name} pool ({'+'.join(pool)})", list(pool.values())),
+              "target": (f"{name} train", [train])}
+    for session, sets in map(stages.get, SCENARIOS[scenario]["stages"]):
+        try:
+            stratified_kfold(np.concatenate([s.labels for s in sets]), config.folds, 0)
+            _check_variance(sets)
+        except ValueError as exc:
+            raise ValueError(f"{session}: {exc}") from None
 
 
 def run_scenario(scenario, subjects, arch: ArchConfig, config: TrainConfig,
@@ -380,7 +364,7 @@ def run_scenario(scenario, subjects, arch: ArchConfig, config: TrainConfig,
               if "pool" in spec["stages"] else {}, arch, config)
              for si, (name, (train, test)) in enumerate(zip(names, subjects))]
     for _, _, name, train, test, pool, _, _ in tasks:
-        _check_sessions(name, train, test, pool, config)
+        _check_sessions(scenario, name, train, test, pool, config)
     if jobs > 1 and len(subjects) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(subjects))) as pool:
             results = list(pool.map(_run_subject, *zip(*tasks)))

@@ -4,15 +4,16 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from scipy.signal import welch
 
 import eegitnet
-from eegitnet.data import (EPOCH_MAGIC, EpochSet, SourceSpec, SynthSpec, concat_epochs,
-                           load_epochs, montage_22, ring_layout, save_epochs, standardize,
-                           synth_generate, window_samples)
+from eegitnet.data import (EPOCH_MAGIC, EpochSet, SourceSpec, SynthSpec, _check_variance,
+                           concat_epochs, load_epochs, montage_22, ring_layout, save_epochs,
+                           standardize, synth_generate, window_samples)
 from eegitnet.errors import FormatError
 from eegitnet.ops import check_finite_trials
 from oracles import standardize_reference, synth_generate_reference
@@ -89,6 +90,27 @@ def test_epochset_may_hold_no_trials(rng):
     empty = EpochSet(good.trials[:0], good.labels[:0], good.class_names, good.channel_names,
                      good.channel_xy, good.fs)
     assert empty.n_trials == 0
+
+
+@pytest.mark.parametrize("labels, trial", [([0, 1.5, 1], 1), ([0, 1, np.nan], 2),
+                                           ([-0.5, 0, 1], 0)])
+def test_epochset_refuses_labels_that_are_not_whole_numbers(rng, labels, trial):
+    good = small_set(rng, n_trials=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # refused, not cast with a RuntimeWarning
+        with pytest.raises(ValueError, match=f"label of trial {trial} is .+, not a whole number"):
+            EpochSet(good.trials, labels, good.class_names, good.channel_names,
+                     good.channel_xy, good.fs)
+
+
+def test_epochset_keeps_whole_float_labels_and_an_empty_label_list(rng):
+    good = small_set(rng, n_trials=3)
+    whole = EpochSet(good.trials, [0.0, 1.0, 1.0], good.class_names, good.channel_names,
+                     good.channel_xy, good.fs)
+    assert whole.labels.dtype == np.uint32 and whole.labels.tolist() == [0, 1, 1]
+    empty = EpochSet(good.trials[:0], [], good.class_names, good.channel_names,
+                     good.channel_xy, good.fs)
+    assert empty.labels.dtype == np.uint32 and empty.labels.size == 0
 
 
 def test_finite_checks_build_no_mask(rng):
@@ -375,6 +397,55 @@ def test_standardize_rejects_flat_channel(rng):
     assert std[1] == 0.0 and (np.delete(std, 1) > 0).all()
     with pytest.raises(ValueError, match="zero-variance channel\\(s\\): ch1$"):
         standardize(bad)
+
+
+def verdict(rule, sessions):
+    try:
+        rule(sessions)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def std_rule(sessions):
+    """The float64 ``std == 0.0`` test over the sessions concatenated."""
+    x = np.concatenate([s.trials for s in sessions])
+    if x.size == 0:
+        raise ValueError("training set is empty")
+    flat = np.flatnonzero(x.std(axis=(0, 2), dtype=np.float64) == 0.0)
+    if flat.size:
+        names = ", ".join(sessions[0].channel_names[i] for i in flat)
+        raise ValueError(f"zero-variance channel(s): {names}")
+
+
+@pytest.mark.parametrize("sizes", [(3,), (2, 4), (0, 3, 0, 1), (1, 1, 1), (40, 0, 25)])
+def test_the_flat_channel_rule_is_float64_std_equal_zero(rng, sizes):
+    # channel 0 holds one value everywhere; channel 1 too, but for one sample
+    # one float32 ulp up or down; channel 2 holds the value in even sessions
+    # and its upper neighbour in odd ones; channel 3 is noise
+    cases = 0
+    for value in (0.0, -0.0, 1e-40, 1.4e-45, 3.4e38, -3.4e38, 0.1, -2.5):
+        v = np.float32(value)
+        for toward in (np.inf, -np.inf):
+            for trial in (0, sum(sizes) - 1):
+                x = np.full((sum(sizes), 4, 7), v, dtype=np.float32)
+                x[trial, 1, 3] = np.nextafter(v, np.float32(toward))
+                x[:, 3] = rng.standard_normal((sum(sizes), 7))
+                parts = np.split(x, np.cumsum(sizes)[:-1])
+                for k, part in enumerate(parts):
+                    part[:, 2] = v if k % 2 == 0 else np.nextafter(v, np.float32(np.inf))
+                sessions = [small_set(rng, n_trials=len(p), n_channels=4, n_samples=7, trials=p)
+                            for p in parts]
+                want = verdict(std_rule, sessions)
+                assert want.startswith("zero-variance channel(s): ch0")
+                assert verdict(_check_variance, sessions) == want, (value, toward, trial)
+                cases += 1
+    assert cases == 32
+
+
+def test_the_flat_channel_rule_refuses_a_pool_without_samples(rng):
+    empty = [small_set(rng, n_trials=0, n_channels=4, n_samples=7) for _ in range(3)]
+    assert verdict(_check_variance, empty) == verdict(std_rule, empty) == "training set is empty"
 
 
 @pytest.mark.parametrize("n_train, n_test, n_channels, n_samples, scale, offset", [

@@ -187,13 +187,22 @@ def test_early_stopping_honors_the_epoch_cap():
     assert [row.epoch for row in fit.history] == list(range(1, fit.epochs_run + 1))
 
 
-def test_fit_rejects_degenerate_splits():
+def test_fit_rejects_degenerate_splits(monkeypatch):
     train, val = random_split(2)
     model = build(ARCH, seed=0)
     with pytest.raises(ValueError, match="validation"):
         fit_with_early_stopping(model, train, (val[0][:0], val[1][:0]), FAST)
     with pytest.raises(ValueError, match="at least 2"):
         fit_with_early_stopping(model, (train[0][:1], train[1][:1]), val, FAST)
+    # the refit holds the fit's rule, before it builds any lag products,
+    # and also when it would run no epoch
+    built = []
+    monkeypatch.setattr(model, "lagged", lambda x: built.append(x))
+    for n in (0, 1):
+        for config in (FAST, TrainConfig(extra_epochs_max=0, folds=2)):
+            with pytest.raises(ValueError, match=f"at least 2 trials, got {n}"):
+                refit_extra_epochs(model, (train[0][:n], train[1][:n]), config)
+    assert built == []
 
 
 def test_refit_rows_and_monitor_curve():
@@ -537,6 +546,10 @@ def flat_channel_2(s):
     ("cross_finetuned", 3, 0, 0, one_trial_of_class_1,
      "s01 train: class 1 has 1 trials, fewer than 2 folds"),
     ("cross_finetuned", 3, 0, 0, flat_channel_2, "s01 train: zero-variance channel"),
+    # s02's pool is the only one whose every session is flat on ch03; s01's
+    # protocol runs before it is standardised
+    ("cross", 3, (0, 2), 0, flat_channel_2,
+     r"s02 pool \(s01\+s03\): zero-variance channel\(s\): ch03$"),
 ])
 def test_a_session_a_later_stage_reads_is_checked_before_any_fit(
         cohort, monkeypatch, scenario, n, si, part, change, fragment):
@@ -544,7 +557,8 @@ def test_a_session_a_later_stage_reads_is_checked_before_any_fit(
     monkeypatch.setattr(training, "fit_with_early_stopping",
                         lambda *args, **kwargs: calls.append(args))
     subjects = [list(pair) for pair in cohort[:n]]
-    subjects[si][part] = change(subjects[si][part])
+    for i in (si if isinstance(si, tuple) else (si,)):
+        subjects[i][part] = change(subjects[i][part])
     with pytest.raises(ValueError, match=fragment):
         run_scenario(scenario, [tuple(pair) for pair in subjects], ARCH, FAST)
     assert calls == []
