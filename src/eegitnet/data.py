@@ -40,6 +40,21 @@ _CHUNK_BYTES = 1 << 20   # apply_standardize's float64 temporary, per chunk of t
 # ----------------------------------------------------------------------
 # containers
 
+def check_labels(labels, n_classes):
+    """``labels`` as integers, once each is checked to be a whole number in
+    ``[0, n_classes)``; a ``ValueError`` names the first trial whose label
+    is not."""
+    labels = np.asarray(labels)
+    whole = labels == np.trunc(labels)   # NaN is never whole
+    bad = np.flatnonzero(~whole | (labels < 0) | (labels >= n_classes))
+    if len(bad):
+        t = bad[0]
+        if not whole[t]:
+            raise ValueError(f"label of trial {t} is {labels[t]}, not a whole number")
+        raise ValueError(f"label of trial {t} is {labels[t]}; labels must lie in [0, {n_classes})")
+    return labels.astype(np.intp, copy=False)
+
+
 @dataclass(frozen=True)
 class EpochSet:
     """Labeled trials: (n_trials, n_channels, n_samples) float32 data.
@@ -62,12 +77,8 @@ class EpochSet:
         labels = np.asarray(self.labels)
         if labels.shape != (trials.shape[0],):
             raise ValueError(f"need one label per trial: {labels.shape} vs {trials.shape[0]} trials")
-        odd = np.flatnonzero(labels != np.trunc(labels)) if labels.dtype.kind == "f" else []
-        if len(odd):   # NaN is never whole
-            raise ValueError(f"label of trial {odd[0]} is {labels[odd[0]]}, not a whole number")
+        labels = check_labels(labels, len(self.class_names))
         check_finite_trials(trials, axis="channel")
-        if labels.size and (labels.min() < 0 or labels.max() >= len(self.class_names)):
-            raise ValueError(f"labels must lie in [0, {len(self.class_names)})")
         xy = np.asarray(self.channel_xy, dtype=np.float32)
         if xy.shape != (trials.shape[1], 2):
             raise ValueError(

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import FormatError
 from .fileio import (atomic_write, config_items, decode_utf8, key_value_text, pack_string,
                      parse_config_items, read_exact, read_key_values)
-from .ops import (BN_EPS, ConvSpec, avg_pool_time, avg_pool_values, band_conv,
+from .ops import (_CHUNK_BYTES, BN_EPS, ConvSpec, avg_pool_time, avg_pool_values, band_conv,
                   band_matrix, batch_norm, check_finite_trials, conv_temporal, dense, dropout,
                   elu, elu_values, flatten, lag_products, lag_statistics, softmax_rows)
 from .tensor import Tensor, add, concat_channels
@@ -497,10 +497,28 @@ class ITNetModel:
 
     def _infer_logits(self, x):
         """Infer-mode logits of (N, electrodes, time) trials, with no tape,
-        from the folded network."""
+        from the folded network.
+
+        Every layer up to the flattened features works trial by trial, so it
+        runs over blocks of trials whose widest layer (the branch filters over
+        every sample) fits ``_CHUNK_BYTES`` and stays in cache.  The head then
+        maps all N rows in one product: only its rounding depends on the row
+        count, so the logits do not depend on the block size.
+        """
         cfg = self.config
         x = x.astype(self._infer_dtype(x), copy=False)
         plan = self._plan(x.dtype)
+        head_w, head_b = self.params["head.w"].data, self.params["head.b"].data
+        step = max(1, _CHUNK_BYTES // (cfg.branch_filters * cfg.n_samples * x.itemsize))
+        features = np.empty((len(x), len(head_w)), dtype=x.dtype)
+        for lo in range(0, len(x), step):
+            features[lo:lo + step] = self._infer_features(x[lo:lo + step], plan)
+        return features @ head_w + head_b
+
+    def _infer_features(self, x, plan):
+        """The flattened features the head reads, for (n, electrodes, time)
+        trials in the compute dtype of the folded ``plan``."""
+        cfg = self.config
         z = np.matmul(plan.spatial, x)
         branch_outs = []
         start = 0
@@ -512,8 +530,7 @@ class ITNetModel:
         y = self._infer_tc(y, plan.causal)
         w, b = plan.dr
         y = elu_values(np.matmul(w, y) + b)
-        y = avg_pool_values(y, cfg.pool2).reshape(len(y), -1)
-        return y @ self.params["head.w"].data + self.params["head.b"].data
+        return avg_pool_values(y, cfg.pool2).reshape(len(y), -1)
 
     def _infer_tc(self, y, causal):
         """Infer-mode causal stack on (N, width, time) features in the

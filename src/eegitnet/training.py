@@ -21,13 +21,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import EpochSet, _check_variance, check_compatible, concat_epochs, standardize
+from .data import (EpochSet, _check_variance, check_compatible, check_labels, concat_epochs,
+                   standardize)
 from .fileio import csv_text, key_value_text
 from .model import ArchConfig, ITNetModel, build
-from .ops import check_finite_trials, softmax_cross_entropy
+from .ops import softmax_cross_entropy
 from .optim import Adam
+from .tensor import Tensor
 
-EVAL_BATCH = 256   # trials per inference pass in evaluate
+EVAL_BATCH = 256   # trials per loss term in evaluate
 
 # What each scenario runs, and with which defaults: its ``stages`` in order
 # ("pool" trains on the other subjects' training sessions pooled, "target" on
@@ -137,12 +139,14 @@ def _epochs(model, train, config, lr, n_epochs, rng, what):
     """Train on the (trials, labels) pair ``train``, ``what`` in messages, at
     rate ``lr``; yield ``(epoch, loss, accuracy)`` after each of up to
     ``n_epochs`` epochs of shuffled batches.  The set needs at least 2 trials
-    (batch statistics); its lag products and the optimizer are built once."""
+    (batch statistics) and labels of the model's classes; its lag products
+    and the optimizer are built once."""
     x, y = train
     _check_lengths(x, y, what)
     n = len(y)
     if n < 2:
         raise ValueError(f"{what} needs at least 2 trials, got {n}")
+    y = check_labels(y, model.config.n_classes)
     if rng is None:
         rng = np.random.default_rng(config.seed)
     x = model.lagged(x)
@@ -167,24 +171,20 @@ def _check_lengths(x, y, what):
 
 
 def evaluate(model, x, y):
-    """Mean cross-entropy and accuracy (percent) in inference mode, over
-    batches of ``EVAL_BATCH`` trials."""
+    """Mean cross-entropy and accuracy (percent) in inference mode: one
+    pass over every trial, its loss summed over batches of ``EVAL_BATCH``
+    trials."""
     _check_lengths(x, y, "the evaluated set")
     n = len(y)
     if n == 0:
         raise ValueError("nothing to evaluate")
+    y = check_labels(y, model.config.n_classes)
+    logits = model.forward_logits(x, mode="infer").data   # records no graph
     total_loss = 0.0
-    correct = 0
     for c in range(0, n, EVAL_BATCH):
-        xb, yb = x[c:c + EVAL_BATCH], y[c:c + EVAL_BATCH]
-        try:
-            logits = model.forward_logits(xb, mode="infer")   # records no graph
-        except ValueError:
-            check_finite_trials(xb, c)   # names the trial by its index in x, not in xb
-            raise
-        total_loss += softmax_cross_entropy(logits, yb).item() * len(yb)
-        correct += int((np.argmax(logits.data, axis=1) == yb).sum())
-    return total_loss / n, 100.0 * correct / n
+        yb = y[c:c + EVAL_BATCH]
+        total_loss += softmax_cross_entropy(Tensor(logits[c:c + EVAL_BATCH]), yb).item() * len(yb)
+    return total_loss / n, 100.0 * int((np.argmax(logits, axis=1) == y).sum()) / n
 
 
 # ----------------------------------------------------------------------
@@ -200,6 +200,7 @@ def fit_with_early_stopping(model, train, val, config: TrainConfig, rng=None):
     _check_lengths(*val, "the validation set")
     if len(val[1]) == 0:
         raise ValueError("validation set is empty")
+    check_labels(val[1], model.config.n_classes)
     history, best_state = [], None
     best_loss, best_acc, best_epoch = np.inf, 0.0, 0
     for epoch, train_loss, train_acc in _epochs(model, train, config, config.base_lr,

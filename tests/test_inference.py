@@ -14,6 +14,7 @@ from eegitnet import model as model_module
 from eegitnet.model import ArchConfig, build
 from eegitnet.optim import Adam
 from eegitnet.tensor import Tensor
+from eegitnet.training import evaluate
 
 from oracles import graph_infer_logits, graph_infer_tc
 
@@ -29,10 +30,10 @@ SHAPES = {
 }
 
 
-def randomised_model(config, seed=0):
+def randomised_model(config, seed=0, dtype=np.float32):
     """A built model whose biases, batch-norm parameters and running
     statistics are drawn away from their initial values."""
-    model = build(config, seed=seed)
+    model = build(config, seed=seed, dtype=dtype)
     rng = np.random.default_rng(seed + 1)
     for name, p in model.params.items():
         if name.endswith(".gamma"):
@@ -86,6 +87,45 @@ def test_folded_causal_stack_matches_the_graph(shape):
     got = model.tc_features(Tensor(y), mode="infer").data
     assert got.shape == want.shape and got.dtype == np.float32
     assert float(np.abs(got - want).max()) <= LOGIT_ATOL
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("shape", ["paper", "desk"])
+def test_blocks_of_trials_give_the_bits_of_one_whole_batch_pass(monkeypatch, shape, dtype):
+    # a block holds as many trials as their widest layer, the branch filters
+    # over every sample, fits in the block budget: 16 paper or 49 desk
+    # trials in float32, half as many in float64
+    config = ArchConfig(**SHAPES[shape][0])
+    model = randomised_model(config, dtype=dtype)
+    block = model_module._CHUNK_BYTES // (config.branch_filters * config.n_samples
+                                          * np.dtype(dtype).itemsize)
+    blocks = []
+    features = model_module.ITNetModel._infer_features
+
+    def spy(self, x, plan):
+        blocks.append(len(x))
+        return features(self, x, plan)
+
+    monkeypatch.setattr(model_module.ITNetModel, "_infer_features", spy)
+    for n in (0, 1, block, block + 1, 2 * block + 3):
+        x = trials(config, n, dtype=dtype)
+        y = np.arange(n) % config.n_classes
+
+        def passes():
+            out = [model.forward_logits(x, mode="infer").data, model.predict(x)]
+            return out + ([np.array(evaluate(model, x, y))] if n else [])
+
+        blocks.clear()
+        blocked = passes()   # three passes of the same blocks
+        assert blocks == 3 * ([block] * (n // block) + ([n % block] if n % block else []))
+        with monkeypatch.context() as unbounded:
+            unbounded.setattr(model_module, "_CHUNK_BYTES", 1 << 62)
+            blocks.clear()
+            whole = passes()
+            assert blocks == 3 * ([n] if n else [])
+        assert blocked[0].shape == (n, config.n_classes) and blocked[0].dtype == dtype
+        for got, want in zip(blocked, whole):
+            np.testing.assert_array_equal(got, want, strict=True)
 
 
 def test_float64_input_gives_float64_logits():

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from eegitnet import training
+from eegitnet import model as model_module, training
 from eegitnet.data import EpochSet, SourceSpec, SynthSpec, default_channels, synth_generate
 from eegitnet.model import ArchConfig, build
 from eegitnet.training import (SCENARIOS, ScenarioReport, TrainConfig,
@@ -260,6 +260,13 @@ def test_evaluate_rejects_a_non_finite_trial(bad):
     x[270, 1, 5] = bad
     with pytest.raises(ValueError, match="non-finite sample at trial 270, electrode 1, sample 5"):
         evaluate(build(ARCH, seed=0), x, np.zeros(300, dtype=int))
+    # and past the first block of trials the folded network runs over
+    block = model_module._CHUNK_BYTES // (ARCH.branch_filters * ARCH.n_samples * 4)
+    x = np.zeros((2 * block + 3, 4, 64), dtype=np.float32)
+    x[block + 7, 3, 60] = bad
+    with pytest.raises(ValueError,
+                       match=f"non-finite sample at trial {block + 7}, electrode 3, sample 60"):
+        evaluate(build(ARCH, seed=0), x, np.zeros(len(x), dtype=int))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -275,6 +282,57 @@ def test_a_non_finite_training_trial_is_named_by_its_index_in_the_array_passed(b
     with pytest.raises(ValueError, match=where):
         refit_extra_epochs(model, (x, y), FAST)
     assert all(p.grad is None for p in model.parameters())
+
+
+@pytest.mark.parametrize("label, why", [(-1, r"; labels must lie in \[0, 2\)"),
+                                        (2, r"; labels must lie in \[0, 2\)"),
+                                        (1.5, ", not a whole number"),
+                                        (np.nan, ", not a whole number")],
+                         ids=["minus-one", "n-classes", "one-and-a-half", "nan"])
+@pytest.mark.parametrize("call", ["fit-train", "fit-val", "refit", "monitor", "evaluate"])
+def test_labels_outside_the_models_classes_are_refused_before_any_step(monkeypatch, call,
+                                                                        label, why):
+    # named by the trial's index in the array passed, before the lag
+    # products or the optimizer are built
+    (x, y), (vx, vy) = random_split(6)
+    y, vy = y.astype(np.float64), vy.astype(np.float64)
+    (y if call in ("fit-train", "refit") else vy)[5] = label
+    model = build(ARCH, seed=0)
+    built = []
+    monkeypatch.setattr(model, "lagged", lambda x: built.append(x))
+    with pytest.raises(ValueError, match=f"label of trial 5 is [^;,]+{why}"):
+        if call == "evaluate":
+            evaluate(model, vx, list(vy))
+        elif call in ("refit", "monitor"):
+            refit_extra_epochs(model, (x, y), FAST, monitor=(vx, vy) if call == "monitor" else None)
+        else:
+            fit_with_early_stopping(model, (x, y), (vx, vy), FAST)
+    assert built == []
+    assert all(p.grad is None for p in model.parameters())
+
+
+def test_whole_float_labels_are_read_as_their_classes():
+    train, (vx, vy) = random_split(7)
+    model = build(ARCH, seed=0)
+    assert evaluate(model, vx, vy.astype(np.float64)) == evaluate(model, vx, vy)
+    assert evaluate(model, vx, list(vy)) == evaluate(model, vx, vy)
+
+
+def test_evaluating_a_paper_session_holds_under_8_mib_of_transient_memory():
+    # the folded network runs over blocks of trials that fit the cache, so
+    # no layer of the whole session is held at once
+    arch = ArchConfig(n_channels=22, n_samples=1125, n_classes=4)
+    model = build(arch, seed=0)
+    x = np.random.default_rng(8).standard_normal((288, 22, 1125)).astype(np.float32)
+    y = np.arange(288) % 4
+    evaluate(model, x, y)   # folds the network once
+    tracemalloc.start()
+    try:
+        evaluate(model, x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 << 20, f"peak {peak / (1 << 20):.1f} MiB"
 
 
 @pytest.mark.parametrize("call, trials, labels", [
