@@ -139,6 +139,11 @@ def _scan_subjects(data_dir):
         if orphans:
             raise CliError(EXIT_DATA, f"{orphans[0]}.{part}.eegepoch has no matching "
                                       f"{orphans[0]}.{other}.eegepoch")
+    for stem in sorted(stems["train"]):
+        if re.search(r"[,=\r\n]", stem):
+            path = os.path.join(data_dir, stem + ".train.eegepoch")
+            raise CliError(EXIT_DATA, f"{path!r}: a subject name holding ',', '=' or a "
+                                      "line break cannot be written to table.csv and summary.txt")
     pairs = []
     for stem in sorted(stems["train"]):
         train_path = os.path.join(data_dir, stem + ".train.eegepoch")
@@ -307,8 +312,9 @@ def _read_accuracy_table(path):
         try:
             rows[subject] = float(cells[acc_col])
         except ValueError:
-            raise CliError(EXIT_DATA,
-                           f"{path}:{ln}: bad accuracy {cells[acc_col]!r}") from None
+            rows[subject] = math.nan
+        if not math.isfinite(rows[subject]):
+            raise CliError(EXIT_DATA, f"{path}:{ln}: bad accuracy {cells[acc_col]!r}")
     return rows
 
 

@@ -6,9 +6,9 @@ over the realized rank multiset (doubled to keep midranks integral), so
 the p-value is a ratio of integers.  Larger samples fall back to the
 normal approximation with continuity and tie corrections.
 
-``paired_t_right`` takes the Student-t upper tail from
-``scipy.special.stdtr``; scipy.special is loaded on the first t-test, not
-at import.
+``paired_t_right`` takes the Student-t upper tail from ``t_sf``, a continued
+fraction in plain ``math``; against mpmath it erred below 1e-13 relative for
+df from 1 to 1e8 and |t| from 1e-10 to 3e6.
 """
 from __future__ import annotations
 
@@ -94,12 +94,56 @@ def wilcoxon_one_sided(a, b):
 # ----------------------------------------------------------------------
 # Student-t upper tail
 
+def _beta_cf(a, b, x, y):
+    """I_x(a, b) * a * B(a, b) / (x**a * y**b), given y = 1 - x: the even part
+    of the continued fraction of Numerical Recipes 6.4 (Cephes ``incbet``),
+    1/(1 + d1 - d1 d2/(1 + d2 + d3 - ...)), by modified Lentz.  It converges
+    fast for x < (a + 1)/(a + b + 2).  Each 1 + d_{2m+1} is summed from y where
+    no term is negative: its direct form lost a relative eps * a near x = 1."""
+    def odd(m):   # d_{2m+1} and 1 + d_{2m+1}
+        q, den = (a + m) * (a + b + m), (a + 2 * m) * (a + 2 * m + 1)
+        p = a * (2 * m + 1 - b) + m * (3 * m + 2 - b)
+        return -q * x / den, (p + q * y) / den if p >= 0 else 1.0 - q * x / den
+
+    d_odd, f = odd(0)
+    c, d, m = f, 0.0, 1
+    while True:
+        d_even = m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m))
+        num = -d_odd * d_even
+        d_odd, one_plus = odd(m)
+        d = 1.0 / (one_plus + d_even + num * d)
+        c = one_plus + d_even + num / c
+        f *= c * d
+        if abs(c * d - 1.0) < 1e-15:
+            return 1.0 / f
+        m += 1
+
+
 def t_sf(t, df):
-    """P(T > t) for Student's t with ``df`` degrees of freedom."""
-    if df < 1:
-        raise ValueError("df must be >= 1")
-    import scipy.special
-    return float(scipy.special.stdtr(df, -t))
+    """P(T > t) for Student's t with ``df`` degrees of freedom: I_x(df/2, 1/2)/2
+    for x = df/(df + t**2), with 1 - x = t**2/(df + t**2) taken directly, by
+    :func:`_beta_cf` on the side of x where it converges fast."""
+    if not 1 <= df < math.inf:
+        raise ValueError("df must be finite and >= 1")
+    r = t * t / df
+    if not r > 0.0:   # t is 0, too small to square, or NaN
+        return 0.5 if r == 0.0 else math.nan
+    a = 0.5 * df
+    if a < 20:   # log Gamma(a + 1/2) - log Gamma(a); lgamma's loses 1e-9 at a = 5e5
+        log_ratio = math.lgamma(a + 0.5) - math.lgamma(a)
+    else:        # by its asymptotic series, whose first dropped term is below 1e-16
+        e = 1.0 / (a * a)
+        log_ratio = 0.5 * math.log(a) - (
+            1 / 8 - e * (1 / 192 - e * (1 / 640 - e * (17 / 14336 - e * 31 / 18432)))) / a
+    x, y = 1.0 / (1.0 + r), 1.0 / (1.0 + 1.0 / r)
+    # x**a * y**(1/2) / B(a, 1/2), with log x = -log1p(r) exact near x = 1
+    front = math.exp(log_ratio - 0.5 * math.log(math.pi)
+                     - a * math.log1p(r) - 0.5 * math.log1p(1.0 / r))
+    if x < (a + 1.0) / (a + 2.5):
+        tail = 0.5 * front * _beta_cf(a, 0.5, x, y) / a   # I_x(a, 1/2) / 2
+    else:
+        tail = 0.5 - front * _beta_cf(0.5, a, y, x)        # (1 - I_y(1/2, a)) / 2
+    return tail if t > 0 else 1.0 - tail
 
 
 def paired_t_right(a, b):

@@ -284,6 +284,28 @@ def test_train_refuses_a_test_file_without_a_training_file(data_dir, tmp_path, c
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("char", [",", "=", "\n", "\r"])
+def test_train_refuses_a_subject_name_its_outputs_cannot_hold(data_dir, tmp_path, capsys,
+                                                              monkeypatch, char):
+    # a comma would split the name over table.csv cells, '=' would end its
+    # summary.txt key early, and a line break would split either line
+    cohort = tmp_path / "cohort"
+    cohort.mkdir()
+    for stem in ("s01", f"s{char}02"):
+        for part in ("train", "test"):
+            (cohort / f"{stem}.{part}.eegepoch").write_bytes(
+                (data_dir / f"s01.{part}.eegepoch").read_bytes())
+    loads = []
+    monkeypatch.setattr(cli, "load_epochs", loads.append)
+    out = tmp_path / "run"
+    assert main(["train", "--scenario", "within", "--data", str(cohort),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"{str(cohort / f's{char}02.train.eegepoch')!r}: a subject name holding" in err
+    assert loads == []
+    assert not out.exists()
+
+
 def test_train_refuses_an_empty_test_session_before_training(data_dir, tmp_path, capsys,
                                                              monkeypatch):
     bad = tmp_path / "bad"
@@ -605,6 +627,15 @@ def test_stats_table_errors(tmp_path, capsys):
     blank = write(tmp_path / "g.csv", "\n  \n\n")
     assert main(["stats", "--table", blank, "--vs", a, "--test", "ttest"]) == 3
     assert f"{blank}: empty table" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_stats_refuses_a_non_finite_accuracy_by_its_line(tmp_path, capsys, cell):
+    a = write(tmp_path / "a.csv", TABLE_A)
+    b = write(tmp_path / "b.csv", TABLE_B.replace("76.04", cell))
+    for test in ("wilcoxon", "ttest"):
+        assert main(["stats", "--table", a, "--vs", b, "--test", test]) == 3
+        assert capsys.readouterr().err == f"error: {b}:8: bad accuracy {cell!r}\n"
 
 
 def test_an_unexpected_error_exits_4_with_its_type_and_message(monkeypatch, capsys):

@@ -1,4 +1,5 @@
 """Containers, the binary trial format, standardisation, and the generator."""
+import ast
 import json
 import os
 import subprocess
@@ -314,45 +315,84 @@ def test_epoch_file_bad_sampling_rate(tmp_path, rng, fs):
     assert err.value.code == "bad_value"
 
 
-def test_scipy_special_is_loaded_only_by_the_t_test(tmp_path):
-    # scipy is most of the package's import time and resident memory; this
-    # probe runs in a process of its own, so that what other tests import
-    # does not count: importing the package, `plan` and the Wilcoxon test
-    # load neither scipy.signal nor scipy.special, and only the t-test may
-    # load scipy.special
+SCIPY_PROBE_SPEC = """\
+n_trials=12
+n_channels=4
+n_classes=2
+fs=64
+duration_s=1
+noise_sigma=0.1
+seed={seed}
+class0.source0.center_freq=8
+class0.source0.bandwidth=2
+class0.source0.amplitude=1
+class0.source0.mixing=1,0.5,0,0
+class1.source0.center_freq=24
+class1.source0.bandwidth=2
+class1.source0.amplitude=1
+class1.source0.mixing=0,0,0.5,1
+"""
+
+
+def test_no_subcommand_loads_any_scipy_module(tmp_path):
+    # numpy is the only runtime dependency; the probe runs every subcommand
+    # in a process of its own, so that what other tests import does not count
     probe = """
-import json, sys
+import json, os, sys
 import eegitnet, eegitnet.cli
-a, b = sys.argv[1:]
-seen = []
-def look():
-    seen.append([name in sys.modules for name in ("scipy.signal", "scipy.special")])
-look()
-eegitnet.cli.main(["plan", "--target-r", "91"])
-look()
-eegitnet.cli.main(["stats", "--table", a, "--vs", b, "--test", "wilcoxon"])
-look()
-eegitnet.cli.main(["stats", "--table", a, "--vs", b, "--test", "ttest"])
-look()
+root = sys.argv[1]
+def path(name):
+    return os.path.join(root, name)
+def loaded():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+def run(*argv):
+    assert eegitnet.cli.main(list(argv)) == 0, argv
+    return loaded()
+seen = {"import": loaded(), "plan": run("plan", "--target-r", "91")}
+for test in ("wilcoxon", "ttest"):
+    seen[test] = run("stats", "--table", path("a.csv"), "--vs", path("b.csv"), "--test", test)
+os.mkdir(path("data"))
+for part in ("train", "test"):
+    seen["synth"] = run("synth", "--spec", path(f"{part}.spec"),
+                        "--out", path(f"data/s01.{part}.eegepoch"))
+seen["train"] = run("train", "--scenario", "within", "--data", path("data"),
+                    "--out", path("run"), "--config", path("train.cfg"))
+seen["explain"] = run("explain", "--model", path("run/model_s01.itnetmdl"),
+                      "--out", path("atlas"), "--fs", "64")
 print(json.dumps(seen))
 """
-    tables = []
     for name, accuracies in (("a", [84.38, 62.85, 89.93, 69.10]),
                              ("b", [81.94, 56.94, 90.62, 67.01])):
-        path = tmp_path / f"{name}.csv"
-        path.write_text("subject,accuracy\n" + "".join(
+        (tmp_path / f"{name}.csv").write_text("subject,accuracy\n" + "".join(
             f"s{i:02d},{acc}\n" for i, acc in enumerate(accuracies, 1)))
-        tables.append(str(path))
+    for seed, part in enumerate(("train", "test")):
+        (tmp_path / f"{part}.spec").write_text(SCIPY_PROBE_SPEC.format(seed=seed))
+    (tmp_path / "train.cfg").write_text("train.max_epochs_cv=2\ntrain.patience=1\n"
+                                        "train.extra_epochs_max=1\ntrain.folds=2\n"
+                                        "train.batch_size=8\n")
     src = os.path.dirname(os.path.dirname(eegitnet.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", probe, *tables], capture_output=True,
-                          text=True, env=env, check=True)
-    after_import, after_plan, after_wilcoxon, after_ttest = json.loads(
-        proc.stdout.splitlines()[-1])
-    assert after_import == [False, False]
-    assert after_plan == [False, False]
-    assert after_wilcoxon == [False, False]
-    assert after_ttest[1]
+    proc = subprocess.run([sys.executable, "-c", probe, str(tmp_path)], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), check=True)
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert list(seen) == ["import", "plan", "wilcoxon", "ttest", "synth", "train", "explain"]
+    assert seen == dict.fromkeys(seen, [])
+
+
+def test_no_package_module_imports_scipy():
+    src = os.path.dirname(eegitnet.__file__)
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as f:
+            tree = ast.parse(f.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert not [m for m in modules if m.split(".")[0] == "scipy"], (name, node.lineno)
 
 
 def test_window_samples():

@@ -191,6 +191,34 @@ def test_t_sf_matches_scipy_grid():
                 scipy.stats.t.sf(t, df), rel=1e-10, abs=1e-14)
 
 
+def test_t_sf_matches_the_closed_forms_at_one_and_two_df():
+    # scipy is no oracle near t = 0: its t.sf(1e-8, 1) is off by 3.1e-9
+    for t in [s * 10.0 ** (k / 2) for k in range(-20, 13) for s in (1, -1)]:
+        assert t_sf(t, 1) == pytest.approx(math.atan2(1, t) / math.pi, rel=1e-13, abs=0)
+        r = math.sqrt(2 + t * t)
+        upper = 1 / (r * (r + abs(t)))
+        assert t_sf(t, 2) == pytest.approx(upper if t >= 0 else 1 - upper, rel=1e-13, abs=0)
+
+
+def test_t_sf_keeps_its_precision_at_large_df():
+    # near x = df/(df + t**2) = 1 the continued fraction's terms are summed
+    # from 1 - x; their direct form erred by 4e-10 at df = 1e7 and 2e-9 at 1e8
+    for df in (10**7, 10**8):
+        for t in np.linspace(-6, 6, 49):
+            assert t_sf(float(t), df) == pytest.approx(
+                scipy.stats.t.sf(t, df), rel=1e-12, abs=0)
+
+
+def test_t_sf_edges():
+    assert t_sf(0.0, 3) == 0.5
+    assert t_sf(math.inf, 3) == 0.0
+    assert t_sf(-math.inf, 3) == 1.0
+    assert math.isnan(t_sf(math.nan, 3))
+    for df in (0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="df must be finite and >= 1"):
+            t_sf(1.0, df)
+
+
 def test_paired_t_matches_scipy():
     rng = np.random.default_rng(9)
     for n in (4, 9, 30):
