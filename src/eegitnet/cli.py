@@ -34,8 +34,8 @@ from .fileio import (atomic_write, config_items, key_value_text, parse_config_it
 from .model import (ArchConfig, load_model, plan_kernel, receptive_field_blocks,
                     save_model)
 from .stats import paired_t_right, wilcoxon_one_sided
-from .training import (SCENARIOS, TrainConfig, default_train_config, history_csv_text,
-                       report_csv_text, run_scenario, summary_text)
+from .training import (SCENARIOS, TrainConfig, check_subject_name, default_train_config,
+                       history_csv_text, report_csv_text, run_scenario, summary_text)
 
 EXIT_USAGE = 2
 EXIT_DATA = 3
@@ -140,10 +140,10 @@ def _scan_subjects(data_dir):
             raise CliError(EXIT_DATA, f"{orphans[0]}.{part}.eegepoch has no matching "
                                       f"{orphans[0]}.{other}.eegepoch")
     for stem in sorted(stems["train"]):
-        if re.search(r"[,=\r\n]", stem):
-            path = os.path.join(data_dir, stem + ".train.eegepoch")
-            raise CliError(EXIT_DATA, f"{path!r}: a subject name holding ',', '=' or a "
-                                      "line break cannot be written to table.csv and summary.txt")
+        try:
+            check_subject_name(stem, repr(os.path.join(data_dir, stem + ".train.eegepoch")))
+        except ValueError as exc:
+            raise CliError(EXIT_DATA, str(exc)) from None
     pairs = []
     for stem in sorted(stems["train"]):
         train_path = os.path.join(data_dir, stem + ".train.eegepoch")

@@ -29,12 +29,11 @@ import numpy as np
 
 from .errors import FormatError
 from .fileio import atomic_write, pack_string, read_exact, read_into, read_string
-from .ops import check_finite_trials
+from .ops import _CHUNK_BYTES, check_finite_trials
 
 EPOCH_MAGIC = b"EEGEPOCH"
 EPOCH_VERSION = 1
 _MAX_ELEMENTS = 2 ** 31  # sanity bound on declared payload size
-_CHUNK_BYTES = 1 << 20   # apply_standardize's float64 temporary, per chunk of trials
 
 
 # ----------------------------------------------------------------------
@@ -53,6 +52,21 @@ def check_labels(labels, n_classes):
             raise ValueError(f"label of trial {t} is {labels[t]}, not a whole number")
         raise ValueError(f"label of trial {t} is {labels[t]}; labels must lie in [0, {n_classes})")
     return labels.astype(np.intp, copy=False)
+
+
+def check_labelled(trials, labels, n_classes, min_trials, what):
+    """``labels`` as integers, once ``(trials, labels)``, ``what`` in messages,
+    is checked to be a labelled set: one label per trial in a 1-D array, at
+    least ``min_trials`` trials, and each label a class (:func:`check_labels`)."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise ValueError(f"{what} needs a 1-D label array, got shape {labels.shape}")
+    n = len(labels)
+    if n != len(trials):
+        raise ValueError(f"{what} holds {len(trials)} trials but {n} labels")
+    if n < min_trials:
+        raise ValueError(f"{what} needs at least {min_trials} trial{'s' * (min_trials > 1)}, got {n}")
+    return check_labels(labels, n_classes)
 
 
 @dataclass(frozen=True)
@@ -74,10 +88,7 @@ class EpochSet:
         trials = np.asarray(self.trials, dtype=np.float32)
         if trials.ndim != 3:
             raise ValueError(f"trials must be 3-D (trial, channel, sample), got {trials.ndim}-D")
-        labels = np.asarray(self.labels)
-        if labels.shape != (trials.shape[0],):
-            raise ValueError(f"need one label per trial: {labels.shape} vs {trials.shape[0]} trials")
-        labels = check_labels(labels, len(self.class_names))
+        labels = check_labelled(trials, self.labels, len(self.class_names), 0, "the set")
         check_finite_trials(trials, axis="channel")
         xy = np.asarray(self.channel_xy, dtype=np.float32)
         if xy.shape != (trials.shape[1], 2):
@@ -214,9 +225,10 @@ def load_epochs(path) -> EpochSet:
             raise FormatError("bad_value", f"{left - payload} bytes after the declared "
                                            f"{payload}-byte payload")
         labels = np.frombuffer(read_exact(f, 4 * n_trials, "the labels"), dtype="<u4")
-        if labels.size and labels.max() >= n_classes:
-            raise FormatError("bad_value",
-                              f"label {labels.max()} out of range for {n_classes} classes")
+        try:
+            check_labels(labels, n_classes)
+        except ValueError as exc:
+            raise FormatError("bad_value", str(exc)) from None
         trials = np.empty((n_trials, n_channels, n_samples), dtype="<f4")
         read_into(f, trials, "the trial data")
     try:

@@ -31,6 +31,7 @@ MODEL_VERSION = 1
 _DTYPE_TAGS = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _TAG_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _RUNNING = (".running_mean", ".running_var")
+_MAX_FIELD = 2 ** 63 - 1   # samples; no trial holds more than data._MAX_ELEMENTS = 2**31
 
 
 # ----------------------------------------------------------------------
@@ -42,7 +43,8 @@ def receptive_field_plain(kernel_extent, dilation_base, n_layers):
     Layer i uses dilation ``dilation_base**i``; each adds
     ``(kernel_extent - 1) * dilation`` samples of history.  Exact integer
     arithmetic: r = 1 + (T-1)(b^n - 1)/(b-1), with the b=1 limit
-    1 + n(T-1).
+    1 + n(T-1).  A field over ``_MAX_FIELD`` samples raises ``ValueError``;
+    no power above b^64 is taken.
     """
     if kernel_extent < 1:
         raise ValueError("kernel_extent must be >= 1")
@@ -51,8 +53,16 @@ def receptive_field_plain(kernel_extent, dilation_base, n_layers):
     if n_layers < 0:
         raise ValueError("n_layers must be >= 0")
     if dilation_base == 1:
-        return 1 + n_layers * (kernel_extent - 1)
-    return 1 + (kernel_extent - 1) * (dilation_base ** n_layers - 1) // (dilation_base - 1)
+        return _bounded(1 + n_layers * (kernel_extent - 1))
+    # r grows with n, and with T and b at least 2, 64 layers already exceed _MAX_FIELD
+    power = dilation_base ** min(n_layers, 64)
+    return _bounded(1 + (kernel_extent - 1) * (power - 1) // (dilation_base - 1))
+
+
+def _bounded(r):
+    if r > _MAX_FIELD:
+        raise ValueError(f"the receptive field exceeds {_MAX_FIELD} samples")
+    return r
 
 
 def receptive_field_blocks(layers_per_block, kernel_extent, dilation_base, n_blocks):
@@ -60,12 +70,12 @@ def receptive_field_blocks(layers_per_block, kernel_extent, dilation_base, n_blo
     causal convolutions each, block i at dilation ``dilation_base**i``.
 
     r = 1 + m(T-1)(b^n - 1)/(b-1); reduces to the plain-stack formula at
-    m = 1.
+    m = 1.  It too is refused over ``_MAX_FIELD`` samples.
     """
     if layers_per_block < 1:
         raise ValueError("layers_per_block must be >= 1")
     plain = receptive_field_plain(kernel_extent, dilation_base, n_blocks)
-    return 1 + layers_per_block * (plain - 1)
+    return _bounded(1 + layers_per_block * (plain - 1))
 
 
 def plan_kernel(target_r, layers_per_block, dilation_base, n_blocks):

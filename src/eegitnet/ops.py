@@ -53,7 +53,7 @@ class ConvSpec:
 # convolution kernels: one banded matrix product along time, one contraction
 # over electrodes
 
-_CHUNK_BYTES = 1 << 20     # spans and block outputs built at once
+_CHUNK_BYTES = 1 << 20     # temporaries built at once by a pass over a block of trials
 
 
 def _block_shape(k, dilation):
@@ -489,14 +489,15 @@ def lag_products(x, extents):
     ``width`` lags the kernels' windows span, then the trial's ``Σ x``.
 
     They come from each trial's power spectrum (Wiener-Khinchin), over
-    chunks of about 4 MB of float64.  A non-finite sample raises
-    ``ValueError`` naming its trial in ``x``.
+    blocks of trials whose float64 rows, padded to the FFT length, fit
+    ``_CHUNK_BYTES``.  A non-finite sample raises ``ValueError`` naming its
+    trial in ``x``.
     """
     _, width = _lag_extent(extents)
     n, t = len(x), x.shape[-1]
     trials = x.reshape(n, -1, t)
     nfft = _fft_length(t + width - 1)   # no lag below width wraps around
-    chunk = max(1, (1 << 19) // (trials.shape[1] * nfft))
+    chunk = max(1, _CHUNK_BYTES // (8 * trials.shape[1] * nfft))
     products = np.empty((n, width + 1))
     for a in range(0, n, chunk):
         block = trials[a:a + chunk].astype(np.float64)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import (EpochSet, _check_variance, check_compatible, check_labels, concat_epochs,
+from .data import (EpochSet, _check_variance, check_compatible, check_labelled, concat_epochs,
                    standardize)
 from .fileio import csv_text, key_value_text
 from .model import ArchConfig, ITNetModel, build
@@ -142,11 +142,8 @@ def _epochs(model, train, config, lr, n_epochs, rng, what):
     (batch statistics) and labels of the model's classes; its lag products
     and the optimizer are built once."""
     x, y = train
-    _check_lengths(x, y, what)
+    y = check_labelled(x, y, model.config.n_classes, 2, what)
     n = len(y)
-    if n < 2:
-        raise ValueError(f"{what} needs at least 2 trials, got {n}")
-    y = check_labels(y, model.config.n_classes)
     if rng is None:
         rng = np.random.default_rng(config.seed)
     x = model.lagged(x)
@@ -165,20 +162,12 @@ def _epochs(model, train, config, lr, n_epochs, rng, what):
         yield epoch, total_loss / n, 100.0 * correct / n
 
 
-def _check_lengths(x, y, what):
-    if len(x) != len(y):
-        raise ValueError(f"{what} holds {len(x)} trials but {len(y)} labels")
-
-
 def evaluate(model, x, y):
     """Mean cross-entropy and accuracy (percent) in inference mode: one
     pass over every trial, its loss summed over batches of ``EVAL_BATCH``
     trials."""
-    _check_lengths(x, y, "the evaluated set")
+    y = check_labelled(x, y, model.config.n_classes, 1, "the evaluated set")
     n = len(y)
-    if n == 0:
-        raise ValueError("nothing to evaluate")
-    y = check_labels(y, model.config.n_classes)
     logits = model.forward_logits(x, mode="infer").data   # records no graph
     total_loss = 0.0
     for c in range(0, n, EVAL_BATCH):
@@ -197,10 +186,7 @@ def fit_with_early_stopping(model, train, val, config: TrainConfig, rng=None):
     ``train``/``val`` are (trials, labels) pairs with disjoint trials.
     Returns the per-epoch history and which epoch was kept.
     """
-    _check_lengths(*val, "the validation set")
-    if len(val[1]) == 0:
-        raise ValueError("validation set is empty")
-    check_labels(val[1], model.config.n_classes)
+    check_labelled(*val, model.config.n_classes, 1, "the validation set")
     history, best_state = [], None
     best_loss, best_acc, best_epoch = np.inf, 0.0, 0
     for epoch, train_loss, train_acc in _epochs(model, train, config, config.base_lr,
@@ -336,6 +322,16 @@ def _check_sessions(scenario, name, train, test, pool, config):
             raise ValueError(f"{session}: {exc}") from None
 
 
+def check_subject_name(name, where=None):
+    """Refuse a subject name that :func:`report_csv_text` and
+    :func:`summary_text` cannot write: a comma would split it over table
+    cells, '=' end its summary key early, and a line break split either
+    line.  The message starts with ``where``, by default the name's repr."""
+    if any(c in str(name) for c in ",=\r\n"):
+        raise ValueError(f"{where or repr(name)}: a subject name holding ',', '=' or a line "
+                         "break cannot be written to table.csv and summary.txt")
+
+
 def run_scenario(scenario, subjects, arch: ArchConfig, config: TrainConfig,
                  names=None, jobs=1) -> ScenarioReport:
     """Train and evaluate every subject under one scenario.
@@ -344,7 +340,8 @@ def run_scenario(scenario, subjects, arch: ArchConfig, config: TrainConfig,
     space.  Subjects are independent; ``jobs`` > 1 runs them in parallel
     worker processes (at most one per subject) without changing any result.
     Each subject's task holds only the sessions its stages read, and every
-    such session is checked before the first fit.
+    such session, and every name (:func:`check_subject_name`), is checked
+    before the first fit.
     """
     spec = _spec(scenario)
     subjects = list(subjects)
@@ -358,6 +355,8 @@ def run_scenario(scenario, subjects, arch: ArchConfig, config: TrainConfig,
         names = [f"s{i + 1:02d}" for i in range(len(subjects))]
     elif len(names) != len(subjects) or len(set(names)) != len(names):
         raise ValueError("one name per subject required")
+    for name in names:
+        check_subject_name(name)
     check_compatible([s for pair in subjects for s in pair],
                      [f"{name} {part}" for name in names for part in ("train", "test")])
     tasks = [(scenario, si, name, train if "target" in spec["stages"] else None, test,

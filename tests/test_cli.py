@@ -562,6 +562,11 @@ def test_plan_prints_kernel_and_reach(capsys):
 def test_plan_rejects_impossible_targets(capsys):
     assert main(["plan", "--target-r", "5", "--blocks", "0"]) == 2
     capsys.readouterr()
+    # a field of 20,000 doubling blocks is refused before anything is printed
+    assert main(["plan", "--target-r", "5", "--blocks", "20000"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "receptive field exceeds 9223372036854775807 samples" in err
 
 
 # ----------------------------------------------------------------------

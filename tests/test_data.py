@@ -395,6 +395,25 @@ def test_no_package_module_imports_scipy():
             assert not [m for m in modules if m.split(".")[0] == "scipy"], (name, node.lineno)
 
 
+def test_every_package_import_is_numpy_the_standard_library_or_the_package():
+    src = os.path.dirname(eegitnet.__file__)
+    allowed = sys.stdlib_module_names | {"numpy", "eegitnet"}
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as f:
+            tree = ast.parse(f.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                # a relative import (level > 0) names a module of the package
+                modules = ["eegitnet"] if node.level else [node.module]
+            else:
+                continue
+            assert {m.split(".")[0] for m in modules} <= allowed, (name, node.lineno)
+
+
 def test_window_samples():
     assert window_samples(125.0, 3.0) == 375
     assert window_samples(250.0, 4.5) == 1125

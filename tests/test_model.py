@@ -91,6 +91,19 @@ def test_receptive_field_total_function_on_domain():
         receptive_field_plain(3, 2, -1)
 
 
+def test_receptive_field_is_refused_over_2_63_minus_1_samples():
+    # no trial holds 2**31 samples; the bound keeps the arithmetic, and every
+    # number plan prints, small whatever the layer count
+    assert receptive_field_plain(2, 2, 62) == 2 ** 62
+    assert receptive_field_plain(1, 3, 10 ** 12) == 1
+    for args in ((2, 2, 63), (3, 2, 10 ** 12), (2, 1, 2 ** 63)):
+        with pytest.raises(ValueError, match="exceeds 9223372036854775807 samples"):
+            receptive_field_plain(*args)
+    assert receptive_field_blocks(2, 2, 2, 62) == 2 ** 63 - 1
+    with pytest.raises(ValueError, match="exceeds 9223372036854775807 samples"):
+        receptive_field_blocks(3, 2, 2, 62)
+
+
 def test_plan_kernel_is_minimal():
     for target in (1, 2, 10, 91, 92, 121, 400):
         t = plan_kernel(target, 2, 2, 4)

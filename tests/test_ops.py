@@ -587,6 +587,19 @@ def test_lag_products_are_built_in_chunks():
                                rtol=1e-12, atol=1e-9)
 
 
+@pytest.mark.parametrize("n, electrodes, samples", [(30, 22, 1125), (100, 8, 375)])
+def test_lag_products_do_not_depend_on_the_block_size(monkeypatch, n, electrodes, samples):
+    # the paper and desk shapes, over 4 and 36 trials per block: each trial's
+    # row is the same bits whether its block holds the others or not
+    x = np.random.default_rng(23).standard_normal((n, electrodes, samples), dtype=np.float32)
+    _, width = ops._lag_extent(PAPER_EXTENTS)
+    block = ops._CHUNK_BYTES // (8 * electrodes * ops._fft_length(samples + width - 1))
+    assert 1 < block < n and n % block
+    blocked = ops.lag_products(x, PAPER_EXTENTS)
+    monkeypatch.setattr(ops, "_CHUNK_BYTES", 1 << 62)
+    assert blocked.tobytes() == ops.lag_products(x, PAPER_EXTENTS).tobytes()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_lag_products_name_a_non_finite_sample_by_its_trial(bad):
     x = np.zeros((40, 3, 50), dtype=np.float32)

@@ -1,12 +1,13 @@
 """Fold splitting, early stopping, refitting, and the three scenarios."""
 import dataclasses
 import inspect
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from eegitnet import model as model_module, training
+from eegitnet import cli, model as model_module, training
 from eegitnet.data import EpochSet, SourceSpec, SynthSpec, default_channels, synth_generate
 from eegitnet.model import ArchConfig, build
 from eegitnet.training import (SCENARIOS, ScenarioReport, TrainConfig,
@@ -36,6 +37,13 @@ def tiny_subject(seed):
 @pytest.fixture(scope="module")
 def cohort():
     return [tiny_subject(s) for s in range(3)]
+
+
+def read_back(report, tmp_path):
+    """The report's table as ``eegitnet stats`` reads it: subject -> accuracy."""
+    path = tmp_path / f"{report.scenario}.csv"
+    path.write_text(report_csv_text(report))
+    return cli._read_accuracy_table(str(path))
 
 
 # ----------------------------------------------------------------------
@@ -240,7 +248,7 @@ def test_evaluate_uniform_model():
     # zero input keeps every logit at zero: uniform softmax
     assert loss == pytest.approx(np.log(2.0), rel=1e-6)
     assert acc == 60.0
-    with pytest.raises(ValueError, match="nothing"):
+    with pytest.raises(ValueError, match="the evaluated set needs at least 1 trial, got 0"):
         evaluate(build(ARCH, seed=0), x[:0], y[:0])
 
 
@@ -338,28 +346,40 @@ def test_evaluating_a_paper_session_holds_under_8_mib_of_transient_memory():
 @pytest.mark.parametrize("call, trials, labels", [
     ("fit-train", 30, 40), ("fit-train", 40, 30), ("fit-val", 10, 12),
     ("refit", 30, 40), ("refit", 40, 30), ("evaluate", 30, 40), ("evaluate", 40, 30),
+    # one label per trial, but as an (n, 1) column
+    ("fit-train", 40, (40, 1)), ("fit-val", 12, (12, 1)), ("refit", 40, (40, 1)),
+    ("evaluate", 40, (40, 1)),
 ])
-def test_trials_and_labels_of_different_lengths_are_refused(call, trials, labels):
-    # refused before any step, naming both lengths
+def test_trials_and_labels_of_different_lengths_are_refused(monkeypatch, call, trials, labels):
+    # refused before any lag product or forward pass, naming both lengths or
+    # the labels' shape
     (x, y), (vx, vy) = random_split(5, n_train=40, n_val=12)
-    x, y = (x, y) if call == "fit-val" else (x[:trials], y[:labels])
-    vx, vy = (vx[:trials], vy[:labels]) if call == "fit-val" else (vx, vy)
+    shape = labels if isinstance(labels, tuple) else (labels,)
+    x, y = (x, y) if call == "fit-val" else (x[:trials], y[:shape[0]].reshape(shape))
+    vx, vy = (vx[:trials], vy[:shape[0]].reshape(shape)) if call == "fit-val" else (vx, vy)
     model = build(ARCH, seed=0)
-    with pytest.raises(ValueError, match=f"{trials} trials but {labels} labels"):
+    ran = []
+    monkeypatch.setattr(model, "lagged", lambda x: ran.append("lagged"))
+    monkeypatch.setattr(model, "forward_logits", lambda x, **kw: ran.append("forward"))
+    match = (f"needs a 1-D label array, got shape \\({labels[0]}, 1\\)"
+             if isinstance(labels, tuple) else f"{trials} trials but {labels} labels")
+    with pytest.raises(ValueError, match=match):
         if call == "refit":
             refit_extra_epochs(model, (x, y), FAST)
         elif call == "evaluate":
             evaluate(model, x, y)
         else:
             fit_with_early_stopping(model, (x, y), (vx, vy), FAST)
+    assert ran == []
     assert all(p.grad is None for p in model.parameters())
 
 
 # ----------------------------------------------------------------------
 # scenarios
 
-def test_within_report_structure(cohort):
+def test_within_report_structure(cohort, tmp_path):
     report = run_scenario("within", cohort[:2], ARCH, FAST)
+    assert read_back(report, tmp_path) == {r.subject: r.accuracy for r in report.subjects}
     assert isinstance(report, ScenarioReport)
     assert report.scenario == "within"
     assert [r.subject for r in report.subjects] == ["s01", "s02"]
@@ -460,8 +480,9 @@ def test_the_first_of_the_best_folds_is_selected(cohort, monkeypatch):
     assert report.subjects[0].epochs_run == 1 + FAST.extra_epochs_max
 
 
-def test_cross_pools_the_other_subjects(cohort):
+def test_cross_pools_the_other_subjects(cohort, tmp_path):
     report = run_scenario("cross", cohort, ARCH, FAST)
+    assert read_back(report, tmp_path) == {r.subject: r.accuracy for r in report.subjects}
     assert [r.pool for r in report.subjects] == [
         ("s02", "s03"), ("s01", "s03"), ("s01", "s02")]
     assert all(r.pretrain_history == [] for r in report.subjects)
@@ -523,9 +544,11 @@ def test_finetuning_drops_the_pool_before_the_target_protocol(monkeypatch):
         f"{max(live[2:]) / pool_bytes:.2f} pools live in a fine-tuning fit"
 
 
-def test_finetuning_records_the_pretrain_phase(cohort):
+def test_finetuning_records_the_pretrain_phase(cohort, tmp_path):
     report = run_scenario("cross_finetuned", cohort[:2], ARCH, FAST,
                           names=["left", "right"])
+    assert read_back(report, tmp_path) == {"left": report.subjects[0].accuracy,
+                                           "right": report.subjects[1].accuracy}
     assert [r.subject for r in report.subjects] == ["left", "right"]
     for r in report.subjects:
         assert len(r.pool) == 1
@@ -544,6 +567,21 @@ def test_scenario_input_validation(cohort):
         run_scenario("within", cohort[:2], ARCH, FAST, names=["only"])
     with pytest.raises(ValueError, match="one name per subject"):
         run_scenario("cross", cohort[:2], ARCH, FAST, names=["twin", "twin"])
+
+
+@pytest.mark.parametrize("char", [",", "=", "\r", "\n"])
+def test_a_subject_name_the_reports_cannot_hold_is_refused_before_any_check(
+        cohort, monkeypatch, char):
+    # a comma would split the name over report_csv_text cells, '=' would end
+    # its summary_text key early, and a line break would split either line
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran past the name check")
+
+    monkeypatch.setattr(training, "_check_sessions", refuse)
+    monkeypatch.setattr(training, "fit_with_early_stopping", refuse)
+    for scenario in SCENARIOS:
+        with pytest.raises(ValueError, match=re.escape(f"{f'a{char}b'!r}: a subject name")):
+            run_scenario(scenario, cohort[:2], ARCH, FAST, names=["s01", f"a{char}b"])
 
 
 def test_cohorts_must_share_label_and_channel_spaces(cohort):
