@@ -21,9 +21,10 @@ import numpy as np
 from .errors import FormatError
 from .fileio import (atomic_write, config_items, decode_utf8, key_value_text, pack_string,
                      parse_config_items, read_exact, read_key_values)
-from .ops import (_CHUNK_BYTES, BN_EPS, ConvSpec, avg_pool_time, avg_pool_values, band_conv,
-                  band_matrix, batch_norm, check_finite_trials, conv_temporal, dense, dropout,
-                  elu, elu_values, flatten, lag_products, lag_statistics, softmax_rows)
+from .ops import (_CHUNK_BYTES, BN_EPS, BandProducts, ConvSpec, PaddedLayout, PaddedRows,
+                  avg_pool_time, avg_pool_values, band_matrix, batch_norm, check_finite_trials,
+                  conv_temporal, dense, dropout, elu, elu_values, flatten, lag_products,
+                  lag_statistics, softmax_rows)
 from .tensor import Tensor, add, concat_channels
 
 MODEL_MAGIC = b"ITNETMDL"
@@ -199,16 +200,22 @@ class _Plan:
     one compute dtype.
 
     ``spatial`` stacks the branches' spatial filters, (total filters,
-    electrodes).  ``branches`` holds one (temporal :func:`band_matrix`,
-    (f, 1) constant) pair per inception branch, ``causal`` one list of
-    (band, (width, 1) shift) pairs per residual block, and ``dr`` the 1x1
-    reduction's (weight, (d, 1) shift).
+    electrodes).  ``branches`` holds one ((left zeros, temporal
+    :func:`band_matrix`), (f, 1) constant) pair per inception branch.
+    ``causal`` holds one (left zeros, layers) pair per residual block, its
+    layers each a (band, (width, 1) shift) pair, and ``dr`` the 1x1
+    reduction's (weight, (d, 1) shift).  ``front`` and ``tc`` are the
+    :class:`~eegitnet.ops.PaddedLayout` of the inception branches' input
+    and of the causal stack's, which those bands read after their left
+    zeros.
     """
 
     spatial: np.ndarray
     branches: list
     causal: list
     dr: tuple
+    front: PaddedLayout
+    tc: PaddedLayout
 
 
 # The last plan folded in this process, as (key, plan).  One entry, not one
@@ -217,6 +224,13 @@ class _Plan:
 # bytes of the arrays folded, so an in-place write (Adam, running statistics,
 # load_state_arrays) can never serve a stale plan.
 _last_plan = None
+
+
+def _tc_layout(causal, length):
+    """The :class:`~eegitnet.ops.PaddedLayout` that the folded ``causal``
+    layers of a plan read, for rows of ``length`` samples."""
+    return PaddedLayout.of(length, [(left, band) for left, layers in causal
+                                    for band, _ in layers])
 
 
 def _glorot(rng, shape, fan_in, fan_out, dtype):
@@ -406,7 +420,11 @@ class ITNetModel:
         if mode == "infer":
             y = y.data[:, :, 0]
             y = y.astype(self._infer_dtype(y), copy=False)
-            return Tensor(self._infer_tc(y, self._plan(y.dtype).causal)[:, :, None])
+            causal = self._plan(y.dtype).causal
+            layout = _tc_layout(causal, y.shape[-1])
+            y = self._infer_tc(y, causal, PaddedRows(len(y), y.shape[1], layout, y.dtype),
+                               BandProducts(len(y), (layout,), y.dtype))
+            return Tensor(y[:, :, None].copy())
         for j in range(cfg.tc_blocks):
             skip = y
             dilation = cfg.dilation_base ** j
@@ -472,23 +490,27 @@ class ITNetModel:
             bias = self.params[f"branch{i}.temporal.b"].data
             electrode_sum = spatial[start:start + f].sum(axis=1, dtype=np.float64)
             const = scale2 * (scale1 * bias + shift1) * electrode_sum + shift2
-            branches.append((band_matrix(taps.astype(dtype)), const.astype(dtype)[:, None]))
+            branches.append((((k - 1) // 2, band_matrix(taps.astype(dtype))),
+                             const.astype(dtype)[:, None]))
             start += f
         causal = []
         for j in range(cfg.tc_blocks):
             layers = []
+            dilation = cfg.dilation_base ** j
             for l in range(cfg.tc_layers_per_block):
                 scale, shift = self._folded_norm(f"tc{j}.bn{l}")
                 # lag order -> correlation order, scaled by the norm
                 taps = self.params[f"tc{j}.conv{l}.w"].data[:, 0, 0, ::-1] * scale[:, None]
-                layers.append((band_matrix(taps.astype(dtype), cfg.dilation_base ** j),
+                layers.append((band_matrix(taps.astype(dtype), dilation),
                                shift.astype(dtype)[:, None]))
-            causal.append(layers)
+            causal.append(((cfg.tc_kernel - 1) * dilation, layers))
         scale, shift = self._folded_norm("dr.bn")
         w = self.params["dr.w"].data[:, :, 0, 0] * scale[:, None]
         b = scale * self.params["dr.b"].data + shift
         return _Plan(spatial.astype(dtype), branches, causal,
-                     (w.astype(dtype), b.astype(dtype)[:, None]))
+                     (w.astype(dtype), b.astype(dtype)[:, None]),
+                     PaddedLayout.of(cfg.n_samples, [r for r, _ in branches]),
+                     _tc_layout(causal, cfg.pooled1_samples))
 
     def _plan(self, dtype):
         """The folded network for ``dtype``: the cached one when the config,
@@ -527,33 +549,64 @@ class ITNetModel:
 
     def _infer_features(self, x, plan):
         """The flattened features the head reads, for (n, electrodes, time)
-        trials in the compute dtype of the folded ``plan``."""
-        cfg = self.config
-        z = np.matmul(plan.spatial, x)
-        branch_outs = []
-        start = 0
-        for (f, k), (band, const) in zip(cfg.inception_branches, plan.branches):
-            t = band_conv(z[:, start:start + f, None], band, (k - 1) // 2)
-            branch_outs.append(t[:, :, 0] + const)
-            start += f
-        y = avg_pool_values(elu_values(np.concatenate(branch_outs, axis=1)), cfg.pool1)
-        y = self._infer_tc(y, plan.causal)
-        w, b = plan.dr
-        y = elu_values(np.matmul(w, y) + b)
-        return avg_pool_values(y, cfg.pool2).reshape(len(y), -1)
+        trials in the compute dtype of the folded ``plan``.
 
-    def _infer_tc(self, y, causal):
-        """Infer-mode causal stack on (N, width, time) features in the
-        compute dtype, with the folded ``causal`` layers of a plan."""
+        The front end and the causal stack each read one zero-padded
+        :class:`~eegitnet.ops.PaddedRows` buffer, and all their bands share
+        one :class:`~eegitnet.ops.BandProducts`.  They are made here, once
+        per call, and none outlives it.
+        """
         cfg = self.config
-        for j, layers in enumerate(causal):
-            skip = y
-            left = (cfg.tc_kernel - 1) * cfg.dilation_base ** j
+        n, t = len(x), cfg.n_samples
+        front = PaddedRows(n, cfg.branch_filters, plan.front, x.dtype)
+        tc = PaddedRows(n, cfg.branch_filters, plan.tc, x.dtype)
+        products = BandProducts(n, (plan.front, plan.tc), x.dtype)
+        np.matmul(plan.spatial, x, out=front.interior)
+        y = np.empty((n, cfg.branch_filters, t), x.dtype)
+        start = 0
+        for (left, band), const in plan.branches:
+            rows = slice(start, start + len(band))
+            p = products(front.spans(left, band)[:, rows], band)
+            np.add(p[..., :t], const, out=y[:, rows])
+            start += len(band)
+        y = self._infer_tc(avg_pool_values(elu_values(y), cfg.pool1), plan.causal, tc, products)
+        w, b = plan.dr
+        y = np.matmul(w, y)
+        y += b
+        return avg_pool_values(elu_values(y), cfg.pool2).reshape(n, -1)
+
+    def _infer_tc(self, y, causal, tc, products):
+        """Infer-mode causal stack on (N, width, time) features in the compute
+        dtype, with the folded ``causal`` layers of a plan, their
+        :class:`~eegitnet.ops.PaddedRows` ``tc`` and the
+        :class:`~eegitnet.ops.BandProducts` ``products``.
+
+        A layer's shift and ELU run over every block of its products, whose
+        rows are contiguous (numpy runs an elementwise op into the strided
+        interior of ``tc`` about twice as long), and the next layer copies
+        the samples into ``tc`` before it reads its spans.
+        """
+        if not causal:
+            return y
+        _, layers = causal[0]
+        block = layers[0][0].shape[2]   # every causal band's
+        wide = y.shape[:2] + (-(-tc.length // block) * block,)
+        out, skip = np.empty(wide, y.dtype), np.zeros(wide, y.dtype)
+        # the samples of each, without the last block's outputs past them
+        out_samples, skip_samples = out[..., :tc.length], skip[..., :tc.length]
+        np.copyto(skip_samples, y)
+        for left, layers in causal:
+            spans = tc.spans(left, layers[0][0])   # the spans of every layer of the block
+            y = skip_samples
             for band, shift in layers:
-                y = band_conv(y[:, :, None], band, left)[:, :, 0]
-                y = elu_values(y + shift)
-            y = elu_values(y + skip)
-        return y
+                np.copyto(tc.interior, y)
+                p = products(spans, band)
+                np.add(p, shift, out=p)
+                elu_values(p, out=out)
+                y = out_samples
+            np.add(out, skip, out=out)
+            elu_values(out, out=skip)
+        return skip_samples
 
     # ------------------------------------------------------------------
     # checkpointing

@@ -5,8 +5,10 @@ They operate on :class:`~eegitnet.tensor.Tensor` and record gradients
 through :func:`~eegitnet.tensor.from_op`.  Inputs to the convolution ops are
 4-D ``(batch, filters, electrodes, time)``; time is always the last axis.
 ``band_matrix``, ``band_conv``, ``elu_values`` and ``avg_pool_values`` are
-the array kernels beneath the ops, shared with the model's tape-free
-inference, and ``softmax_rows`` is an array function for its output.
+the array kernels beneath the ops.  The model's tape-free inference runs
+``band_matrix`` bands in the zero-padded buffers of ``PaddedLayout`` and
+``PaddedRows`` through ``BandProducts``, which read the spans ``band_conv``
+reads, and ``softmax_rows`` is an array function for its output.
 """
 from __future__ import annotations
 
@@ -97,9 +99,17 @@ def _span_chunks(z, left, span, block, blocks, out_filters):
         a, b = max(left, 0), min(left + t, total)
         if b > a:
             zp[..., a:b] = zc[..., a - left:b - left]
-        s = zp.strides
-        yield lo, np.ndarray(zc.shape[:3] + (blocks, span), z.dtype, zp, 0,
-                             s[:3] + (block * s[3], s[3]))
+        yield lo, _span_view(zp, 0, span, block, blocks)
+
+
+def _span_view(zp, first, span, block, blocks):
+    """The (..., blocks, span) strided view of the rows of the C-contiguous
+    array ``zp`` from sample ``first`` on: ``[..., b, :]`` holds the samples
+    that block b of a row reads.  Nothing is copied; every row must hold the
+    samples its last block reads."""
+    s = zp.strides
+    return np.ndarray(zp.shape[:-1] + (blocks, span), zp.dtype, zp, first * s[-1],
+                      s[:-1] + (block * s[-1], s[-1]))
 
 
 def band_matrix(taps, dilation=1):
@@ -148,6 +158,93 @@ def band_conv(z, band, left=0, length=None):
             spans = np.ascontiguousarray(spans).reshape(c, g, r * blocks, span)
         np.matmul(spans, band, out=out[lo:lo + c])
     return out.reshape(n, len(band), r, blocks * block)[..., :length]
+
+
+@dataclass(frozen=True)
+class PaddedLayout:
+    """Where one stage of the folded inference keeps its rows: a zero-padded
+    (N, G, width) time buffer that depthwise bands read in place.
+
+    :meth:`of` makes it for rows of ``length`` samples and the stage's
+    readers.  The samples sit from ``lead``, the widest left pad, on, and the
+    buffer runs as far as any reader's last block reads.  ``span_cells`` and
+    ``product_cells`` are the most spans and products one trial of any
+    reader takes.
+    """
+
+    length: int
+    lead: int
+    width: int
+    span_cells: int
+    product_cells: int
+
+    @classmethod
+    def of(cls, length, readers):
+        """The layout for ``readers``, each ``(left, band)``: a depthwise
+        :func:`band_matrix` band and the zeros it reads before the rows."""
+        lead = max((left for left, _ in readers), default=0)
+        width = lead + length
+        span_cells = product_cells = 0
+        for left, band in readers:
+            filters, span, block = band.shape
+            blocks = -(-length // block)
+            width = max(width, lead - left + (blocks - 1) * block + span)
+            span_cells = max(span_cells, filters * blocks * span)
+            product_cells = max(product_cells, filters * blocks * block)
+        return cls(length, lead, width, span_cells, product_cells)
+
+
+class PaddedRows:
+    """One call's zero-padded (N, G, width) buffer of a
+    :class:`PaddedLayout`.  Its layers' input is written into ``interior``,
+    never padded again, and each layer reads its :meth:`spans` in place."""
+
+    def __init__(self, n, g, layout, dtype):
+        self.length, self.lead = layout.length, layout.lead
+        self.rows = np.zeros((n, g, layout.width), dtype)
+        self.interior = self.rows[..., self.lead:self.lead + self.length]
+
+    def spans(self, left, band):
+        """The (N, G, blocks, span) view of the samples each of ``band``'s
+        blocks reads after ``left`` zeros."""
+        span, block = band.shape[1:]
+        return _span_view(self.rows, self.lead - left, span, block, -(-self.length // block))
+
+
+class BandProducts:
+    """One span buffer and one product buffer that every band reading the
+    :class:`PaddedLayout` ``layouts`` shares, and the product itself
+    (:meth:`__call__`).
+
+    The product buffer holds one band's outputs for all ``n`` trials.  The
+    span buffer holds as many trials of the widest band's spans as fit
+    ``_CHUNK_BYTES``, and at least one; a band copies its spans and
+    multiplies them over chunks of as many trials as it holds.
+    """
+
+    def __init__(self, n, layouts, dtype):
+        # an empty causal stack reads no spans
+        per_trial = max(1, max(layout.span_cells for layout in layouts))
+        trials = min(n, max(1, _CHUNK_BYTES // (per_trial * np.dtype(dtype).itemsize)))
+        self.spans = np.empty(trials * per_trial, dtype)
+        self.products = np.empty(n * max(layout.product_cells for layout in layouts), dtype)
+
+    def __call__(self, spans, band):
+        """The (N, G, blocks * block) outputs of the (N, G, blocks, span)
+        ``spans`` view times the depthwise ``band``: a view of the product
+        buffer, which the next product overwrites."""
+        n, g, blocks, span = spans.shape
+        block = band.shape[2]
+        out = self.products[:n * g * blocks * block].reshape(n, g, blocks, block)
+        step = len(self.spans) // (g * blocks * span)
+        # one chunk, unsliced, when the buffer holds every trial (one-trial calls)
+        chunks = [(spans, out)] if n <= step else [
+            (spans[lo:lo + step], out[lo:lo + step]) for lo in range(0, n, step)]
+        for chunk, chunk_out in chunks:
+            copy = self.spans[:chunk.size].reshape(chunk.shape)
+            np.copyto(copy, chunk)
+            np.matmul(copy, band, out=chunk_out)
+        return out.reshape(n, g, blocks * block)
 
 
 def band_conv_taps_grad(z, taps, grad, left=0, dilation=1):
@@ -490,8 +587,8 @@ def lag_products(x, extents):
 
     They come from each trial's power spectrum (Wiener-Khinchin), over
     blocks of trials whose float64 rows, padded to the FFT length, fit
-    ``_CHUNK_BYTES``.  A non-finite sample raises ``ValueError`` naming its
-    trial in ``x``.
+    ``_CHUNK_BYTES``; every block is copied into one float64 buffer.  A
+    non-finite sample raises ``ValueError`` naming its trial in ``x``.
     """
     _, width = _lag_extent(extents)
     n, t = len(x), x.shape[-1]
@@ -499,8 +596,11 @@ def lag_products(x, extents):
     nfft = _fft_length(t + width - 1)   # no lag below width wraps around
     chunk = max(1, _CHUNK_BYTES // (8 * trials.shape[1] * nfft))
     products = np.empty((n, width + 1))
+    # one buffer for every block's copy, so its pages are not faulted in again
+    copies = np.empty((min(chunk, n),) + trials.shape[1:])
     for a in range(0, n, chunk):
-        block = trials[a:a + chunk].astype(np.float64)
+        block = copies[:min(chunk, n - a)]
+        np.copyto(block, trials[a:a + chunk])
         check_finite_trials(block, a)
         spectrum = np.fft.rfft(block, nfft)
         power = np.einsum("nhf,nhf->nf", spectrum.real, spectrum.real)
@@ -728,9 +828,10 @@ def _batch_norm_through(u, gamma, beta, running, bias, z, s, w, lags):
 # ----------------------------------------------------------------------
 # activations, pooling, dropout, dense head
 
-def elu_values(a):
-    """Exponential linear unit (alpha = 1) of an array, as a new array."""
-    out = np.minimum(a, 0)
+def elu_values(a, out=None):
+    """Exponential linear unit (alpha = 1) of an array, into ``out`` (which
+    must not overlap ``a``) or a new array."""
+    out = np.minimum(a, 0, out=out)
     np.expm1(out, out=out)
     return np.maximum(out, a, out=out)
 

@@ -22,7 +22,10 @@ op: one float64 FFT over a zero-padded copy of every row.
 ``graph_infer_logits`` and ``graph_infer_tc`` run the model in infer mode
 as a graph of ``ops`` layers, unfolded, each batch norm applied on its own
 by ``infer_norm``, as the reference for the model's own plain-numpy
-inference.
+inference.  ``previous_infer_features`` and ``previous_infer_tc`` are the
+previous form of that inference on a folded plan: a ``band_conv`` per layer,
+each padding a fresh copy of its input, and a new array for every shift,
+ELU and pooling.
 ``synth_generate_reference`` and ``standardize_reference`` are the data
 path's previous whole-set forms: the generator's trials summed into one
 float64 array and cast to float32 once, and the standardisation
@@ -33,7 +36,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from eegitnet.data import _band_noise, window_samples
-from eegitnet.ops import ConvSpec, avg_pool_time, conv_temporal, dense, elu, flatten
+from eegitnet.ops import ConvSpec, avg_pool_time, band_conv, conv_temporal, dense, elu, flatten
 from eegitnet.tensor import Tensor, accumulate, add, concat_channels, from_op, no_grad
 
 FD_STEP = 1e-5
@@ -410,6 +413,55 @@ def graph_infer_tc(model, y):
             y = conv_temporal(y, spec, p[f"tc{j}.conv{l}.w"])
             y = elu(infer_norm(y, model, f"tc{j}.bn{l}"))
         y = elu(add(y, skip))
+    return y
+
+
+def _previous_elu(a):
+    out = np.minimum(a, 0)
+    np.expm1(out, out=out)
+    return np.maximum(out, a, out=out)
+
+
+def _previous_pool(a, pool):
+    end = a.shape[-1] // pool * pool
+    out = a[..., 0:end:pool].copy()
+    for j in range(1, pool):
+        out += a[..., j:end:pool]
+    out /= pool
+    return out
+
+
+def previous_infer_features(model, x, plan):
+    """The flattened features the head reads, for (n, electrodes, time)
+    trials in the compute dtype of the folded ``plan``, by the previous
+    ``ITNetModel._infer_features``."""
+    cfg = model.config
+    z = np.matmul(plan.spatial, x)
+    branch_outs = []
+    start = 0
+    for (f, k), ((_, band), const) in zip(cfg.inception_branches, plan.branches):
+        t = band_conv(z[:, start:start + f, None], band, (k - 1) // 2)
+        branch_outs.append(t[:, :, 0] + const)
+        start += f
+    y = _previous_pool(_previous_elu(np.concatenate(branch_outs, axis=1)), cfg.pool1)
+    y = previous_infer_tc(model, y, plan.causal)
+    w, b = plan.dr
+    y = _previous_elu(np.matmul(w, y) + b)
+    return _previous_pool(y, cfg.pool2).reshape(len(y), -1)
+
+
+def previous_infer_tc(model, y, causal):
+    """The infer-mode causal stack on (N, width, time) features in the
+    compute dtype, with the folded ``causal`` layers of a plan, by the
+    previous ``ITNetModel._infer_tc``."""
+    cfg = model.config
+    for j, (_, layers) in enumerate(causal):
+        skip = y
+        left = (cfg.tc_kernel - 1) * cfg.dilation_base ** j
+        for band, shift in layers:
+            y = band_conv(y[:, :, None], band, left)[:, :, 0]
+            y = _previous_elu(y + shift)
+        y = _previous_elu(y + skip)
     return y
 
 

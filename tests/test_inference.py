@@ -5,8 +5,13 @@ inception filter spatial first.  The oracle in ``oracles.py`` applies the
 same layers one by one, as the training graph does.  Running statistics,
 batch-norm scales and shifts and the biases are randomised first, so that
 every folded term is exercised.  The folded network is cached between calls;
-every change to the arrays it is folded from must reach the next call.
+every change to the arrays it is folded from must reach the next call.  The
+buffers a pass runs its layers in belong to that call alone, and its
+features are the bits of the previous implementation in ``oracles.py``.
 """
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -16,7 +21,8 @@ from eegitnet.optim import Adam
 from eegitnet.tensor import Tensor
 from eegitnet.training import evaluate
 
-from oracles import graph_infer_logits, graph_infer_tc
+from oracles import (graph_infer_logits, graph_infer_tc, previous_infer_features,
+                     previous_infer_tc)
 
 LOGIT_ATOL = 1e-4
 
@@ -27,6 +33,9 @@ SHAPES = {
                                   inception_branches=((3, 5), (2, 8), (1, 1)),
                                   tc_blocks=2, dilation_base=3, tc_kernel=5,
                                   pool1=3, pool2=2), 8),
+    "empty-causal-stack": (dict(n_channels=6, n_samples=160, n_classes=3, tc_blocks=0), 8),
+    "pool-one": (dict(n_channels=5, n_samples=96, n_classes=2, tc_layers_per_block=1,
+                      pool1=1, pool2=1), 8),
 }
 
 
@@ -126,6 +135,58 @@ def test_blocks_of_trials_give_the_bits_of_one_whole_batch_pass(monkeypatch, sha
         assert blocked[0].shape == (n, config.n_classes) and blocked[0].dtype == dtype
         for got, want in zip(blocked, whole):
             np.testing.assert_array_equal(got, want, strict=True)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("shape", list(SHAPES))
+def test_features_are_the_bits_of_the_previous_implementation(shape, dtype):
+    # one trial, three, and one full block of trials, then the causal stack
+    # alone on none and three; and each trial alone gives its row of the block
+    config = ArchConfig(**SHAPES[shape][0])
+    model = randomised_model(config, dtype=dtype)
+    plan = model._plan(np.dtype(dtype))
+    block = model_module._CHUNK_BYTES // (config.branch_filters * config.n_samples
+                                          * np.dtype(dtype).itemsize)
+    x = trials(config, block, dtype=dtype)[:, 0]
+    for n in (1, 3, block):
+        features = model._infer_features(x[:n], plan)
+        np.testing.assert_array_equal(features, previous_infer_features(model, x[:n], plan),
+                                      strict=True)
+    singles = np.concatenate([model._infer_features(x[i:i + 1], plan) for i in range(block)])
+    np.testing.assert_array_equal(singles, features, strict=True)
+    y = np.random.default_rng(5).standard_normal(
+        (3, config.branch_filters, 1, config.pooled1_samples)).astype(dtype)
+    for n in (0, 3):
+        np.testing.assert_array_equal(
+            model.tc_features(Tensor(y[:n]), mode="infer").data[:, :, 0],
+            previous_infer_tc(model, y[:n, :, 0], plan.causal), strict=True)
+
+
+def test_two_threads_predicting_at_once_get_the_bits_of_one_thread():
+    # each call makes its own buffers, so two models labelling different
+    # trials in two threads, switching often, get what each gets alone
+    config = ArchConfig(**SHAPES["paper"][0])
+    models = [randomised_model(config, seed=seed) for seed in (0, 5)]
+    xs = [trials(config, 4, seed=seed) for seed in (2, 3)]
+    calls = [(i % 2, i // 2 % 4) for i in range(24)]
+
+    def label(call):
+        m, t = call
+        x = xs[m][t:t + 1]
+        return models[m].forward_logits(x).data, models[m].predict(x)
+
+    alone = [label(call) for call in calls]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            futures = [pool.submit(label, call) for call in calls]
+            together = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for (logits, labels), (want_logits, want_labels) in zip(together, alone):
+        np.testing.assert_array_equal(logits, want_logits, strict=True)
+        np.testing.assert_array_equal(labels, want_labels, strict=True)
 
 
 def test_float64_input_gives_float64_logits():
