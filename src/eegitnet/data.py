@@ -172,8 +172,11 @@ def concat_epochs(sets):
 def save_epochs(epochs: EpochSet, path):
     """Write the set as an ``EEGEPOCH`` file: a header, then the labels and
     the trial array as they are in memory.  The sampling rate is stored as
-    float32, so a rate float32 cannot hold exactly raises ``ValueError``
-    before anything is written."""
+    float32, so a rate float32 cannot hold exactly, or a set over the
+    format's ``_MAX_ELEMENTS`` samples, raises ``ValueError`` before anything
+    is written."""
+    if epochs.trials.size > _MAX_ELEMENTS:
+        raise ValueError(f"{epochs.trials.size} samples exceed the file limit of {_MAX_ELEMENTS}")
     with np.errstate(over="ignore"):
         exact = float(np.float32(epochs.fs)) == epochs.fs
     if not exact:
@@ -435,6 +438,9 @@ class SynthSpec:
         if window_samples(self.fs, self.duration_s) < 1:
             raise ValueError(f"duration_s={self.duration_s:g} at fs={self.fs:g} Hz is under "
                              "one sample")
+        samples = self.n_trials * self.n_channels * window_samples(self.fs, self.duration_s)
+        if samples > _MAX_ELEMENTS:   # more than an EEGEPOCH file holds
+            raise ValueError(f"{samples} samples exceed the EEGEPOCH limit of {_MAX_ELEMENTS}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 

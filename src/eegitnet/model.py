@@ -226,13 +226,6 @@ class _Plan:
 _last_plan = None
 
 
-def _tc_layout(causal, length):
-    """The :class:`~eegitnet.ops.PaddedLayout` that the folded ``causal``
-    layers of a plan read, for rows of ``length`` samples."""
-    return PaddedLayout.of(length, [(left, band) for left, layers in causal
-                                    for band, _ in layers])
-
-
 def _glorot(rng, shape, fan_in, fan_out, dtype):
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
@@ -390,41 +383,9 @@ class ITNetModel:
                            self.params[f"branch{i}.bn2.beta"],
                            running=self._running(f"branch{i}.bn2"))
             branch_outs.append(t)
-        y = concat_channels(branch_outs)
-        y = elu(y)
-        y = dropout(y, cfg.dropout_rate, rng)
+        y = dropout(elu(concat_channels(branch_outs)), cfg.dropout_rate, rng)
         y = avg_pool_time(y, cfg.pool1)
-        y = self.tc_features(y, mode=mode, rng=rng)
-        y = conv_temporal(y, ConvSpec(1, 1, "same", False, cfg.dr_filters),
-                          self.params["dr.w"])
-        y = batch_norm(y, self.params["dr.bn.gamma"], self.params["dr.bn.beta"],
-                       running=self._running("dr.bn"), bias=self.params["dr.b"])
-        y = elu(y)
-        y = dropout(y, cfg.dropout_rate, rng)
-        y = avg_pool_time(y, cfg.pool2)
-        y = flatten(y)
-        return dense(y, self.params["head.w"], self.params["head.b"])
-
-    def tc_features(self, y, mode="infer", rng=None):
-        """Run only the residual causal stack on (N, width, 1, time) features.
-
-        Block i applies its convolutions at dilation ``dilation_base**i``;
-        the identity skip joins before the block's final activation.
-        """
-        cfg = self.config
-        if mode not in ("train", "infer"):
-            raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
-        if y.shape[1] != cfg.branch_filters:
-            raise ValueError(
-                f"filter axis mismatch: causal stack expects {cfg.branch_filters}, got {y.shape[1]}")
-        if mode == "infer":
-            y = y.data[:, :, 0]
-            y = y.astype(self._infer_dtype(y), copy=False)
-            causal = self._plan(y.dtype).causal
-            layout = _tc_layout(causal, y.shape[-1])
-            y = self._infer_tc(y, causal, PaddedRows(len(y), y.shape[1], layout, y.dtype),
-                               BandProducts(len(y), (layout,), y.dtype))
-            return Tensor(y[:, :, None].copy())
+        # causal stack: block j at dilation dilation_base**j, skip joined before its last ELU
         for j in range(cfg.tc_blocks):
             skip = y
             dilation = cfg.dilation_base ** j
@@ -435,11 +396,15 @@ class ITNetModel:
                 y = batch_norm(y, self.params[f"tc{j}.bn{l}.gamma"],
                                self.params[f"tc{j}.bn{l}.beta"],
                                running=self._running(f"tc{j}.bn{l}"))
-                y = elu(y)
-                y = dropout(y, cfg.dropout_rate, rng)
-            y = add(y, skip)
-            y = elu(y)
-        return y
+                y = dropout(elu(y), cfg.dropout_rate, rng)
+            y = elu(add(y, skip))
+        y = conv_temporal(y, ConvSpec(1, 1, "same", False, cfg.dr_filters),
+                          self.params["dr.w"])
+        y = batch_norm(y, self.params["dr.bn.gamma"], self.params["dr.bn.beta"],
+                       running=self._running("dr.bn"), bias=self.params["dr.b"])
+        y = dropout(elu(y), cfg.dropout_rate, rng)
+        y = flatten(avg_pool_time(y, cfg.pool2))
+        return dense(y, self.params["head.w"], self.params["head.b"])
 
     def forward(self, x, mode="infer", rng=None):
         """Class probabilities, rows summing to 1, as a tensor with no parents."""
@@ -510,7 +475,8 @@ class ITNetModel:
         return _Plan(spatial.astype(dtype), branches, causal,
                      (w.astype(dtype), b.astype(dtype)[:, None]),
                      PaddedLayout.of(cfg.n_samples, [r for r, _ in branches]),
-                     _tc_layout(causal, cfg.pooled1_samples))
+                     PaddedLayout.of(cfg.pooled1_samples, [(left, band) for left, layers in causal
+                                                           for band, _ in layers]))
 
     def _plan(self, dtype):
         """The folded network for ``dtype``: the cached one when the config,

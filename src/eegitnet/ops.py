@@ -79,27 +79,15 @@ def _band_cells(k, dilation, block):
     return cells
 
 
-def _span_chunks(z, left, span, block, blocks, out_filters):
-    """Yield ``(first trial, spans)`` for chunks of the (N, G, R, T) rows
-    ``z``, read after ``left`` zeros (a negative ``left`` skips samples) and
-    zero past its end.
-
-    ``spans`` is an (n, G, R, blocks, span) strided view: ``spans[..., b, :]``
-    holds the samples that block b of a row reads.  Each caller copies it
-    into the matrix layout its product needs.  A chunk holds as many trials
-    as fit ``_CHUNK_BYTES`` of spans and block outputs.
-    """
+def _padded_spans(z, left, span, block, blocks):
+    """The :func:`_span_view` of one zero-padded copy of the (N, G, R, T) rows
+    ``z``, read after ``left`` zeros (a negative one skips samples)."""
     n, g, r, t = z.shape
-    total = (blocks - 1) * block + span
-    per_trial = (g * span + out_filters * block) * r * blocks * z.itemsize
-    step = max(1, _CHUNK_BYTES // per_trial)
-    for lo in range(0, n, step):
-        zc = z[lo:lo + step]
-        zp = np.zeros(zc.shape[:3] + (total,), dtype=z.dtype)
-        a, b = max(left, 0), min(left + t, total)
-        if b > a:
-            zp[..., a:b] = zc[..., a - left:b - left]
-        yield lo, _span_view(zp, 0, span, block, blocks)
+    zp = np.zeros((n, g, r, (blocks - 1) * block + span), dtype=z.dtype)
+    a, b = max(left, 0), min(left + t, zp.shape[-1])
+    if b > a:
+        zp[..., a:b] = z[..., a - left:b - left]
+    return _span_view(zp, 0, span, block, blocks)
 
 
 def _span_view(zp, first, span, block, blocks):
@@ -137,7 +125,8 @@ def band_conv(z, band, left=0, length=None):
     band's output filter f sums the correlations of every input filter.
 
     Time is cut into blocks of the band's width.  A block's outputs are its
-    input span times the band, so the convolution runs as one batched matrix
+    input span times the band.  The spans are read from one zero-padded copy
+    of ``z`` per call, and the convolution runs as one batched matrix
     product per chunk of trials, written in place.  Returns an (N, F, R,
     length) view that leaves out the last block's outputs past ``length``.
     """
@@ -149,14 +138,17 @@ def band_conv(z, band, left=0, length=None):
     if dense:
         band = band.reshape(len(band), g * span, block)
     out = np.empty((n, len(band), r * blocks, block), dtype=np.result_type(z, band))
-    for lo, spans in _span_chunks(z, left, span, block, blocks, len(band)):
-        c = len(spans)
+    spans = _padded_spans(z, left, span, block, blocks)
+    # chunks of as many trials as fit _CHUNK_BYTES of spans and block outputs
+    step = max(1, _CHUNK_BYTES // ((g * span + len(band) * block) * r * blocks * z.itemsize))
+    for lo in range(0, n, step):
+        c = min(step, n - lo)
         if dense:   # a row holds every input filter's span
-            spans = np.ascontiguousarray(spans.transpose(0, 2, 3, 1, 4)).reshape(
+            chunk = np.ascontiguousarray(spans[lo:lo + c].transpose(0, 2, 3, 1, 4)).reshape(
                 c, 1, r * blocks, g * span)
         else:
-            spans = np.ascontiguousarray(spans).reshape(c, g, r * blocks, span)
-        np.matmul(spans, band, out=out[lo:lo + c])
+            chunk = np.ascontiguousarray(spans[lo:lo + c]).reshape(c, g, r * blocks, span)
+        np.matmul(chunk, band, out=out[lo:lo + c])
     return out.reshape(n, len(band), r, blocks * block)[..., :length]
 
 
@@ -251,38 +243,37 @@ def band_conv_taps_grad(z, taps, grad, left=0, dilation=1):
     """Gradient of the ``taps`` behind :func:`band_conv`'s band for the
     output gradient ``grad``, taken from the same input spans: a banded
     matrix's gradient is its spans times its blocks of output gradient, and
-    tap b sums the band's cells that hold it."""
-    _, g, r, _ = z.shape
+    tap b sums the band's cells that hold it.  ``z`` and ``grad`` are each
+    zero-padded into one copy per call, and the products run over chunks of
+    trials; the chunks' sum is the gradient."""
+    n, g, r, _ = z.shape
     f, length = grad.shape[1], grad.shape[3]
     k = taps.shape[-1]
     block, span = _block_shape(k, dilation)
     blocks = -(-length // block)
+    dense = taps.ndim == 3
+    spans = _padded_spans(z, left, span, block, blocks)
+    # the output gradient's blocks, zero past its end; filter-major when depthwise
+    grads = _padded_spans(grad if dense else grad.transpose(1, 0, 2, 3), 0, block, block,
+                          blocks)
+    step = max(1, _CHUNK_BYTES // ((g * span + f * block) * r * blocks * z.itemsize))
     band_grad = 0
-    for lo, spans in _span_chunks(z, left, span, block, blocks, f):
-        c = len(spans)
-        if taps.ndim == 3:
+    for lo in range(0, n, step):
+        c = min(step, n - lo)
+        if dense:
             # one product per trial and output filter, summed over the trials
-            spans = np.ascontiguousarray(spans.transpose(0, 2, 3, 1, 4)).reshape(
+            chunk = np.ascontiguousarray(spans[lo:lo + c].transpose(0, 2, 3, 1, 4)).reshape(
                 c, 1, r * blocks, g * span)
-            gc = _zero_padded(grad[lo:lo + c], blocks * block).reshape(c, f, r * blocks, block)
-            band_grad = band_grad + np.matmul(spans.swapaxes(-1, -2), gc).sum(axis=0)
+            gc = grads[lo:lo + c].reshape(c, f, r * blocks, block)
+            band_grad = band_grad + np.matmul(chunk.swapaxes(-1, -2), gc).sum(axis=0)
         else:
             # one product per filter, with every trial's blocks in its rows
-            spans = np.ascontiguousarray(spans.transpose(1, 0, 2, 3, 4)).reshape(
+            chunk = np.ascontiguousarray(spans[lo:lo + c].transpose(1, 0, 2, 3, 4)).reshape(
                 g, c * r * blocks, span)
-            gc = _zero_padded(grad[lo:lo + c].transpose(1, 0, 2, 3), blocks * block)
-            band_grad = band_grad + np.matmul(spans.swapaxes(-1, -2),
-                                              gc.reshape(f, c * r * blocks, block))
+            gc = grads[:, lo:lo + c].reshape(f, c * r * blocks, block)
+            band_grad = band_grad + np.matmul(chunk.swapaxes(-1, -2), gc)
     band_grad = band_grad.reshape(taps.shape[:-1] + (span, block))
     return band_grad[(Ellipsis,) + _band_cells(k, dilation, block)].sum(axis=-1)
-
-
-def _zero_padded(a, length):
-    """A new contiguous copy of ``a`` with zeros after its last axis up to
-    ``length``."""
-    out = np.zeros(a.shape[:-1] + (length,), dtype=a.dtype)
-    out[..., :a.shape[-1]] = a
-    return out
 
 
 @dataclass(frozen=True)

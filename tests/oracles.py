@@ -25,7 +25,11 @@ by ``infer_norm``, as the reference for the model's own plain-numpy
 inference.  ``previous_infer_features`` and ``previous_infer_tc`` are the
 previous form of that inference on a folded plan: a ``band_conv`` per layer,
 each padding a fresh copy of its input, and a new array for every shift,
-ELU and pooling.
+ELU and pooling.  ``folded_infer_tc`` runs ``ITNetModel._infer_tc`` alone on
+a folded plan's causal layers, with buffers sized for its features' length.
+``previous_band_conv`` and ``previous_band_conv_taps_grad`` are the previous
+training convolutions, which padded a fresh block of rows for every chunk
+of trials and a fresh copy of every chunk's output gradient.
 ``synth_generate_reference`` and ``standardize_reference`` are the data
 path's previous whole-set forms: the generator's trials summed into one
 float64 array and cast to float32 once, and the standardisation
@@ -36,7 +40,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from eegitnet.data import _band_noise, window_samples
-from eegitnet.ops import ConvSpec, avg_pool_time, band_conv, conv_temporal, dense, elu, flatten
+from eegitnet.ops import (_CHUNK_BYTES, BandProducts, ConvSpec, PaddedLayout, PaddedRows,
+                          _band_cells, _block_shape, _span_view, avg_pool_time, band_conv,
+                          conv_temporal, dense, elu, flatten)
 from eegitnet.tensor import Tensor, accumulate, add, concat_channels, from_op, no_grad
 
 FD_STEP = 1e-5
@@ -464,6 +470,88 @@ def previous_infer_tc(model, y, causal):
         y = _previous_elu(y + skip)
     return y
 
+
+def folded_infer_tc(model, y):
+    """``ITNetModel._infer_tc`` on (N, width, 1, time) features, in the
+    compute dtype of the folded plan, as an (N, width, 1, time) array; its
+    buffers are sized as ``_fold`` sizes the plan's for its length."""
+    y = np.asarray(y)[:, :, 0]
+    y = y.astype(model._infer_dtype(y), copy=False)
+    causal = model._plan(y.dtype).causal
+    layout = PaddedLayout.of(y.shape[-1], [(left, band) for left, layers in causal
+                                           for band, _ in layers])
+    out = model._infer_tc(y, causal, PaddedRows(len(y), y.shape[1], layout, y.dtype),
+                          BandProducts(len(y), (layout,), y.dtype))
+    return out[:, :, None]
+
+
+def _previous_span_chunks(z, left, span, block, blocks, out_filters):
+    n, g, r, t = z.shape
+    total = (blocks - 1) * block + span
+    per_trial = (g * span + out_filters * block) * r * blocks * z.itemsize
+    step = max(1, _CHUNK_BYTES // per_trial)
+    for lo in range(0, n, step):
+        zc = z[lo:lo + step]
+        zp = np.zeros(zc.shape[:3] + (total,), dtype=z.dtype)
+        a, b = max(left, 0), min(left + t, total)
+        if b > a:
+            zp[..., a:b] = zc[..., a - left:b - left]
+        yield lo, _span_view(zp, 0, span, block, blocks)
+
+
+def _previous_zero_padded(a, length):
+    out = np.zeros(a.shape[:-1] + (length,), dtype=a.dtype)
+    out[..., :a.shape[-1]] = a
+    return out
+
+
+def previous_band_conv(z, band, left=0, length=None):
+    """``ops.band_conv`` as it was: a fresh zero-padded block of rows for
+    every chunk of trials."""
+    n, g, r, t = z.shape
+    length = t if length is None else length
+    span, block = band.shape[-2:]
+    blocks = -(-length // block)
+    dense = band.ndim == 4
+    if dense:
+        band = band.reshape(len(band), g * span, block)
+    out = np.empty((n, len(band), r * blocks, block), dtype=np.result_type(z, band))
+    for lo, spans in _previous_span_chunks(z, left, span, block, blocks, len(band)):
+        c = len(spans)
+        if dense:
+            spans = np.ascontiguousarray(spans.transpose(0, 2, 3, 1, 4)).reshape(
+                c, 1, r * blocks, g * span)
+        else:
+            spans = np.ascontiguousarray(spans).reshape(c, g, r * blocks, span)
+        np.matmul(spans, band, out=out[lo:lo + c])
+    return out.reshape(n, len(band), r, blocks * block)[..., :length]
+
+
+def previous_band_conv_taps_grad(z, taps, grad, left=0, dilation=1):
+    """``ops.band_conv_taps_grad`` as it was: a fresh zero-padded block of
+    rows and of output gradient for every chunk of trials."""
+    _, g, r, _ = z.shape
+    f, length = grad.shape[1], grad.shape[3]
+    k = taps.shape[-1]
+    block, span = _block_shape(k, dilation)
+    blocks = -(-length // block)
+    band_grad = 0
+    for lo, spans in _previous_span_chunks(z, left, span, block, blocks, f):
+        c = len(spans)
+        if taps.ndim == 3:
+            spans = np.ascontiguousarray(spans.transpose(0, 2, 3, 1, 4)).reshape(
+                c, 1, r * blocks, g * span)
+            gc = _previous_zero_padded(grad[lo:lo + c], blocks * block).reshape(
+                c, f, r * blocks, block)
+            band_grad = band_grad + np.matmul(spans.swapaxes(-1, -2), gc).sum(axis=0)
+        else:
+            spans = np.ascontiguousarray(spans.transpose(1, 0, 2, 3, 4)).reshape(
+                g, c * r * blocks, span)
+            gc = _previous_zero_padded(grad[lo:lo + c].transpose(1, 0, 2, 3), blocks * block)
+            band_grad = band_grad + np.matmul(spans.swapaxes(-1, -2),
+                                              gc.reshape(f, c * r * blocks, block))
+    band_grad = band_grad.reshape(taps.shape[:-1] + (span, block))
+    return band_grad[(Ellipsis,) + _band_cells(k, dilation, block)].sum(axis=-1)
 
 
 def synth_generate_reference(spec):

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import check_gradients, to_scalar
+from oracles import check_gradients, folded_infer_tc, to_scalar
 from eegitnet.data import (SourceSpec, SynthSpec, load_epochs, save_epochs,
                            synth_generate)
 from eegitnet.explain import build_atlas, savgol_coeffs, savgol_smooth
@@ -22,7 +22,6 @@ from eegitnet.ops import (ConvSpec, avg_pool_time, batch_norm,
                           conv_temporal, dense, dropout, elu, flatten,
                           lag_statistics, softmax_cross_entropy)
 from eegitnet.stats import rank_sum_counts, wilcoxon_one_sided
-from eegitnet.tensor import Tensor
 from eegitnet.training import TrainConfig, report_csv_text, run_scenario
 
 # ----------------------------------------------------------------------
@@ -133,7 +132,7 @@ def test_causal_stack_isolation(verdict):
     x = rng.standard_normal((1, 14, 1, t_len)).astype(np.float32)
 
     def stack_out(arr):
-        return model.tc_features(Tensor(arr), mode="infer").data
+        return folded_infer_tc(model, arr)
 
     base = stack_out(x)
     last = t_len - 1

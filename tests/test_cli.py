@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from eegitnet import cli, training
+from eegitnet import cli, data, training
 from eegitnet.cli import main
 from eegitnet.data import EPOCH_MAGIC, load_epochs, save_epochs
 from eegitnet.model import MODEL_MAGIC, ArchConfig, load_model
@@ -122,6 +122,22 @@ def test_synth_rejects_bad_specs(tmp_path, capsys, mutate, fragment):
     assert main(["synth", "--spec", spec, "--out", str(out)]) == 2
     assert fragment in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("limit, code", [(24 * 4 * 64 - 1, 2), (24 * 4 * 64, 0)])
+def test_synth_over_the_epoch_file_limit_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                                    monkeypatch, limit, code):
+    # 24 trials x 4 channels x 64 samples: one sample over the limit is refused
+    # before the set is generated; at the limit it is written and loads
+    monkeypatch.setattr(data, "_MAX_ELEMENTS", limit)
+    out = tmp_path / "cohort.eegepoch"
+    assert main(["synth", "--spec", write(tmp_path / "spec", SPEC.format(seed=0)),
+                 "--out", str(out)]) == code
+    if code:
+        assert "6144 samples exceed the EEGEPOCH limit of 6143" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["spec"]
+    else:
+        assert load_epochs(out).trials.size == limit
 
 
 def test_config_parser_rejects_malformed_lines(tmp_path, capsys):

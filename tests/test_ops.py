@@ -370,6 +370,46 @@ def test_conv_matches_window_reference_at_paper_shape(geometry):
     assert_close_to_reference(wt.grad, gw[..., ::-1] if causal else gw)
 
 
+# name -> ((filters, rows, samples) of the input, taps, dilation, left zeros,
+# output length).  The calls of a paper training step: each inception band on
+# its mixed rows at its forward's left and its input gradient's, each causal
+# band and its transposed convolution, the 1x1 reduction; then the shapes
+# only tests reach: a dense band over two rows, DeferredConv.dense()'s
+# input, and a "valid" output shorter than its input
+TRAINING_BANDS = {
+    **{f"inception_k{k}": ((f, 1, 1125), (f, k), 1, ((k - 1) // 2, k // 2), None)
+       for f, k in ((2, 16), (4, 32), (8, 64))},
+    **{f"causal_d{d}": ((14, 1, 281), (14, 4), d, (3 * d, 0), None) for d in (1, 2, 4, 8)},
+    "dr_1x1": ((14, 1, 281), (14, 14, 1), 1, (0,), None),
+    "dense_two_rows": ((3, 2, 50), (2, 3, 3), 1, (1,), None),
+    "deferred_dense": ((1, 22, 1125), (4, 1, 32), 1, (15,), None),
+    "valid_shorter": ((2, 1, 100), (3, 2, 5), 2, (0,), 92),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("name", sorted(TRAINING_BANDS))
+def test_training_convolutions_are_the_bits_of_the_previous_implementation(name, dtype):
+    # 16 and 40 trials: the k=64 taps gradient sums several chunks of trials
+    rows, taps_shape, dilation, lefts, length = TRAINING_BANDS[name]
+    rng = np.random.default_rng(11)
+    taps = rng.standard_normal(taps_shape).astype(dtype)
+    band = ops.band_matrix(taps, dilation)
+    bits = np.uint32 if dtype == np.float32 else np.uint64
+    for n in (16, 40):
+        z = rng.standard_normal((n,) + rows).astype(dtype)
+        for left in lefts:
+            out = ops.band_conv(z, band, left, length)
+            np.testing.assert_array_equal(
+                out.view(bits), oracles.previous_band_conv(z, band, left, length).view(bits),
+                strict=True)
+            g = rng.standard_normal(out.shape).astype(dtype)
+            np.testing.assert_array_equal(
+                ops.band_conv_taps_grad(z, taps, g, left, dilation).view(bits),
+                oracles.previous_band_conv_taps_grad(z, taps, g, left, dilation).view(bits),
+                strict=True)
+
+
 def test_batch_norm_train_matches_reference_at_paper_shape():
     rng = np.random.default_rng(8)
     x = (rng.standard_normal((16, 8, 22, 1125)) * 3.0 + 1.5).astype(np.float32)
